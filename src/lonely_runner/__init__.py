@@ -28,7 +28,7 @@ from .enumeration import (
     summary_from_json,
     sweep,
 )
-from .exact_arith import Rational, format_rational, frac, mod_int, parse_rational
+from .exact_arith import format_rational, frac, parse_rational
 from .model import SpeedVector, gcd_of, new_speed_vector, normalize
 from .oracle import (
     SuitabilitySet,
@@ -57,7 +57,6 @@ from .polyhedron import (
     q_geometry,
     q_halfplanes,
     support_bounds,
-    translate_invariance_check,
     width,
 )
 
@@ -73,7 +72,6 @@ __all__ = [
     "LemmaWidths",
     "QGeometry",
     "QLandmarks",
-    "Rational",
     "SpeedVector",
     "SuitabilitySet",
     "TimeInterval",
@@ -99,7 +97,6 @@ __all__ = [
     "lemma_widths",
     "lift_to_p",
     "merge_summaries",
-    "mod_int",
     "new_speed_vector",
     "normalize",
     "p1_interval",
@@ -117,6 +114,5 @@ __all__ = [
     "summary_from_json",
     "support_bounds",
     "sweep",
-    "translate_invariance_check",
     "width",
 ]

@@ -113,15 +113,12 @@ def classify(n: SpeedVector, with_oracle: bool = False) -> ClassificationReport:
     """
     thm1, thm2, slow_fast = evaluate_rules(n.speeds)
     any_rule = thm1 or thm2 or slow_fast
-    witness_time: Fraction | None = None
-    if slow_fast:
-        witness_time = Fraction(n.k, (n.k + 1) * n[0])
-    elif with_oracle:
-        witness_time = oracle.earliest_suitable_time(n)
+    earliest = oracle.earliest_suitable_time(n) if with_oracle else None
+    witness_time = Fraction(n.k, (n.k + 1) * n[0]) if slow_fast else earliest
     witness_point = None
     if witness_time is not None:
         witness_point = oracle.lattice_witness_from_time(n, witness_time)
-    oracle_verdict = oracle.is_instance(n) if with_oracle else None
+    oracle_verdict = earliest is not None if with_oracle else None
     return ClassificationReport(
         vector=n,
         thm1=thm1,

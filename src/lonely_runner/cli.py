@@ -53,8 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     vector_command("polytope", "half-planes, vertices, landmarks, widths of the planar cell Q")
 
-    p = vector_command("dyadic", "minimal suitable time on the dyadic grid")
-    p.add_argument("--half-range", action="store_true", help="search only m <= ceil(D/2)")
+    vector_command("dyadic", "minimal suitable time on the dyadic grid")
 
     p = sub.add_parser("enumerate", help="census sweep over all subsets of {1..N}")
     p.add_argument("max_speed", type=int, metavar="N")
@@ -99,7 +98,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     instance = not times.is_empty
     earliest = times.earliest()
     witness_point = None if earliest is None else oracle.lattice_witness_from_time(n, earliest)
-    half = None if earliest is None else oracle.half_period_witness(n)
+    half = oracle._checked_half_period(n, earliest)
     if args.json:
         _emit_json(
             {
@@ -213,7 +212,7 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
 
 def _cmd_dyadic(args: argparse.Namespace) -> int:
     n = _vector_from_args(args)
-    witness = dyadic_mod.find_dyadic_time(n, half_range=args.half_range)
+    witness = dyadic_mod.find_dyadic_time(n)
     exponent = dyadic_mod.dyadic_exponent(n)
     denominator = dyadic_mod.dyadic_denominator(n)
     if args.json:
@@ -240,21 +239,16 @@ def _cmd_dyadic(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    summary = enumeration.sweep(
-        args.max_speed,
-        require_coprime=args.require_coprime,
-        with_oracle=args.with_oracle,
-        with_dyadic=args.with_dyadic,
-        shard_count=args.shards,
-    )
+    options = {
+        "require_coprime": args.require_coprime,
+        "with_oracle": args.with_oracle,
+        "with_dyadic": args.with_dyadic,
+        "shard_count": args.shards,
+    }
     if args.out:
-        records = enumeration.iter_vector_records(
-            args.max_speed,
-            require_coprime=args.require_coprime,
-            with_oracle=args.with_oracle,
-            with_dyadic=args.with_dyadic,
-        )
-        enumeration.export(records, args.format, args.out)
+        summary = enumeration._sweep_export(args.max_speed, args.format, args.out, **options)
+    else:
+        summary = enumeration.sweep(args.max_speed, **options)
     obj = summary.to_json_obj(include_elapsed=False)
     if args.json:
         _emit_json(obj)

@@ -17,8 +17,7 @@ Restricting to the lower half of the grid (m <= ceil(D/2)) never
 changes the answer: t = 1 is never suitable, so a minimal hit with
 m/D > 1/2 would reflect to the suitable time 1 - m/D < 1/2, and the
 grid is symmetric (D - m is a grid numerator), contradicting
-minimality.  The ``half_range`` flag exposes the restricted search for
-measurement anyway.
+minimality.
 """
 
 from __future__ import annotations
@@ -52,26 +51,18 @@ def dyadic_denominator(n: SpeedVector) -> int:
     return (1 << dyadic_exponent(n)) * (n.k + 1) * n[0]
 
 
-def find_dyadic_time(n: SpeedVector, half_range: bool = False) -> DyadicWitness | None:
+def find_dyadic_time(n: SpeedVector) -> DyadicWitness | None:
     """Minimal m in [1, D] with m/D suitable, or None when no grid time is.
 
-    With ``half_range`` the search stops at ceil(D/2), which provably
-    returns the same result.
+    The minimal m, when there is one, is at most ceil(D/2).
     """
     exponent = dyadic_exponent(n)
     den = (1 << exponent) * (n.k + 1) * n[0]
-    limit = (den + 1) // 2 if half_range else den
     scale, arcs = oracle.scaled_suitable_set(n)
     for lo, hi in arcs:
-        # smallest m with m/den >= lo/scale
+        # Smallest m with m/den >= lo/scale; arcs lie inside (0, 1), so
+        # 1 <= m_lo <= den.
         m_lo = -((-lo * den) // scale)
-        if m_lo < 1:
-            m_lo = 1
-        if m_lo > limit:
-            break
-        m_hi = (hi * den) // scale
-        if m_hi > limit:
-            m_hi = limit
-        if m_lo <= m_hi:
+        if m_lo <= (hi * den) // scale:
             return DyadicWitness(exponent, den, m_lo, Fraction(m_lo, den))
     return None

@@ -6,8 +6,8 @@ partitions the mask range into contiguous shards, counts coprimality
 and the rule triple for each vector, optionally runs the exact oracle
 or the dyadic grid search, and merges the shard summaries fieldwise.
 The merge is associative and commutative, so the result does not
-depend on the shard count; shards may also be mapped onto worker
-processes.
+depend on the shard count.  One loop serves the summary, the record
+stream and the export, which gets both from a single pass.
 
 The number of coprime subsets has a closed form by Mobius inversion
 over the common divisor (subsets of {1..N} with gcd divisible by d are
@@ -21,13 +21,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
-from functools import reduce
-from typing import IO, Iterable, Iterator
+from typing import IO, Generator, Iterable, Iterator
 
 from . import dyadic, oracle
 from .classify import evaluate_rules
@@ -48,6 +46,9 @@ __all__ = [
 ]
 
 _MAX_SWEEP = 32
+# shard_bounds holds every shard edge in memory; more shards than this
+# would only allocate, since a shard of a 2^32 range is already small.
+_MAX_SHARDS = 1 << 16
 _MAX_MOEBIUS = 62  # 2^62 subsets still fit comfortably in a machine word
 
 CSV_FIELDS = (
@@ -117,19 +118,9 @@ class EnumerationSummary:
     elapsed: int = field(compare=False, default=0)
 
     def to_json_obj(self, include_elapsed: bool = True) -> dict:
-        obj = {
-            "max_speed": self.max_speed,
-            "total_vectors": self.total_vectors,
-            "coprime_vectors": self.coprime_vectors,
-            "thm1_count": self.thm1_count,
-            "thm2_count": self.thm2_count,
-            "slow_fast_count": self.slow_fast_count,
-            "any_rule_count": self.any_rule_count,
-            "oracle_instance_count": self.oracle_instance_count,
-            "dyadic_verified_count": self.dyadic_verified_count,
-        }
-        if include_elapsed:
-            obj["elapsed"] = self.elapsed
+        obj = asdict(self)
+        if not include_elapsed:
+            del obj["elapsed"]
         return obj
 
 
@@ -193,86 +184,104 @@ def _decode(mask: int) -> tuple[int, ...]:
 
 def shard_bounds(max_speed: int, shard_count: int) -> list[tuple[int, int]]:
     """Contiguous half-open mask ranges covering [1, 2^max_speed)."""
-    if shard_count < 1:
-        raise ValueError(f"shard_count must be >= 1, got {shard_count}")
+    if not 1 <= max_speed <= _MAX_SWEEP:
+        raise ValueError(f"max_speed must be in [1, {_MAX_SWEEP}], got {max_speed}")
+    if not 1 <= shard_count <= _MAX_SHARDS:
+        raise ValueError(f"shard_count must be in [1, {_MAX_SHARDS}], got {shard_count}")
     total = (1 << max_speed) - 1
     edges = [1 + (total * i) // shard_count for i in range(shard_count + 1)]
     return [(edges[i], edges[i + 1]) for i in range(shard_count)]
 
 
-def _sweep_range(
+def _census(
     max_speed: int,
-    lo: int,
-    hi: int,
+    bounds: list[tuple[int, int]],
     require_coprime: bool,
     with_oracle: bool,
     with_dyadic: bool,
-) -> EnumerationSummary:
-    """Sweep the mask range [lo, hi) single-threaded."""
-    total = 0
-    coprime_ct = 0
-    thm1_ct = thm2_ct = slow_ct = any_ct = 0
-    oracle_ct = 0 if with_oracle else None
-    dyadic_ct = 0 if with_dyadic else None
+    records: bool,
+) -> Generator[VectorRecord, None, EnumerationSummary]:
+    """The one per-vector loop: census of the mask ranges ``bounds``.
+
+    Counts every vector in local integers and merges each shard's
+    summary as the shard ends; yields a VectorRecord per classified
+    vector only when ``records`` is set.  Returns the summary, whose
+    ``elapsed`` includes the consumer's time between records.
+    """
+    start = time.perf_counter()
+    summary = None
     gcd = math.gcd
-    for mask in range(lo, hi):
-        speeds = _decode(mask)
-        total += 1
-        coprime = gcd(*speeds) == 1
-        if coprime:
-            coprime_ct += 1
-        elif require_coprime:
-            continue
-        thm1, thm2, slow_fast = evaluate_rules(speeds)
-        if thm1:
-            thm1_ct += 1
-        if thm2:
-            thm2_ct += 1
-        if slow_fast:
-            slow_ct += 1
-        if thm1 or thm2 or slow_fast:
-            any_ct += 1
-        if with_oracle or with_dyadic:
-            sv = SpeedVector(speeds)
-            if with_oracle and oracle.is_instance(sv):
-                oracle_ct += 1
-            if with_dyadic and dyadic.find_dyadic_time(sv) is not None:
-                dyadic_ct += 1
-    return EnumerationSummary(
-        max_speed=max_speed,
-        total_vectors=total,
-        coprime_vectors=coprime_ct,
-        thm1_count=thm1_ct,
-        thm2_count=thm2_ct,
-        slow_fast_count=slow_ct,
-        any_rule_count=any_ct,
-        oracle_instance_count=oracle_ct,
-        dyadic_verified_count=dyadic_ct,
-    )
+    earliest = witness = None  # reassigned per vector only when their pass is on
+    for lo, hi in bounds:
+        total = coprime_ct = thm1_ct = thm2_ct = slow_ct = any_ct = 0
+        oracle_ct = 0 if with_oracle else None
+        dyadic_ct = 0 if with_dyadic else None
+        for mask in range(lo, hi):
+            speeds = _decode(mask)
+            total += 1
+            coprime = gcd(*speeds) == 1
+            if coprime:
+                coprime_ct += 1
+            elif require_coprime:
+                continue
+            thm1, thm2, slow_fast = evaluate_rules(speeds)
+            if thm1:
+                thm1_ct += 1
+            if thm2:
+                thm2_ct += 1
+            if slow_fast:
+                slow_ct += 1
+            if thm1 or thm2 or slow_fast:
+                any_ct += 1
+            if with_oracle or with_dyadic:
+                sv = SpeedVector(speeds)
+                if with_oracle:
+                    earliest = oracle.earliest_suitable_time(sv)
+                    if earliest is not None:
+                        oracle_ct += 1
+                if with_dyadic:
+                    witness = dyadic.find_dyadic_time(sv)
+                    if witness is not None:
+                        dyadic_ct += 1
+            if records:
+                yield VectorRecord(
+                    speeds=speeds,
+                    k=len(speeds),
+                    coprime=coprime,
+                    thm1=thm1,
+                    thm2=thm2,
+                    slow_fast=slow_fast,
+                    any_rule=thm1 or thm2 or slow_fast,
+                    is_instance=earliest is not None if with_oracle else None,
+                    earliest_time=earliest,
+                    dyadic_m=None if witness is None else witness.m,
+                )
+        part = EnumerationSummary(
+            max_speed=max_speed,
+            total_vectors=total,
+            coprime_vectors=coprime_ct,
+            thm1_count=thm1_ct,
+            thm2_count=thm2_ct,
+            slow_fast_count=slow_ct,
+            any_rule_count=any_ct,
+            oracle_instance_count=oracle_ct,
+            dyadic_verified_count=dyadic_ct,
+        )
+        summary = part if summary is None else merge_summaries(summary, part)
+    return replace(summary, elapsed=int((time.perf_counter() - start) * 1000))
 
 
 def merge_summaries(a: EnumerationSummary, b: EnumerationSummary) -> EnumerationSummary:
     """Fieldwise addition of two shard summaries over the same max_speed."""
     if a.max_speed != b.max_speed:
         raise ValueError("cannot merge summaries with different max_speed")
-
-    def opt(x: int | None, y: int | None) -> int | None:
+    sums = {}
+    for f in fields(EnumerationSummary)[1:]:  # the fields after max_speed
+        x, y = getattr(a, f.name), getattr(b, f.name)
         if (x is None) != (y is None):
             raise ValueError("cannot merge summaries with different options")
-        return None if x is None else x + y
-
-    return EnumerationSummary(
-        max_speed=a.max_speed,
-        total_vectors=a.total_vectors + b.total_vectors,
-        coprime_vectors=a.coprime_vectors + b.coprime_vectors,
-        thm1_count=a.thm1_count + b.thm1_count,
-        thm2_count=a.thm2_count + b.thm2_count,
-        slow_fast_count=a.slow_fast_count + b.slow_fast_count,
-        any_rule_count=a.any_rule_count + b.any_rule_count,
-        oracle_instance_count=opt(a.oracle_instance_count, b.oracle_instance_count),
-        dyadic_verified_count=opt(a.dyadic_verified_count, b.dyadic_verified_count),
-        elapsed=a.elapsed + b.elapsed,
-    )
+        sums[f.name] = None if x is None else x + y
+    return EnumerationSummary(max_speed=a.max_speed, **sums)
 
 
 def sweep(
@@ -282,31 +291,20 @@ def sweep(
     with_oracle: bool = False,
     with_dyadic: bool = False,
     shard_count: int = 1,
-    processes: int = 1,
 ) -> EnumerationSummary:
     """Enumerate all nonempty subsets of {1..max_speed} and aggregate.
 
     ``require_coprime`` restricts classification (and the optional
     oracle and dyadic passes) to coprime vectors; total and coprime
     counts always cover the whole range.  The result is identical for
-    every shard_count; with processes > 1 the shards are mapped onto a
-    worker pool.
+    every shard_count.
     """
-    if not 1 <= max_speed <= _MAX_SWEEP:
-        raise ValueError(f"max_speed must be in [1, {_MAX_SWEEP}], got {max_speed}")
-    if processes < 1:
-        raise ValueError(f"processes must be >= 1, got {processes}")
-    start = time.perf_counter()
     bounds = shard_bounds(max_speed, shard_count)
-    args = [(max_speed, lo, hi, require_coprime, with_oracle, with_dyadic) for lo, hi in bounds]
-    if processes > 1 and len(args) > 1:
-        with multiprocessing.Pool(min(processes, len(args))) as pool:
-            parts = pool.starmap(_sweep_range, args)
-    else:
-        parts = [_sweep_range(*a) for a in args]
-    summary = reduce(merge_summaries, parts)
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return replace(summary, elapsed=elapsed)
+    try:
+        next(_census(max_speed, bounds, require_coprime, with_oracle, with_dyadic, records=False))
+    except StopIteration as done:
+        return done.value
+    raise AssertionError("a census without records yielded one")
 
 
 def iter_vector_records(
@@ -316,38 +314,26 @@ def iter_vector_records(
     with_oracle: bool = False,
     with_dyadic: bool = False,
 ) -> Iterator[VectorRecord]:
-    """Stream one VectorRecord per enumerated vector, masks ascending."""
-    if not 1 <= max_speed <= _MAX_SWEEP:
-        raise ValueError(f"max_speed must be in [1, {_MAX_SWEEP}], got {max_speed}")
-    for mask in range(1, 1 << max_speed):
-        speeds = _decode(mask)
-        coprime = math.gcd(*speeds) == 1
-        if require_coprime and not coprime:
-            continue
-        thm1, thm2, slow_fast = evaluate_rules(speeds)
-        is_inst: bool | None = None
-        earliest: Fraction | None = None
-        dyadic_m: int | None = None
-        if with_oracle or with_dyadic:
-            sv = SpeedVector(speeds)
-            if with_oracle:
-                earliest = oracle.earliest_suitable_time(sv)
-                is_inst = earliest is not None
-            if with_dyadic:
-                witness = dyadic.find_dyadic_time(sv)
-                dyadic_m = None if witness is None else witness.m
-        yield VectorRecord(
-            speeds=speeds,
-            k=len(speeds),
-            coprime=coprime,
-            thm1=thm1,
-            thm2=thm2,
-            slow_fast=slow_fast,
-            any_rule=thm1 or thm2 or slow_fast,
-            is_instance=is_inst,
-            earliest_time=earliest,
-            dyadic_m=dyadic_m,
-        )
+    """Stream one VectorRecord per classified vector, masks ascending."""
+    bounds = shard_bounds(max_speed, 1)
+    yield from _census(max_speed, bounds, require_coprime, with_oracle, with_dyadic, records=True)
+
+
+def _sweep_export(
+    max_speed: int, fmt: str, destination: str | os.PathLike | IO[str], *, shard_count: int = 1, **flags: bool
+) -> EnumerationSummary:
+    """:func:`sweep` that exports every record in the same pass, for ``enumerate --out``.
+
+    Arguments are checked before the destination is opened.
+    """
+    census = _census(max_speed, shard_bounds(max_speed, shard_count), records=True, **flags)
+    summary = []
+
+    def drain() -> Iterator[VectorRecord]:
+        summary.append((yield from census))
+
+    export(drain(), fmt, destination)
+    return summary[0]
 
 
 def _export_to(handle: IO[str], data: EnumerationSummary | Iterable[VectorRecord], fmt: str) -> None:
@@ -398,15 +384,5 @@ def export(
 def summary_from_json(source: str | dict) -> EnumerationSummary:
     """Rebuild an EnumerationSummary from its JSON text or object."""
     obj = json.loads(source) if isinstance(source, str) else source
-    return EnumerationSummary(
-        max_speed=obj["max_speed"],
-        total_vectors=obj["total_vectors"],
-        coprime_vectors=obj["coprime_vectors"],
-        thm1_count=obj["thm1_count"],
-        thm2_count=obj["thm2_count"],
-        slow_fast_count=obj["slow_fast_count"],
-        any_rule_count=obj["any_rule_count"],
-        oracle_instance_count=obj["oracle_instance_count"],
-        dyadic_verified_count=obj["dyadic_verified_count"],
-        elapsed=obj.get("elapsed", 0),
-    )
+    counts = {f.name: obj[f.name] for f in fields(EnumerationSummary) if f.name != "elapsed"}
+    return EnumerationSummary(**counts, elapsed=obj.get("elapsed", 0))

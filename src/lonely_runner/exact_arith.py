@@ -4,9 +4,9 @@ Every quantity in this package is a rational number with integer
 numerator and denominator; nothing is ever rounded.  The heavy lifting
 is done by :class:`fractions.Fraction`, which already stores values
 reduced with a positive denominator and compares exactly.  This module
-adds the few pieces Fraction does not ship: the fractional part, a
-checked modular reduction, and the canonical ``numerator/denominator``
-text form used by the CLI and the export files.
+adds the few pieces Fraction does not ship: the fractional part and
+the canonical ``numerator/denominator`` text form used by the CLI and
+the export files.
 """
 
 from __future__ import annotations
@@ -15,10 +15,7 @@ import math
 import re
 from fractions import Fraction
 
-__all__ = ["Rational", "frac", "mod_int", "parse_rational", "format_rational"]
-
-# All public APIs accept and return Fraction; the alias documents intent.
-Rational = Fraction
+__all__ = ["frac", "parse_rational", "format_rational"]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -35,15 +32,6 @@ def frac(q: Fraction | int) -> Fraction:
     if q < 0:
         raise ValueError(f"frac expects a non-negative rational, got {q}")
     return q - math.floor(q)
-
-
-def mod_int(a: int, m: int) -> int:
-    """``a mod m`` for a >= 0 and m >= 1, with explicit domain checks."""
-    if a < 0:
-        raise ValueError(f"mod_int expects a non-negative integer, got {a}")
-    if m < 1:
-        raise ValueError(f"modulus must be a positive integer, got {m}")
-    return a % m
 
 
 def parse_rational(text: str) -> Fraction:

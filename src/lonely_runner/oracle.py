@@ -206,13 +206,15 @@ def half_period_witness(n: SpeedVector) -> Fraction | None:
     always reaches into [0, 1/2]; the earliest suitable time is such a
     witness.
     """
-    t = earliest_suitable_time(n)
-    if t is None:
-        return None
-    if t > _HALF:
+    return _checked_half_period(n, earliest_suitable_time(n))
+
+
+def _checked_half_period(n: SpeedVector, earliest: Fraction | None) -> Fraction | None:
+    """The earliest suitable time of n, checked to be at most 1/2."""
+    if earliest is not None and earliest > _HALF:
         # A nonempty symmetric closed set cannot start after 1/2.
         raise RuntimeError(f"suitable set of {n} lost reflection symmetry")
-    return t
+    return earliest
 
 
 def lattice_witness_from_time(n: SpeedVector, t: Fraction | int) -> tuple[int, ...]:

@@ -25,7 +25,6 @@ pairwise line intersection.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,13 +48,9 @@ __all__ = [
     "lemma_widths",
     "integer_point_in_q",
     "lift_to_p",
-    "translate_invariance_check",
 ]
 
 _ZERO = Fraction(0)
-
-# Cap on the number of lattice points translate_invariance_check may visit.
-_BOX_POINT_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -434,48 +429,3 @@ def lift_to_p(
     if not contains(n, lifted):
         raise RuntimeError(f"zero-padding {coords} left P{n}")
     return lifted
-
-
-def _contains_translated(n: SpeedVector, y: Sequence[int], v: Sequence[int]) -> bool:
-    """Membership of y in the translated polyhedron P(n) + v.
-
-    Evaluated against shifted bounds rather than by subtracting v from
-    y, so the translation arithmetic gets exercised independently.
-    """
-    k = n.k
-    for i in range(k):
-        for j in range(i + 1, k):
-            g = n[j] * y[i] - n[i] * y[j]
-            shift = n[j] * v[i] - n[i] * v[j]
-            if not (
-                Fraction(n[i] - k * n[j], k + 1) + shift
-                <= g
-                <= Fraction(k * n[i] - n[j], k + 1) + shift
-            ):
-                return False
-    return True
-
-
-def translate_invariance_check(n: SpeedVector, v: Sequence[int], box: int) -> bool:
-    """Lattice counts of P(n) in a box and of P(n)+v in the shifted box agree.
-
-    True on every valid input (translation by an integer vector bijects
-    the lattice); the value of running it is that it cross-checks the
-    constraint arithmetic along two different code paths.  Limited to
-    k <= 4 and small boxes.
-    """
-    if n.k > 4:
-        raise ValueError("translate_invariance_check is limited to k <= 4")
-    if box < 0:
-        raise ValueError(f"box must be non-negative, got {box}")
-    if len(v) != n.k:
-        raise ValueError(f"translation has dimension {len(v)}, expected {n.k}")
-    if (2 * box + 1) ** n.k > _BOX_POINT_CAP:
-        raise ValueError(f"box of side {2 * box + 1} in dimension {n.k} is too large")
-    rng = range(-box, box + 1)
-    count_orig = sum(1 for x in itertools.product(rng, repeat=n.k) if contains(n, x))
-    count_shifted = 0
-    for x in itertools.product(rng, repeat=n.k):
-        y = tuple(xi + vi for xi, vi in zip(x, v))
-        count_shifted += _contains_translated(n, y, v)
-    return count_orig == count_shifted

@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from fractions import Fraction
-from typing import Iterator
+from pathlib import Path
+from typing import Iterator, Sequence
 
+import lonely_runner
 from lonely_runner.model import SpeedVector
 from lonely_runner.oracle import is_suitable
+from lonely_runner.polyhedron import contains
 
 __all__ = [
     "descending_subsets",
@@ -22,6 +26,8 @@ __all__ = [
     "suitability_probe_points",
     "brute_dyadic_m",
     "brute_integer_points_in_region",
+    "translate_invariance_check",
+    "child_env",
 ]
 
 
@@ -75,3 +81,48 @@ def brute_integer_points_in_region(halfplanes, x1_range, x2_range) -> list[tuple
             if all(h.holds(Fraction(x1), Fraction(x2)) for h in halfplanes):
                 hits.append((x1, x2))
     return hits
+
+
+def _contains_translated(n: SpeedVector, y: Sequence[int], v: Sequence[int]) -> bool:
+    """Membership of y in the translated polyhedron P(n) + v.
+
+    Evaluated against shifted bounds rather than by subtracting v from
+    y, so the translation arithmetic is independent of ``contains``.
+    """
+    k = n.k
+    for i in range(k):
+        for j in range(i + 1, k):
+            g = n[j] * y[i] - n[i] * y[j]
+            shift = n[j] * v[i] - n[i] * v[j]
+            if not (
+                Fraction(n[i] - k * n[j], k + 1) + shift
+                <= g
+                <= Fraction(k * n[i] - n[j], k + 1) + shift
+            ):
+                return False
+    return True
+
+
+def translate_invariance_check(n: SpeedVector, v: Sequence[int], box: int) -> bool:
+    """Lattice counts of P(n) in a box and of P(n)+v in the shifted box agree.
+
+    Translation by an integer vector bijects the lattice, so this holds
+    on every input; what it checks is that ``contains`` agrees with the
+    constraint arithmetic written out a second way.  Keep k and box
+    small: it visits (2 box + 1)^k points twice.
+    """
+    rng = range(-box, box + 1)
+    count_orig = sum(1 for x in itertools.product(rng, repeat=n.k) if contains(n, x))
+    count_shifted = 0
+    for x in itertools.product(rng, repeat=n.k):
+        y = tuple(xi + vi for xi, vi in zip(x, v))
+        count_shifted += _contains_translated(n, y, v)
+    return count_orig == count_shifted
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a subprocess that imports the same package as this process."""
+    env = dict(os.environ)
+    package_root = str(Path(lonely_runner.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env

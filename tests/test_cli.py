@@ -1,13 +1,13 @@
+import io
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import lonely_runner
-from lonely_runner import cli, enumeration
+from helpers import child_env
+from lonely_runner import cli, dyadic, enumeration, oracle
 from lonely_runner.cli import main
 
 
@@ -109,12 +109,6 @@ def test_dyadic_json(capsys):
     }
 
 
-def test_dyadic_half_range_same_result(capsys):
-    _, full, _ = run_cli(capsys, "dyadic", "9", "5", "2", "--json")
-    _, half, _ = run_cli(capsys, "dyadic", "9", "5", "2", "--half-range", "--json")
-    assert full == half
-
-
 def test_enumerate_json_matches_library(capsys):
     code, out, err = run_cli(capsys, "enumerate", "8", "--json")
     assert code == 0
@@ -156,6 +150,93 @@ def test_enumerate_out_json_with_oracle(tmp_path, capsys):
     assert all(r["is_instance"] for r in data)
 
 
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (
+            ("check", "10", "3", "1"),
+            "vector: (10,3,1)\n"
+            "instance: true\n"
+            "earliest_time: 1/4\n"
+            "half_period_witness: 1/4\n"
+            "lattice_witness: (2,0,0)\n"
+            "suitable_set: [1/4, 1/4] [17/40, 19/40] [21/40, 23/40] [3/4, 3/4]\n",
+        ),
+        (
+            # slow_fast does not fire, so the witness time is the oracle's
+            ("classify", "10", "3", "1", "--with-oracle"),
+            "vector: (10,3,1)\n"
+            "thm1: false\n"
+            "thm2: true\n"
+            "slow_fast: false\n"
+            "any_rule: true\n"
+            "witness_time: 1/4\n"
+            "witness_point: (2,0,0)\n"
+            "oracle_verdict: true\n",
+        ),
+    ],
+    ids=["check", "classify"],
+)
+def test_vector_commands_build_the_suitable_set_once(monkeypatch, capsys, argv, expected):
+    builds = counting(monkeypatch, oracle, "scaled_suitable_set")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+    assert len(builds) == 1
+
+
+def test_check_keeps_the_reflection_guard(monkeypatch, capsys):
+    # A suitable set that starts after 1/2 cannot be symmetric; check
+    # reports it as an internal error instead of printing a witness.
+    monkeypatch.setattr(oracle, "scaled_suitable_set", lambda v: (48, [(40, 41)]))
+    code, out, err = run_cli(capsys, "check", "4", "3", "2")
+    assert code == 2
+    assert out == ""
+    assert "reflection symmetry" in err
+
+
+def test_enumerate_out_is_one_pass(tmp_path, monkeypatch, capsys):
+    rules = counting(monkeypatch, enumeration, "evaluate_rules")
+    searches = counting(monkeypatch, dyadic, "find_dyadic_time")
+    out_file = tmp_path / "records.csv"
+    code, out, _ = run_cli(capsys, "enumerate", "6", "--with-oracle", "--with-dyadic", "--out", str(out_file))
+    assert code == 0
+    assert "total_vectors: 63" in out
+    assert len(rules) == 63
+    assert len(searches) == 63
+
+
+@pytest.mark.parametrize("coprime", [False, True])
+@pytest.mark.parametrize("with_oracle", [False, True])
+@pytest.mark.parametrize("with_dyadic", [False, True])
+def test_enumerate_out_matches_library(tmp_path, capsys, coprime, with_oracle, with_dyadic):
+    options = {"require_coprime": coprime, "with_oracle": with_oracle, "with_dyadic": with_dyadic}
+    flags = [f"--{name.replace('_', '-')}" for name, on in options.items() if on]
+    for fmt in ("csv", "json"):
+        out_file = tmp_path / f"records.{fmt}"
+        argv = ["enumerate", "6", *flags, "--shards", "3", "--out", str(out_file), "--format", fmt]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        expected = io.StringIO()
+        enumeration.export(enumeration.iter_vector_records(6, **options), fmt, expected)
+        assert out_file.read_bytes().decode() == expected.getvalue()
+        _, plain, _ = run_cli(capsys, "enumerate", "6", *flags)
+        assert out == plain
+
+
 def test_count_coprime_text(capsys):
     code, out, _ = run_cli(capsys, "count-coprime", "32")
     assert code == 0
@@ -184,10 +265,22 @@ def test_duplicate_after_normalize_ok_but_bad_vector_exits_1(capsys):
     assert "positive" in err
 
 
-def test_out_of_range_enumerate_exits_1(capsys):
+def test_out_of_range_enumerate_exits_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "enumerate", "40")
     assert code == 1
     assert "max_speed" in err
+    out_file = tmp_path / "records.csv"
+    code, _, err = run_cli(capsys, "enumerate", "40", "--out", str(out_file))
+    assert code == 1
+    assert "max_speed" in err
+    assert not out_file.exists()
+
+
+def test_too_many_shards_exits_1(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "4", "--shards", "65537")
+    assert code == 1
+    assert out == ""
+    assert "shard_count" in err
 
 
 def test_unknown_subcommand_exits_1(capsys):
@@ -226,14 +319,6 @@ def test_internal_error_exits_2(monkeypatch, capsys):
     assert "internal error" in captured.err
 
 
-def child_env():
-    """Environment for a subprocess that imports the same package as this process."""
-    env = dict(os.environ)
-    package_root = str(Path(lonely_runner.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return env
-
-
 def console_script_target(name):
     if sys.version_info >= (3, 11):
         import tomllib
@@ -267,3 +352,10 @@ def test_console_script_subprocess():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "4016\n"
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    code = "import sys, lonely_runner.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

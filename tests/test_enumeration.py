@@ -7,9 +7,11 @@ import pytest
 from helpers import coprime_count_brute, descending_subsets
 from lonely_runner.classify import evaluate_rules
 from lonely_runner.enumeration import (
+    _MAX_SHARDS,
     CSV_FIELDS,
     EnumerationSummary,
     VectorRecord,
+    _census,
     coprime_count_moebius,
     export,
     iter_vector_records,
@@ -55,6 +57,11 @@ def test_shard_bounds_partition(max_speed, shards):
 def test_shard_bounds_domain():
     with pytest.raises(ValueError):
         shard_bounds(4, 0)
+    assert len(shard_bounds(4, _MAX_SHARDS)) == _MAX_SHARDS
+    with pytest.raises(ValueError, match="shard_count"):
+        shard_bounds(4, _MAX_SHARDS + 1)
+    with pytest.raises(ValueError, match="max_speed"):
+        shard_bounds(33, 1)
 
 
 def test_sweep_frozen_small():
@@ -102,17 +109,11 @@ def test_sweep_domain_checks():
         sweep(0)
     with pytest.raises(ValueError):
         sweep(33)
-    with pytest.raises(ValueError):
-        sweep(4, processes=0)
 
 
 @pytest.mark.parametrize("shards", [1, 3, 7, 64])
 def test_sweep_shard_count_invariance(shards):
     assert sweep(10, shard_count=shards) == sweep(10)
-
-
-def test_sweep_with_processes_matches_serial():
-    assert sweep(9, shard_count=4, processes=2) == sweep(9)
 
 
 def test_sweep_require_coprime_counts():
@@ -144,10 +145,10 @@ def test_merge_summaries_properties():
 
 
 def _shard_parts(max_speed, shards):
-    from lonely_runner.enumeration import _sweep_range
-
-    for lo, hi in shard_bounds(max_speed, shards):
-        yield _sweep_range(max_speed, lo, hi, False, False, False)
+    for bounds in shard_bounds(max_speed, shards):
+        with pytest.raises(StopIteration) as done:
+            next(_census(max_speed, [bounds], False, False, False, records=False))
+        yield done.value.value
 
 
 def test_merge_summaries_rejects_mismatches():
@@ -242,3 +243,8 @@ def test_export_rejects_bad_format():
 def test_export_wraps_os_errors(tmp_path):
     with pytest.raises(OSError, match="cannot write"):
         export(sweep(3), "json", tmp_path / "missing-dir" / "out.json")
+
+
+def test_iter_vector_records_checks_max_speed():
+    with pytest.raises(ValueError, match="max_speed"):
+        next(iter_vector_records(0))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lonely_runner.exact_arith import format_rational, frac, mod_int, parse_rational
+from lonely_runner.exact_arith import format_rational, frac, parse_rational
 
 rationals = st.fractions(max_denominator=10**6)
 nonneg_rationals = st.fractions(min_value=0, max_denominator=10**6)
@@ -29,19 +29,6 @@ def test_frac_is_fractional_part(q):
     assert 0 <= f < 1
     assert (q - f).denominator == 1
     assert q - f == math.floor(q)
-
-
-def test_mod_int_known_values():
-    assert mod_int(20, 16) == 4
-    assert mod_int(0, 5) == 0
-    assert mod_int(7, 1) == 0
-
-
-def test_mod_int_domain_checks():
-    with pytest.raises(ValueError, match="non-negative"):
-        mod_int(-1, 5)
-    with pytest.raises(ValueError, match="modulus"):
-        mod_int(3, 0)
 
 
 def test_parse_rational_forms():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_integer_points_in_region, descending_subsets
+from helpers import brute_integer_points_in_region, descending_subsets, translate_invariance_check
 from lonely_runner.model import SpeedVector, new_speed_vector
 from lonely_runner.polyhedron import (
     HalfPlane,
@@ -17,7 +17,6 @@ from lonely_runner.polyhedron import (
     q_geometry,
     q_halfplanes,
     support_bounds,
-    translate_invariance_check,
     width,
 )
 
@@ -294,14 +293,3 @@ def test_translate_invariance_frozen_examples():
     assert translate_invariance_check(new_speed_vector([2, 1]), (1, 1), 2)
     assert translate_invariance_check(new_speed_vector([3, 2, 1]), (0, 1, 0), 2)
     assert translate_invariance_check(new_speed_vector([4, 3, 2]), (-1, 0, 2), 2)
-
-
-def test_translate_invariance_domain_errors():
-    with pytest.raises(ValueError, match="k <= 4"):
-        translate_invariance_check(new_speed_vector([5, 4, 3, 2, 1]), (0,) * 5, 1)
-    with pytest.raises(ValueError, match="too large"):
-        translate_invariance_check(new_speed_vector([4, 3, 2, 1]), (0, 0, 0, 0), 30)
-    with pytest.raises(ValueError, match="dimension"):
-        translate_invariance_check(new_speed_vector([2, 1]), (1,), 2)
-    with pytest.raises(ValueError, match="box"):
-        translate_invariance_check(new_speed_vector([2, 1]), (1, 1), -1)
