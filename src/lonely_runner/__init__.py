@@ -40,7 +40,6 @@ from .oracle import (
     lattice_witness_from_time,
     reflect_time,
     runner_intervals,
-    scaled_suitable_set,
     suitable_set,
 )
 from .polyhedron import (
@@ -108,7 +107,6 @@ __all__ = [
     "rule_thm1",
     "rule_thm2",
     "runner_intervals",
-    "scaled_suitable_set",
     "shard_bounds",
     "suitable_set",
     "summary_from_json",

@@ -8,10 +8,10 @@ exists for every coprime instance, and this module provides the tool
 to measure that at scale.
 
 Implementation: instead of testing m = 1, 2, ... one by one, walk the
-exact suitable set (whose endpoints are integers over (k+1) lcm(n))
-and take the first grid numerator at or after each interval start.
-That yields the same minimal m as the literal ascending loop, in time
-proportional to the number of intervals.
+suitable intervals in ascending order (the oracle's leapfrog join) and
+take the first grid numerator at or after each interval start.  That
+yields the same minimal m as the literal ascending loop, and the walk
+stops at the first interval that holds a grid point.
 
 Restricting to the lower half of the grid (m <= ceil(D/2)) never
 changes the answer: t = 1 is never suitable, so a minimal hit with
@@ -58,11 +58,10 @@ def find_dyadic_time(n: SpeedVector) -> DyadicWitness | None:
     """
     exponent = dyadic_exponent(n)
     den = (1 << exponent) * (n.k + 1) * n[0]
-    scale, arcs = oracle.scaled_suitable_set(n)
-    for lo, hi in arcs:
-        # Smallest m with m/den >= lo/scale; arcs lie inside (0, 1), so
+    for lo_num, lo_den, hi_num, hi_den in oracle._leapfrog(n.speeds):
+        # Smallest m with m/den >= lo; intervals lie inside (0, 1), so
         # 1 <= m_lo <= den.
-        m_lo = -((-lo * den) // scale)
-        if m_lo <= (hi * den) // scale:
+        m_lo = -((-lo_num * den) // lo_den)
+        if m_lo <= (hi_num * den) // hi_den:
             return DyadicWitness(exponent, den, m_lo, Fraction(m_lo, den))
     return None

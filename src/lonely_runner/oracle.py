@@ -6,14 +6,17 @@ frac(n_i * t) lies in the closed interval [1/(k+1), k/(k+1)].  A speed
 vector is an *instance* when some suitable time exists; by periodicity
 it then exists in (0, 1).
 
-The suitable set is computed exactly.  Runner i alone admits the times
-[(m + 1/(k+1)) / n_i, (m + k/(k+1)) / n_i] for m = 0..n_i-1, and every
-endpoint is a multiple of 1/((k+1) n_i).  Scaling by the common
-denominator D = (k+1) * lcm(n) therefore turns the whole computation
-into integer arithmetic: each runner contributes a sorted list of
-integer-endpoint arcs, and the k lists are intersected pairwise with a
-two-pointer sweep.  Endpoints become reduced Fractions only at the API
-boundary.
+The suitable set is computed exactly.  Runner i alone admits the arcs
+[(m + 1/(k+1)) / n_i, (m + k/(k+1)) / n_i], m = 0..n_i-1, whose
+endpoints are integers over (k+1) n_i.  They are intersected by a
+leapfrog join (Veldhuizen, *Leapfrog Triejoin*, ICDT 2014): each runner
+in turn either accepts the current time t or seeks to the start of its
+arc floor(n_i t), or of the next arc when t is past the window, in O(1)
+because its arcs form an arithmetic progression.  When all k accept t
+in a row, [t, earliest of their arc ends] is suitable, and the join
+resumes at the next arc of the runner whose arc ended first.  Times are
+integer pairs compared by cross-multiplication, memory is O(k), and a
+caller that needs only the first interval stops there.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 from .exact_arith import format_rational, frac
 from .model import SpeedVector
@@ -29,7 +33,6 @@ __all__ = [
     "TimeInterval",
     "SuitabilitySet",
     "runner_intervals",
-    "scaled_suitable_set",
     "suitable_set",
     "is_instance",
     "earliest_suitable_time",
@@ -40,6 +43,11 @@ __all__ = [
 ]
 
 _HALF = Fraction(1, 2)
+
+# suitable_set holds the whole set, about 320 bytes per interval.  Distinct
+# intervals end at distinct arc ends, so there are at most sum(n) of them;
+# a larger sum is refused before any work instead of filling memory.
+_MAX_SUITABLE_ARCS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -110,65 +118,60 @@ def runner_intervals(speed: int, k: int) -> tuple[TimeInterval, ...]:
     )
 
 
-def _intersect(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Intersection of two sorted lists of strictly separated closed arcs."""
-    out: list[tuple[int, int]] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = a[i][0] if a[i][0] >= b[j][0] else b[j][0]
-        hi = a[i][1] if a[i][1] <= b[j][1] else b[j][1]
-        if lo <= hi:
-            out.append((lo, hi))
-        if a[i][1] < b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
+def _leapfrog(speeds: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
+    """Suitable intervals in ascending order, as (lo_num, lo_den, hi_num, hi_den).
 
-
-def scaled_suitable_set(n: SpeedVector) -> tuple[int, list[tuple[int, int]]]:
-    """Suitable set as integer endpoint pairs over denominator (k+1)*lcm(n).
-
-    This is the internal representation: [lo, hi] stands for the time
-    interval [lo/D, hi/D] with D the returned denominator.  Exposed so
-    that grid searches can stay in integer arithmetic.
+    Each denominator is (k+1) s for a speed s.  Slowest runner first: its seeks jump furthest.
     """
-    speeds = n.speeds
+    speeds = sorted(speeds)
     k = len(speeds)
-    big_l = math.lcm(*speeds)
     kp1 = k + 1
-    denominator = kp1 * big_l
-    result: list[tuple[int, int]] | None = None
-    # Slowest runner first: it contributes the fewest arcs, which keeps
-    # the intermediate intersections small.
-    for s in sorted(speeds):
-        step = big_l // s
-        arcs = [((m * kp1 + 1) * step, (m * kp1 + k) * step) for m in range(s)]
-        result = arcs if result is None else _intersect(result, arcs)
-        if not result:
-            return denominator, []
-    assert result is not None
-    return denominator, result
+    a, b = 0, 1  # the current time t = a/b; no runner accepts t = 0
+    i = accepted = 0
+    while True:
+        s = speeds[i]
+        m, r = divmod(s * a, b)  # frac(s t) = r/b
+        r *= kp1
+        if r < b or r > k * b:
+            # Seek to the start of arc m, or of arc m + 1 past the window.
+            if r >= b:
+                m += 1
+            if m >= s:
+                return
+            a, b = m * kp1 + 1, kp1 * s
+            hi_num, hi_den, holder = a + k - 1, b, i  # earliest arc end of the accepting runners
+            accepted = 1
+        else:
+            num, den = m * kp1 + k, kp1 * s
+            if not accepted or num * hi_den < hi_num * den:
+                hi_num, hi_den, holder = num, den, i
+            accepted += 1
+        if accepted == k:
+            yield a, b, hi_num, hi_den
+            # Nothing is suitable before the holder's next arc starts.
+            a, b, i, accepted = hi_num + 2, hi_den, holder, 0
+            if a >= b:
+                return
+        else:
+            i = i + 1 if i + 1 < k else 0
 
 
 def suitable_set(n: SpeedVector) -> SuitabilitySet:
     """All suitable times for n, as exact closed intervals inside (0, 1)."""
-    den, arcs = scaled_suitable_set(n)
-    return SuitabilitySet(
-        tuple(TimeInterval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in arcs)
-    )
+    if sum(n.speeds) > _MAX_SUITABLE_ARCS:
+        raise ValueError(f"{n} may have {sum(n.speeds)} suitable intervals, over the limit {_MAX_SUITABLE_ARCS}")
+    return SuitabilitySet(tuple(TimeInterval(Fraction(a, b), Fraction(c, d)) for a, b, c, d in _leapfrog(n.speeds)))
 
 
 def is_instance(n: SpeedVector) -> bool:
     """True when some suitable time exists for n."""
-    _, arcs = scaled_suitable_set(n)
-    return bool(arcs)
+    return next(_leapfrog(n.speeds), None) is not None
 
 
 def earliest_suitable_time(n: SpeedVector) -> Fraction | None:
     """Smallest suitable time, or None when no suitable time exists."""
-    den, arcs = scaled_suitable_set(n)
-    return Fraction(arcs[0][0], den) if arcs else None
+    first = next(_leapfrog(n.speeds), None)
+    return None if first is None else Fraction(first[0], first[1])
 
 
 def is_suitable(n: SpeedVector, t: Fraction | int) -> bool:

@@ -23,6 +23,7 @@ __all__ = [
     "descending_subsets",
     "coprime_count_brute",
     "grid_denominator",
+    "scaled_suitable_set",
     "suitability_probe_points",
     "brute_dyadic_m",
     "brute_integer_points_in_region",
@@ -46,6 +47,46 @@ def coprime_count_brute(max_speed: int) -> int:
 def grid_denominator(n: SpeedVector) -> int:
     """Common denominator (k+1) * lcm(n) of all suitability endpoints."""
     return (n.k + 1) * math.lcm(*n.speeds)
+
+
+def _intersect(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Intersection of two sorted lists of strictly separated closed arcs."""
+    out: list[tuple[int, int]] = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo = a[i][0] if a[i][0] >= b[j][0] else b[j][0]
+        hi = a[i][1] if a[i][1] <= b[j][1] else b[j][1]
+        if lo <= hi:
+            out.append((lo, hi))
+        if a[i][1] < b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def scaled_suitable_set(n: SpeedVector) -> tuple[int, list[tuple[int, int]]]:
+    """Suitable set as integer arcs [lo, hi] over D = (k+1) * lcm(n).
+
+    An oracle independent of the library's leapfrog join: every
+    runner's arcs are materialised over the common denominator D and
+    the k lists are intersected pairwise with a two-pointer sweep.
+    Memory grows with sum(n), so keep speeds small.
+    """
+    speeds = n.speeds
+    k = len(speeds)
+    big_l = math.lcm(*speeds)
+    kp1 = k + 1
+    denominator = kp1 * big_l
+    result: list[tuple[int, int]] | None = None
+    for s in sorted(speeds):
+        step = big_l // s
+        arcs = [((m * kp1 + 1) * step, (m * kp1 + k) * step) for m in range(s)]
+        result = arcs if result is None else _intersect(result, arcs)
+        if not result:
+            return denominator, []
+    assert result is not None
+    return denominator, result
 
 
 def suitability_probe_points(n: SpeedVector) -> list[Fraction]:

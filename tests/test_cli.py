@@ -2,12 +2,13 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from helpers import child_env
-from lonely_runner import cli, dyadic, enumeration, oracle
+from lonely_runner import cli, dyadic, enumeration, model, oracle
 from lonely_runner.cli import main
 
 
@@ -187,11 +188,19 @@ def counting(monkeypatch, module, name):
             "witness_point: (2,0,0)\n"
             "oracle_verdict: true\n",
         ),
+        (
+            ("dyadic", "10", "3", "1"),
+            "vector: (10,3,1)\n"
+            "exponent: 5\n"
+            "denominator: 1280\n"
+            "m: 320\n"
+            "time: 1/4\n",
+        ),
     ],
-    ids=["check", "classify"],
+    ids=["check", "classify", "dyadic"],
 )
 def test_vector_commands_build_the_suitable_set_once(monkeypatch, capsys, argv, expected):
-    builds = counting(monkeypatch, oracle, "scaled_suitable_set")
+    builds = counting(monkeypatch, oracle, "_leapfrog")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == expected
@@ -201,11 +210,39 @@ def test_vector_commands_build_the_suitable_set_once(monkeypatch, capsys, argv, 
 def test_check_keeps_the_reflection_guard(monkeypatch, capsys):
     # A suitable set that starts after 1/2 cannot be symmetric; check
     # reports it as an internal error instead of printing a witness.
-    monkeypatch.setattr(oracle, "scaled_suitable_set", lambda v: (48, [(40, 41)]))
+    monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: iter([(40, 48, 41, 48)]))
     code, out, err = run_cli(capsys, "check", "4", "3", "2")
     assert code == 2
     assert out == ""
     assert "reflection symmetry" in err
+
+
+def test_check_refuses_huge_speeds_before_any_work(monkeypatch, capsys):
+    # The set could hold sum(n) intervals.  The limit is checked before
+    # the join starts; a join started here would fail the test, not fill memory.
+    monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: pytest.fail("the limit is checked first"))
+    code, out, err = run_cli(capsys, "check", "1000000000000", "1")
+    assert code == 1
+    assert out == ""
+    assert "limit" in err
+
+
+@pytest.mark.parametrize("argv", [("dyadic",), ("classify", "--with-oracle")])
+def test_large_speed_verdicts(capsys, argv):
+    speeds = ("999999937", "617283945", "212345678")
+    code, out, _ = run_cli(capsys, argv[0], *speeds, *argv[1:])
+    assert code == 0
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    n = model.new_speed_vector(int(s) for s in speeds)
+    if argv[0] == "dyadic":
+        t = Fraction(fields["time"])
+        assert t == Fraction(int(fields["m"]), int(fields["denominator"]))
+    else:
+        # slow_fast does not fire (n_1 > 3 n_3), so the witness is the oracle's
+        assert fields["slow_fast"] == "false" and fields["oracle_verdict"] == "true"
+        t = Fraction(fields["witness_time"])
+        assert t == oracle.earliest_suitable_time(n)
+    assert oracle.is_suitable(n, t)
 
 
 def test_enumerate_out_is_one_pass(tmp_path, monkeypatch, capsys):

@@ -73,7 +73,7 @@ def test_none_when_no_arc_reaches_the_grid(monkeypatch):
     # is driven synthetically: an empty suitable set, then a set whose
     # only arc sits in the upper half of the grid.
     n = new_speed_vector([4, 3, 2])
-    monkeypatch.setattr(oracle, "scaled_suitable_set", lambda v: (48, []))
+    monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: iter([]))
     assert dyadic.find_dyadic_time(n) is None
-    monkeypatch.setattr(oracle, "scaled_suitable_set", lambda v: (48, [(40, 41)]))
+    monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: iter([(40, 48, 41, 48)]))
     assert dyadic.find_dyadic_time(n) is not None

@@ -1,8 +1,12 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import descending_subsets, grid_denominator, suitability_probe_points
+from helpers import descending_subsets, grid_denominator, scaled_suitable_set, suitability_probe_points
 from lonely_runner import oracle, polyhedron
 from lonely_runner.model import SpeedVector, new_speed_vector
 from lonely_runner.oracle import (
@@ -15,7 +19,6 @@ from lonely_runner.oracle import (
     lattice_witness_from_time,
     reflect_time,
     runner_intervals,
-    scaled_suitable_set,
     suitable_set,
 )
 
@@ -105,6 +108,58 @@ def test_scaled_set_structure():
     assert arcs == [(6, 9), (39, 42)]
     # Strictly separated and ordered.
     assert all(a[1] < b[0] for a, b in zip(arcs, arcs[1:]))
+
+
+def test_leapfrog_structure():
+    # Each endpoint stays over the (k+1) s of the runner whose arc it is.
+    assert list(oracle._leapfrog((4, 3, 2))) == [(1, 8, 3, 16), (13, 16, 7, 8)]
+    assert list(oracle._leapfrog((1,))) == [(1, 2, 1, 2)]
+    assert list(oracle._leapfrog((2, 1))) == [(1, 3, 2, 6), (4, 6, 2, 3)]
+
+
+def arc_list_intervals(n):
+    den, arcs = scaled_suitable_set(n)
+    return [(F(lo, den), F(hi, den)) for lo, hi in arcs]
+
+
+def test_leapfrog_matches_arc_lists_on_small_subsets():
+    for speeds in descending_subsets(11):
+        n = SpeedVector(speeds)
+        assert [(iv.lo, iv.hi) for iv in suitable_set(n).intervals] == arc_list_intervals(n), speeds
+
+
+@pytest.mark.parametrize("k,tier", [(3, 10**3), (7, 10**3), (3, 10**4), (7, 10**4)])
+def test_leapfrog_matches_arc_lists_at_larger_speeds(k, tier):
+    rng = random.Random(tier + k)
+    for _ in range(2):
+        n = new_speed_vector(rng.sample(range(tier - tier // 10, tier + 1), k))
+        assert [(iv.lo, iv.hi) for iv in suitable_set(n).intervals] == arc_list_intervals(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 10**9), min_size=1, max_size=7, unique=True))
+def test_leapfrog_intervals_at_huge_speeds(speeds):
+    # The arc lists cannot run at these speeds; the definitional test can.
+    n = new_speed_vector(speeds)
+    raw = list(itertools.islice(oracle._leapfrog(n.speeds), 50))
+    dens = {(n.k + 1) * s for s in n}
+    assert all(lo_den in dens and hi_den in dens for _, lo_den, _, hi_den in raw)
+    intervals = [(F(lo_num, lo_den), F(hi_num, hi_den)) for lo_num, lo_den, hi_num, hi_den in raw]
+    assert (intervals[0][0] if intervals else None) == earliest_suitable_time(n)
+    gap_start = F(0)
+    for lo, hi in intervals:
+        assert gap_start < lo <= hi < 1
+        assert not is_suitable(n, (gap_start + lo) / 2)
+        assert is_suitable(n, lo) and is_suitable(n, hi) and is_suitable(n, (lo + hi) / 2)
+        gap_start = hi
+
+
+def test_suitable_set_refuses_more_arcs_than_the_limit(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_SUITABLE_ARCS", 9)
+    assert len(suitable_set(new_speed_vector([4, 3, 2])).intervals) == 2
+    monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: pytest.fail("the limit is checked first"))
+    with pytest.raises(ValueError, match="limit 9"):
+        suitable_set(new_speed_vector([5, 3, 2]))
 
 
 @pytest.mark.parametrize(
