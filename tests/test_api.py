@@ -1,0 +1,24 @@
+import importlib
+import pkgutil
+
+import lonely_runner
+
+# Modules whose public names the package re-exports; the CLI is an entry point.
+NOT_REEXPORTED = {"cli", "__main__"}
+
+
+def library_modules():
+    names = sorted(m.name for m in pkgutil.iter_modules(lonely_runner.__path__) if m.name not in NOT_REEXPORTED)
+    return [importlib.import_module(f"lonely_runner.{name}") for name in names]
+
+
+def test_package_all_is_the_union_of_module_alls():
+    union = set().union(*(module.__all__ for module in library_modules()))
+    assert len(lonely_runner.__all__) == len(set(lonely_runner.__all__))
+    assert set(lonely_runner.__all__) == union
+
+
+def test_every_public_name_resolves():
+    for module in library_modules():
+        for name in module.__all__:
+            assert getattr(lonely_runner, name) is getattr(module, name), f"{module.__name__}.{name}"

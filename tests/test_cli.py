@@ -396,3 +396,212 @@ def test_cli_import_leaves_out_multiprocessing():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# Frozen stdout of every subcommand, in text and --json, byte for byte.
+GOLDEN = {
+    "check-normalize": (
+        ("check", "12", "8", "4", "--normalize"),
+        "vector: (3,2,1)\n"
+        "instance: true\n"
+        "earliest_time: 1/4\n"
+        "half_period_witness: 1/4\n"
+        "lattice_witness: (0,0,0)\n"
+        "suitable_set: [1/4, 1/4] [3/4, 3/4]\n",
+    ),
+    "check-normalize-json": (
+        ("check", "12", "8", "4", "--normalize", "--json"),
+        '{"vector": [3, 2, 1], "instance": true, "earliest_time": "1/4", "half_period_witness": "1/4", '
+        '"lattice_witness": [0, 0, 0], "suitable_set": [["1/4", "1/4"], ["3/4", "3/4"]]}\n',
+    ),
+    "classify": (
+        ("classify", "17", "16", "7", "6", "5", "4", "2"),
+        "vector: (17,16,7,6,5,4,2)\n"
+        "thm1: true\n"
+        "thm2: false\n"
+        "slow_fast: false\n"
+        "any_rule: true\n"
+        "witness_time: none\n"
+        "witness_point: none\n"
+        "oracle_verdict: none\n",
+    ),
+    "classify-json": (
+        ("classify", "17", "16", "7", "6", "5", "4", "2", "--json"),
+        '{"vector": [17, 16, 7, 6, 5, 4, 2], "thm1": true, "thm2": false, "slow_fast": false, "any_rule": true, '
+        '"witness_time": null, "witness_point": null, "oracle_verdict": null}\n',
+    ),
+    "classify-oracle-json": (
+        ("classify", "4", "3", "2", "--with-oracle", "--json"),
+        '{"vector": [4, 3, 2], "thm1": false, "thm2": true, "slow_fast": true, "any_rule": true, '
+        '"witness_time": "3/16", "witness_point": [0, 0, 0], "oracle_verdict": true}\n',
+    ),
+    "polytope": (
+        ("polytope", "17", "16", "7", "6", "5", "4", "2"),
+        "vector: (17,16,7,6,5,4,2)\n"
+        "halfplane: -1/1*x1 + 0/1*x2 <= -3/16\n"
+        "halfplane: 1/1*x1 + 0/1*x2 <= 2/1\n"
+        "halfplane: 0/1*x1 + -1/1*x2 <= -1/8\n"
+        "halfplane: 0/1*x1 + 1/1*x2 <= 15/8\n"
+        "halfplane: -16/1*x1 + 17/1*x2 <= 95/8\n"
+        "halfplane: 16/1*x1 + -17/1*x2 <= 103/8\n"
+        "vertices: (3/16, 1/8) (15/16, 1/8) (2/1, 9/8) (2/1, 15/8) (5/4, 15/8) (3/16, 7/8)\n"
+        "landmarks: alpha=9/8 beta=49/136 gamma=223/136 delta=7/8 zeta=9/8 kappa=19/16\n"
+        "wq_e1: 29/16\n"
+        "wq_e2: 7/4\n"
+        "wq2_e2: 3/4\n"
+        "wq5_e2: 87/68\n",
+    ),
+    "polytope-json": (
+        ("polytope", "17", "16", "7", "6", "5", "4", "2", "--json"),
+        '{"vector": [17, 16, 7, 6, 5, 4, 2], "halfplanes": [{"a1": "-1/1", "a2": "0/1", "b": "-3/16"}, '
+        '{"a1": "1/1", "a2": "0/1", "b": "2/1"}, {"a1": "0/1", "a2": "-1/1", "b": "-1/8"}, '
+        '{"a1": "0/1", "a2": "1/1", "b": "15/8"}, {"a1": "-16/1", "a2": "17/1", "b": "95/8"}, '
+        '{"a1": "16/1", "a2": "-17/1", "b": "103/8"}], "vertices": [["3/16", "1/8"], ["15/16", "1/8"], '
+        '["2/1", "9/8"], ["2/1", "15/8"], ["5/4", "15/8"], ["3/16", "7/8"]], "landmarks": {"alpha": "9/8", '
+        '"beta": "49/136", "gamma": "223/136", "delta": "7/8", "zeta": "9/8", "kappa": "19/16"}, '
+        '"lemma_widths": {"wq_e1": "29/16", "wq_e2": "7/4", "wq2_e2": "3/4", "wq5_e2": "87/68"}}\n',
+    ),
+    "polytope-partial-widths": (
+        ("polytope", "6", "5", "4", "1"),
+        "vector: (6,5,4,1)\n"
+        "halfplane: -1/1*x1 + 0/1*x2 <= -2/5\n"
+        "halfplane: 1/1*x1 + 0/1*x2 <= 1/1\n"
+        "halfplane: 0/1*x1 + -1/1*x2 <= -1/5\n"
+        "halfplane: 0/1*x1 + 1/1*x2 <= 4/5\n"
+        "halfplane: -5/1*x1 + 6/1*x2 <= 14/5\n"
+        "halfplane: 5/1*x1 + -6/1*x2 <= 19/5\n"
+        "vertices: (2/5, 1/5) (1/1, 1/5) (1/1, 4/5) (2/5, 4/5)\n"
+        "landmarks: alpha=6/5 beta=8/15 gamma=7/15 delta=4/5 zeta=1/5 kappa=7/5\n"
+        "wq_e1: 3/5\n"
+        "wq_e2: 3/5\n"
+        "wq2_e2: none\n"
+        "wq5_e2: none\n",
+    ),
+    "polytope-partial-widths-json": (
+        ("polytope", "6", "5", "4", "1", "--json"),
+        '{"vector": [6, 5, 4, 1], "halfplanes": [{"a1": "-1/1", "a2": "0/1", "b": "-2/5"}, '
+        '{"a1": "1/1", "a2": "0/1", "b": "1/1"}, {"a1": "0/1", "a2": "-1/1", "b": "-1/5"}, '
+        '{"a1": "0/1", "a2": "1/1", "b": "4/5"}, {"a1": "-5/1", "a2": "6/1", "b": "14/5"}, '
+        '{"a1": "5/1", "a2": "-6/1", "b": "19/5"}], "vertices": [["2/5", "1/5"], ["1/1", "1/5"], '
+        '["1/1", "4/5"], ["2/5", "4/5"]], "landmarks": {"alpha": "6/5", "beta": "8/15", "gamma": "7/15", '
+        '"delta": "4/5", "zeta": "1/5", "kappa": "7/5"}, '
+        '"lemma_widths": {"wq_e1": "3/5", "wq_e2": "3/5", "wq2_e2": null, "wq5_e2": null}}\n',
+    ),
+    "polytope-empty-q": (
+        ("polytope", "10", "7", "6", "1"),
+        "vector: (10,7,6,1)\n"
+        "halfplane: -1/1*x1 + 0/1*x2 <= -6/5\n"
+        "halfplane: 1/1*x1 + 0/1*x2 <= 17/15\n"
+        "halfplane: 0/1*x1 + -1/1*x2 <= -3/5\n"
+        "halfplane: 0/1*x1 + 1/1*x2 <= 11/15\n"
+        "halfplane: -7/1*x1 + 10/1*x2 <= 18/5\n"
+        "halfplane: 7/1*x1 + -10/1*x2 <= 33/5\n"
+        "vertices: \n"
+        "landmarks: alpha=8/5 beta=22/25 gamma=34/75 delta=6/5 zeta=2/15 kappa=11/5\n"
+        "wq_e1: none\n"
+        "wq_e2: none\n"
+        "wq2_e2: none\n"
+        "wq5_e2: none\n",
+    ),
+    "polytope-empty-q-json": (
+        ("polytope", "10", "7", "6", "1", "--json"),
+        '{"vector": [10, 7, 6, 1], "halfplanes": [{"a1": "-1/1", "a2": "0/1", "b": "-6/5"}, '
+        '{"a1": "1/1", "a2": "0/1", "b": "17/15"}, {"a1": "0/1", "a2": "-1/1", "b": "-3/5"}, '
+        '{"a1": "0/1", "a2": "1/1", "b": "11/15"}, {"a1": "-7/1", "a2": "10/1", "b": "18/5"}, '
+        '{"a1": "7/1", "a2": "-10/1", "b": "33/5"}], "vertices": [], "landmarks": {"alpha": "8/5", '
+        '"beta": "22/25", "gamma": "34/75", "delta": "6/5", "zeta": "2/15", "kappa": "11/5"}, '
+        '"lemma_widths": {"wq_e1": null, "wq_e2": null, "wq2_e2": null, "wq5_e2": null}}\n',
+    ),
+    "dyadic": (
+        ("dyadic", "4", "3", "2"),
+        "vector: (4,3,2)\nexponent: 3\ndenominator: 128\nm: 16\ntime: 1/8\n",
+    ),
+    "dyadic-normalize-json": (
+        ("dyadic", "12", "8", "4", "--normalize", "--json"),
+        '{"vector": [3, 2, 1], "exponent": 3, "denominator": 96, "m": 24, "time": "1/4"}\n',
+    ),
+    "enumerate": (
+        ("enumerate", "4"),
+        "max_speed: 4\n"
+        "total_vectors: 15\n"
+        "coprime_vectors: 11\n"
+        "thm1_count: 0\n"
+        "thm2_count: 8\n"
+        "slow_fast_count: 11\n"
+        "any_rule_count: 12\n"
+        "oracle_instance_count: none\n"
+        "dyadic_verified_count: none\n",
+    ),
+    "enumerate-json": (
+        ("enumerate", "4", "--require-coprime", "--with-oracle", "--with-dyadic", "--json"),
+        '{"max_speed": 4, "total_vectors": 15, "coprime_vectors": 11, "thm1_count": 0, "thm2_count": 7, '
+        '"slow_fast_count": 7, "any_rule_count": 8, "oracle_instance_count": 11, "dyadic_verified_count": 11}\n',
+    ),
+    "count-coprime": (("count-coprime", "12"), "4016\n"),
+    "count-coprime-json": (
+        ("count-coprime", "12", "--json"),
+        '{"max_speed": 12, "total_vectors": 4095, "coprime_vectors": 4016}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN.values(), ids=GOLDEN.keys())
+def test_golden_stdout(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+    if argv[0] != "enumerate":
+        assert err == ""
+
+
+# A vector the oracle finds no suitable time for: every theorem-backed
+# vector is an instance, so the join is patched to yield nothing.
+NON_INSTANCE = {
+    "check": (
+        ("check", "4", "3", "2"),
+        "vector: (4,3,2)\n"
+        "instance: false\n"
+        "earliest_time: none\n"
+        "half_period_witness: none\n"
+        "lattice_witness: none\n"
+        "suitable_set: \n",
+    ),
+    "check-json": (
+        ("check", "4", "3", "2", "--json"),
+        '{"vector": [4, 3, 2], "instance": false, "earliest_time": null, "half_period_witness": null, '
+        '"lattice_witness": null, "suitable_set": []}\n',
+    ),
+    "classify": (
+        ("classify", "17", "16", "7", "6", "5", "4", "2", "--with-oracle"),
+        "vector: (17,16,7,6,5,4,2)\n"
+        "thm1: true\n"
+        "thm2: false\n"
+        "slow_fast: false\n"
+        "any_rule: true\n"
+        "witness_time: none\n"
+        "witness_point: none\n"
+        "oracle_verdict: false\n",
+    ),
+    "classify-json": (
+        ("classify", "4", "3", "2", "--with-oracle", "--json"),
+        '{"vector": [4, 3, 2], "thm1": false, "thm2": true, "slow_fast": true, "any_rule": true, '
+        '"witness_time": "3/16", "witness_point": [0, 0, 0], "oracle_verdict": false}\n',
+    ),
+    "dyadic": (
+        ("dyadic", "4", "3", "2"),
+        "vector: (4,3,2)\nexponent: 3\ndenominator: 128\nm: none\ntime: none\n",
+    ),
+    "dyadic-json": (
+        ("dyadic", "4", "3", "2", "--json"),
+        '{"vector": [4, 3, 2], "exponent": 3, "denominator": 128, "m": null, "time": null}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,expected", NON_INSTANCE.values(), ids=NON_INSTANCE.keys())
+def test_golden_stdout_non_instance(monkeypatch, capsys, argv, expected):
+    monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: iter([]))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+    assert err == ""
