@@ -28,7 +28,7 @@ from .enumeration import (
     summary_from_json,
     sweep,
 )
-from .exact_arith import format_rational, frac, parse_rational
+from .exact_arith import format_rational, frac
 from .model import SpeedVector, gcd_of, new_speed_vector, normalize
 from .oracle import (
     SuitabilitySet,
@@ -99,7 +99,6 @@ __all__ = [
     "new_speed_vector",
     "normalize",
     "p1_interval",
-    "parse_rational",
     "q_geometry",
     "q_halfplanes",
     "reflect_time",

@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import oracle
-from .exact_arith import format_rational
 from .model import SpeedVector
 
 __all__ = [
@@ -89,18 +88,6 @@ class ClassificationReport:
     witness_time: Fraction | None
     witness_point: tuple[int, ...] | None
     oracle_verdict: bool | None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "vector": list(self.vector.speeds),
-            "thm1": self.thm1,
-            "thm2": self.thm2,
-            "slow_fast": self.slow_fast,
-            "any_rule": self.any_rule,
-            "witness_time": None if self.witness_time is None else format_rational(self.witness_time),
-            "witness_point": None if self.witness_point is None else list(self.witness_point),
-            "oracle_verdict": self.oracle_verdict,
-        }
 
 
 def classify(n: SpeedVector, with_oracle: bool = False) -> ClassificationReport:

@@ -7,8 +7,11 @@ geometry), ``dyadic`` (grid search), ``enumerate`` (census sweep), and
 invalid input, 2 internal error.
 
 All data goes to stdout and is byte-identical across runs on the same
-input; timing diagnostics go to stderr.  ``--json`` switches any
-subcommand from key: value lines to a single JSON document.
+input; timing diagnostics go to stderr.  Each subcommand builds one
+dict of library values (fractions, speed vectors, dataclasses) and
+prints it once: ``--json`` as a single JSON document, otherwise as
+key: value lines rendered from the same values, so the two forms
+cannot drift apart.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import is_dataclass
 from fractions import Fraction
 
 from . import dyadic as dyadic_mod
@@ -80,72 +84,67 @@ def _vector_from_args(args: argparse.Namespace) -> SpeedVector:
     return model.new_speed_vector(sorted(set(args.speeds), reverse=True))
 
 
-def _fmt(value: Fraction | None) -> str:
-    return "none" if value is None else format_rational(value)
+def _plain(value: object) -> object:
+    """``json.dumps`` default for the library values in an output dict."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, SpeedVector):
+        return list(value.speeds)
+    if isinstance(value, oracle.SuitabilitySet):
+        return value.to_json()
+    if is_dataclass(value):
+        return vars(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _emit(lines: list[str]) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
+def _text(value: object) -> str:
+    """Text form of one value of an output dict."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, tuple):
+        return "(" + ",".join(map(_text, value)) + ")"
+    if isinstance(value, oracle.SuitabilitySet):
+        return " ".join(f"[{format_rational(iv.lo)}, {format_rational(iv.hi)}]" for iv in value.intervals)
+    return str(value)
 
 
-def _emit_json(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj) + "\n")
+def _emit(obj: dict, as_json: bool, lines: list[str] | None = None) -> None:
+    """Print obj as one JSON document, or as text.
+
+    The text is one ``key: value`` line per key unless the command
+    passes its own ``lines``, built from the same values.
+    """
+    if as_json:
+        print(json.dumps(obj, default=_plain))
+    elif lines is None:
+        print("\n".join(f"{key}: {_text(value)}" for key, value in obj.items()))
+    else:
+        print("\n".join(lines))
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     n = _vector_from_args(args)
     times = oracle.suitable_set(n)
-    instance = not times.is_empty
     earliest = times.earliest()
-    witness_point = None if earliest is None else oracle.lattice_witness_from_time(n, earliest)
-    half = oracle._checked_half_period(n, earliest)
-    if args.json:
-        _emit_json(
-            {
-                "vector": list(n.speeds),
-                "instance": instance,
-                "earliest_time": None if earliest is None else format_rational(earliest),
-                "half_period_witness": None if half is None else format_rational(half),
-                "lattice_witness": None if witness_point is None else list(witness_point),
-                "suitable_set": times.to_json(),
-            }
-        )
-    else:
-        _emit(
-            [
-                f"vector: {n}",
-                f"instance: {str(instance).lower()}",
-                f"earliest_time: {_fmt(earliest)}",
-                f"half_period_witness: {_fmt(half)}",
-                "lattice_witness: "
-                + ("none" if witness_point is None else "(" + ",".join(map(str, witness_point)) + ")"),
-                "suitable_set: "
-                + " ".join(f"[{format_rational(iv.lo)}, {format_rational(iv.hi)}]" for iv in times.intervals),
-            ]
-        )
+    obj = {
+        "vector": n,
+        "instance": not times.is_empty,
+        "earliest_time": earliest,
+        "half_period_witness": oracle._checked_half_period(n, earliest),
+        "lattice_witness": None if earliest is None else oracle.lattice_witness_from_time(n, earliest),
+        "suitable_set": times,
+    }
+    _emit(obj, args.json)
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     n = _vector_from_args(args)
-    report = run_classify(n, with_oracle=args.with_oracle)
-    if args.json:
-        _emit_json(report.to_json_obj())
-    else:
-        verdict = "none" if report.oracle_verdict is None else str(report.oracle_verdict).lower()
-        _emit(
-            [
-                f"vector: {n}",
-                f"thm1: {str(report.thm1).lower()}",
-                f"thm2: {str(report.thm2).lower()}",
-                f"slow_fast: {str(report.slow_fast).lower()}",
-                f"any_rule: {str(report.any_rule).lower()}",
-                f"witness_time: {_fmt(report.witness_time)}",
-                "witness_point: "
-                + ("none" if report.witness_point is None else "(" + ",".join(map(str, report.witness_point)) + ")"),
-                f"oracle_verdict: {verdict}",
-            ]
-        )
+    _emit(vars(run_classify(n, with_oracle=args.with_oracle)), args.json)
     return 0
 
 
@@ -153,88 +152,27 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
     n = _vector_from_args(args)
     geom = polyhedron.q_geometry(n)
     widths = polyhedron.lemma_widths(n)
-    lm = geom.landmarks
-    if args.json:
-        _emit_json(
-            {
-                "vector": list(n.speeds),
-                "halfplanes": [
-                    {"a1": format_rational(h.a1), "a2": format_rational(h.a2), "b": format_rational(h.b)}
-                    for h in geom.halfplanes
-                ],
-                "vertices": [[format_rational(x1), format_rational(x2)] for x1, x2 in geom.vertices],
-                "landmarks": {
-                    "alpha": format_rational(lm.alpha),
-                    "beta": format_rational(lm.beta),
-                    "gamma": format_rational(lm.gamma),
-                    "delta": format_rational(lm.delta),
-                    "zeta": format_rational(lm.zeta),
-                    "kappa": format_rational(lm.kappa),
-                },
-                "lemma_widths": {
-                    "wq_e1": None if widths.wq_e1 is None else format_rational(widths.wq_e1),
-                    "wq_e2": None if widths.wq_e2 is None else format_rational(widths.wq_e2),
-                    "wq2_e2": None if widths.wq2_e2 is None else format_rational(widths.wq2_e2),
-                    "wq5_e2": None if widths.wq5_e2 is None else format_rational(widths.wq5_e2),
-                },
-            }
-        )
-    else:
-        lines = [f"vector: {n}"]
-        for h in geom.halfplanes:
-            lines.append(
-                f"halfplane: {format_rational(h.a1)}*x1 + {format_rational(h.a2)}*x2 <= {format_rational(h.b)}"
-            )
-        lines.append(
-            "vertices: " + " ".join(f"({format_rational(x1)}, {format_rational(x2)})" for x1, x2 in geom.vertices)
-        )
-        lines.append(
-            "landmarks: "
-            + " ".join(
-                f"{name}={format_rational(value)}"
-                for name, value in [
-                    ("alpha", lm.alpha),
-                    ("beta", lm.beta),
-                    ("gamma", lm.gamma),
-                    ("delta", lm.delta),
-                    ("zeta", lm.zeta),
-                    ("kappa", lm.kappa),
-                ]
-            )
-        )
-        lines.append(f"wq_e1: {_fmt(widths.wq_e1)}")
-        lines.append(f"wq_e2: {_fmt(widths.wq_e2)}")
-        lines.append(f"wq2_e2: {_fmt(widths.wq2_e2)}")
-        lines.append(f"wq5_e2: {_fmt(widths.wq5_e2)}")
-        _emit(lines)
+    obj = {"vector": n, **vars(geom), "lemma_widths": widths}
+    lines = [f"vector: {n}"]
+    lines += [f"halfplane: {_text(h.a1)}*x1 + {_text(h.a2)}*x2 <= {_text(h.b)}" for h in geom.halfplanes]
+    lines.append("vertices: " + " ".join(f"({_text(x1)}, {_text(x2)})" for x1, x2 in geom.vertices))
+    lines.append("landmarks: " + " ".join(f"{name}={_text(v)}" for name, v in vars(geom.landmarks).items()))
+    lines += [f"{name}: {_text(v)}" for name, v in vars(widths).items()]
+    _emit(obj, args.json, lines)
     return 0
 
 
 def _cmd_dyadic(args: argparse.Namespace) -> int:
     n = _vector_from_args(args)
     witness = dyadic_mod.find_dyadic_time(n)
-    exponent = dyadic_mod.dyadic_exponent(n)
-    denominator = dyadic_mod.dyadic_denominator(n)
-    if args.json:
-        _emit_json(
-            {
-                "vector": list(n.speeds),
-                "exponent": exponent,
-                "denominator": denominator,
-                "m": None if witness is None else witness.m,
-                "time": None if witness is None else format_rational(witness.time),
-            }
-        )
-    else:
-        _emit(
-            [
-                f"vector: {n}",
-                f"exponent: {exponent}",
-                f"denominator: {denominator}",
-                f"m: {'none' if witness is None else witness.m}",
-                f"time: {'none' if witness is None else format_rational(witness.time)}",
-            ]
-        )
+    obj = {
+        "vector": n,
+        "exponent": dyadic_mod.dyadic_exponent(n),
+        "denominator": dyadic_mod.dyadic_denominator(n),
+        "m": None if witness is None else witness.m,
+        "time": None if witness is None else witness.time,
+    }
+    _emit(obj, args.json)
     return 0
 
 
@@ -249,27 +187,19 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         summary = enumeration._sweep_export(args.max_speed, args.format, args.out, **options)
     else:
         summary = enumeration.sweep(args.max_speed, **options)
-    obj = summary.to_json_obj(include_elapsed=False)
-    if args.json:
-        _emit_json(obj)
-    else:
-        _emit([f"{key}: {'none' if value is None else value}" for key, value in obj.items()])
+    _emit(summary.to_json_obj(), args.json)
     print(f"elapsed_ms={summary.elapsed}", file=sys.stderr)
     return 0
 
 
 def _cmd_count_coprime(args: argparse.Namespace) -> int:
     count = enumeration.coprime_count_moebius(args.max_speed)
-    if args.json:
-        _emit_json(
-            {
-                "max_speed": args.max_speed,
-                "total_vectors": (1 << args.max_speed) - 1,
-                "coprime_vectors": count,
-            }
-        )
-    else:
-        _emit([str(count)])
+    obj = {
+        "max_speed": args.max_speed,
+        "total_vectors": (1 << args.max_speed) - 1,
+        "coprime_vectors": count,
+    }
+    _emit(obj, args.json, [str(count)])
     return 0
 
 

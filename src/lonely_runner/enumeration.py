@@ -51,19 +51,6 @@ _MAX_SWEEP = 32
 _MAX_SHARDS = 1 << 16
 _MAX_MOEBIUS = 62  # 2^62 subsets still fit comfortably in a machine word
 
-CSV_FIELDS = (
-    "speeds",
-    "k",
-    "coprime",
-    "thm1",
-    "thm2",
-    "slow_fast",
-    "any_rule",
-    "is_instance",
-    "earliest_time",
-    "dyadic_m",
-)
-
 
 def _mobius_upto(limit: int) -> list[int]:
     """Mobius function mu(1..limit) by a linear sieve."""
@@ -117,10 +104,10 @@ class EnumerationSummary:
     dyadic_verified_count: int | None
     elapsed: int = field(compare=False, default=0)
 
-    def to_json_obj(self, include_elapsed: bool = True) -> dict:
+    def to_json_obj(self) -> dict:
+        """The counts by field name; ``elapsed`` is timing, not data, and is left out."""
         obj = asdict(self)
-        if not include_elapsed:
-            del obj["elapsed"]
+        del obj["elapsed"]
         return obj
 
 
@@ -157,18 +144,13 @@ class VectorRecord:
         ]
 
     def to_json_obj(self) -> dict:
-        return {
-            "speeds": list(self.speeds),
-            "k": self.k,
-            "coprime": self.coprime,
-            "thm1": self.thm1,
-            "thm2": self.thm2,
-            "slow_fast": self.slow_fast,
-            "any_rule": self.any_rule,
-            "is_instance": self.is_instance,
-            "earliest_time": None if self.earliest_time is None else format_rational(self.earliest_time),
-            "dyadic_m": self.dyadic_m,
-        }
+        obj = dict(vars(self), speeds=list(self.speeds))
+        if self.earliest_time is not None:
+            obj["earliest_time"] = format_rational(self.earliest_time)
+        return obj
+
+
+CSV_FIELDS = tuple(f.name for f in fields(VectorRecord))
 
 
 def _decode(mask: int) -> tuple[int, ...]:
@@ -336,49 +318,39 @@ def _sweep_export(
     return summary[0]
 
 
-def _export_to(handle: IO[str], data: EnumerationSummary | Iterable[VectorRecord], fmt: str) -> None:
-    if isinstance(data, EnumerationSummary):
-        if fmt == "json":
-            json.dump(data.to_json_obj(), handle)
-            handle.write("\n")
-        else:
-            writer = csv.writer(handle)
-            obj = data.to_json_obj()
-            writer.writerow(obj.keys())
-            writer.writerow("" if v is None else v for v in obj.values())
+def _export_to(handle: IO[str], records: Iterable[VectorRecord], fmt: str) -> None:
+    if fmt == "json":
+        handle.write("[")
+        first = True
+        for record in records:
+            if not first:
+                handle.write(",\n")
+            json.dump(record.to_json_obj(), handle)
+            first = False
+        handle.write("]\n")
     else:
-        if fmt == "json":
-            handle.write("[")
-            first = True
-            for record in data:
-                if not first:
-                    handle.write(",\n")
-                json.dump(record.to_json_obj(), handle)
-                first = False
-            handle.write("]\n")
-        else:
-            writer = csv.writer(handle)
-            writer.writerow(CSV_FIELDS)
-            for record in data:
-                writer.writerow(record.to_csv_row())
+        writer = csv.writer(handle)
+        writer.writerow(CSV_FIELDS)
+        for record in records:
+            writer.writerow(record.to_csv_row())
 
 
-def export(
-    data: EnumerationSummary | Iterable[VectorRecord],
-    fmt: str,
-    destination: str | os.PathLike | IO[str],
-) -> None:
-    """Write a summary or a record stream to a file or file-like as csv/json."""
+def export(records: Iterable[VectorRecord], fmt: str, destination: str | os.PathLike | IO[str]) -> None:
+    """Write a record stream to a file or file-like as csv or json.
+
+    A summary has its own JSON form, :meth:`EnumerationSummary.to_json_obj`,
+    which :func:`summary_from_json` reads back.
+    """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     if isinstance(destination, (str, os.PathLike)):
         try:
             with open(destination, "w", newline="") as handle:
-                _export_to(handle, data, fmt)
+                _export_to(handle, records, fmt)
         except OSError as exc:
             raise OSError(f"cannot write {destination}: {exc}") from exc
     else:
-        _export_to(destination, data, fmt)
+        _export_to(destination, records, fmt)
 
 
 def summary_from_json(source: str | dict) -> EnumerationSummary:

@@ -12,12 +12,9 @@ the export files.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
-__all__ = ["frac", "parse_rational", "format_rational"]
-
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+__all__ = ["frac", "format_rational"]
 
 
 def frac(q: Fraction | int) -> Fraction:
@@ -34,28 +31,11 @@ def frac(q: Fraction | int) -> Fraction:
     return q - math.floor(q)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or a bare integer ``"p"`` into a reduced Fraction.
-
-    Only those two forms are accepted; in particular decimal strings
-    are rejected so that no value can sneak in unreduced or inexact.
-    """
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
-        raise ValueError(f"not a rational literal: {text!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
-
-
 def format_rational(q: Fraction | int) -> str:
     """Render a rational as ``numerator/denominator``, integers included.
 
     Integers come out as ``n/1`` so that every serialized rational has
-    the same shape; :func:`parse_rational` accepts both forms.
+    the same shape, which ``Fraction`` reads back.  Both types carry a
+    reduced numerator and a positive denominator, so nothing is rebuilt.
     """
-    q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"

@@ -212,7 +212,7 @@ def test_criterion_09_witness_roundtrip_to_12():
 def test_criterion_10_shard_determinism():
     start = time.perf_counter()
     outputs = [
-        json.dumps(sweep(16, shard_count=shards).to_json_obj(include_elapsed=False))
+        json.dumps(sweep(16, shard_count=shards).to_json_obj())
         for shards in (1, 4, 13)
     ]
     assert outputs[0] == outputs[1] == outputs[2]

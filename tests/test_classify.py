@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from lonely_runner.classify import (
     rule_thm1,
     rule_thm2,
 )
+from lonely_runner.cli import main
 from lonely_runner.model import SpeedVector, new_speed_vector
 from lonely_runner.oracle import is_instance, is_suitable
 
@@ -78,9 +80,9 @@ def test_classify_slow_fast_witness_is_free():
     assert report.oracle_verdict is None
 
 
-def test_classification_report_json():
-    obj = classify(new_speed_vector([4, 3, 2]), with_oracle=True).to_json_obj()
-    assert obj == {
+def test_classification_report_json(capsys):
+    assert main(["classify", "4", "3", "2", "--with-oracle", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
         "vector": [4, 3, 2],
         "thm1": False,
         "thm2": True,
