@@ -1,7 +1,10 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import descending_subsets
 from lonely_runner.classify import (
@@ -13,7 +16,8 @@ from lonely_runner.classify import (
 )
 from lonely_runner.cli import main
 from lonely_runner.model import SpeedVector, new_speed_vector
-from lonely_runner.oracle import is_instance, is_suitable
+from lonely_runner.oracle import earliest_suitable_time, is_instance, is_suitable
+from lonely_runner.polyhedron import contains, integer_point_in_q, lift_to_p, p1_interval
 
 F = Fraction
 
@@ -108,3 +112,94 @@ def test_reported_witnesses_are_suitable():
         report = classify(SpeedVector(speeds), with_oracle=True)
         if report.witness_time is not None:
             assert is_suitable(report.vector, report.witness_time)
+
+
+# Rule soundness at large speeds, checked two ways: every rule-positive
+# vector has a suitable time from the join, and its rule's own witness
+# (an integer point of Q or of the 1D window, lifted into P(n), or the
+# slow_fast time) is checked against the polyhedron or the definition.
+BIG = 10**9
+
+
+def _sample_between(draw, lo, hi, size):
+    """size distinct integers strictly between lo and hi."""
+    return draw(st.randoms(use_true_random=False)).sample(range(lo + 1, hi), size)
+
+
+@st.composite
+def thm1_vectors(draw):
+    # n_3 just above n_k, then n_2 large enough for the width condition.
+    k = draw(st.sampled_from([4, 5, 7, 9]))
+    nk = draw(st.integers(10, BIG // 4))
+    n3 = nk + k - 3 + draw(st.integers(0, 20))  # < k n_k, as nk >= 10
+    need = -(-(k + 1) * n3 * nk // (k * nk - n3))
+    n2 = draw(st.integers(max(n3 + 1, need), BIG - 1))
+    n1 = draw(st.integers(n2 + 1, BIG))
+    return tuple(sorted([n1, n2, n3, nk, *_sample_between(draw, nk, n3, k - 4)], reverse=True))
+
+
+@st.composite
+def thm2_vectors(draw):
+    # n_2 <= k n_k, and n_1 = q (k+1) n_k + r with n_k <= r <= k n_k.
+    k = draw(st.sampled_from([2, 3, 4, 5, 7, 9]))
+    nk = draw(st.integers(k, BIG // (2 * (k + 1))))
+    r = draw(st.integers(nk, k * nk))
+    n1 = draw(st.integers(1, (BIG - r) // ((k + 1) * nk))) * (k + 1) * nk + r
+    if k == 2:
+        return (n1, nk)
+    n2 = draw(st.integers(nk + k - 2, k * nk))
+    return tuple(sorted([n1, n2, nk, *_sample_between(draw, nk, n2, k - 3)], reverse=True))
+
+
+@st.composite
+def slow_fast_vectors(draw):
+    # Small draws are favoured, so half of them start near 10^9.
+    k = draw(st.sampled_from([2, 3, 4, 5, 7, 9]))
+    nk = draw(st.integers(1, BIG // k) | st.integers(BIG // (2 * k), BIG // k))
+    n1 = draw(st.integers(nk + k - 1, k * nk))
+    return tuple(sorted([n1, nk, *_sample_between(draw, nk, n1, k - 2)], reverse=True))
+
+
+def _confirm_rule_verdicts(speeds):
+    n = SpeedVector(speeds)
+    thm1, thm2, slow_fast = evaluate_rules(speeds)
+    if not (thm1 or thm2 or slow_fast):
+        return thm1, thm2, slow_fast
+    t = earliest_suitable_time(n)
+    assert t is not None and is_suitable(n, t)
+    if thm1:
+        p = integer_point_in_q(n)
+        assert p is not None
+        assert contains(n, lift_to_p(n, p, 2))
+    if thm2:
+        lo, _ = p1_interval(n)
+        assert contains(n, lift_to_p(n, math.ceil(lo), 1))
+    if slow_fast:
+        assert is_suitable(n, classify(n).witness_time)
+    return thm1, thm2, slow_fast
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(thm1_vectors())
+def test_thm1_sound_at_large_speeds(speeds):
+    assert _confirm_rule_verdicts(speeds)[0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(thm2_vectors())
+def test_thm2_sound_at_large_speeds(speeds):
+    assert _confirm_rule_verdicts(speeds)[1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(slow_fast_vectors())
+def test_slow_fast_sound_at_large_speeds(speeds):
+    assert _confirm_rule_verdicts(speeds)[2]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, BIG), min_size=2, max_size=9, unique=True))
+def test_rules_sound_on_random_large_vectors(speeds):
+    # Untargeted draws, so a rule that fires where it should not meets
+    # vectors its own witness cannot serve.
+    _confirm_rule_verdicts(tuple(sorted(speeds, reverse=True)))
