@@ -16,7 +16,6 @@ from lonely_runner import (
     is_suitable,
     lattice_witness_from_time,
     new_speed_vector,
-    reflect_time,
     runner_intervals,
     suitable_set,
 )
@@ -32,7 +31,7 @@ for speed in n:
 # The suitable set is the exact intersection of those arc systems.
 times = suitable_set(n)
 print("suitable set:", " ".join(f"[{iv.lo}, {iv.hi}]" for iv in times.intervals))
-print("total suitable length per period:", times.total_length())
+print("total suitable length per period:", sum(iv.hi - iv.lo for iv in times.intervals))
 
 # The earliest suitable time doubles as the canonical witness.
 t = earliest_suitable_time(n)
@@ -41,7 +40,7 @@ print("definitional check agrees:", is_suitable(n, t))
 
 # Reflection t -> 1 - t preserves suitability, so a witness always
 # exists in the first half period.
-print("reflected witness", reflect_time(t), "suitable:", is_suitable(n, reflect_time(t)))
+print("reflected witness", 1 - t, "suitable:", is_suitable(n, 1 - t))
 print("half-period witness:", half_period_witness(n))
 
 # Rounding the runner positions down at a suitable time gives an

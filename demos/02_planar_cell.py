@@ -17,7 +17,6 @@ from lonely_runner import (
     new_speed_vector,
     p1_interval,
     q_geometry,
-    width,
 )
 
 n = new_speed_vector([17, 16, 7, 6, 5, 4, 2])
@@ -36,10 +35,11 @@ print("vertices (counterclockwise):", " ".join(f"({a}, {b})" for a, b in geom.ve
 lm = geom.landmarks
 print(f"landmarks: alpha={lm.alpha} beta={lm.beta} gamma={lm.gamma} delta={lm.delta} zeta={lm.zeta} kappa={lm.kappa}")
 
-# Widths along the axes; both exceed 1 here, which is what forces an
-# integer point into the cell.
-print("width along x1:", width(geom, (1, 0)))
-print("width along x2:", width(geom, (0, 1)))
+# Widths along the axes, from the vertex extremes; both exceed 1 here,
+# which is what forces an integer point into the cell.
+for axis in (0, 1):
+    values = [v[axis] for v in geom.vertices]
+    print(f"width along x{axis + 1}:", max(values) - min(values))
 print("closed-form lemma widths:", lemma_widths(n))
 
 # Find the integer point and lift it into the full polyhedron.

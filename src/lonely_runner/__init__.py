@@ -7,14 +7,7 @@ and its planar integer-point cell, integer sufficient-condition rules, a dyadic
 grid search, and a census sweep over all speed subsets of {1..N}.
 """
 
-from .classify import (
-    ClassificationReport,
-    classify,
-    evaluate_rules,
-    rule_slow_fast,
-    rule_thm1,
-    rule_thm2,
-)
+from .classify import ClassificationReport, classify, evaluate_rules
 from .dyadic import DyadicWitness, dyadic_denominator, dyadic_exponent, find_dyadic_time
 from .enumeration import (
     CSV_FIELDS,
@@ -29,7 +22,7 @@ from .enumeration import (
     sweep,
 )
 from .exact_arith import format_rational, frac
-from .model import SpeedVector, gcd_of, new_speed_vector, normalize
+from .model import SpeedVector, new_speed_vector, normalize
 from .oracle import (
     SuitabilitySet,
     TimeInterval,
@@ -38,7 +31,6 @@ from .oracle import (
     is_instance,
     is_suitable,
     lattice_witness_from_time,
-    reflect_time,
     runner_intervals,
     suitable_set,
 )
@@ -55,8 +47,6 @@ from .polyhedron import (
     p1_interval,
     q_geometry,
     q_halfplanes,
-    support_bounds,
-    width,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +76,6 @@ __all__ = [
     "find_dyadic_time",
     "format_rational",
     "frac",
-    "gcd_of",
     "half_period_witness",
     "integer_point_in_q",
     "is_instance",
@@ -101,15 +90,9 @@ __all__ = [
     "p1_interval",
     "q_geometry",
     "q_halfplanes",
-    "reflect_time",
-    "rule_slow_fast",
-    "rule_thm1",
-    "rule_thm2",
     "runner_intervals",
     "shard_bounds",
     "suitable_set",
     "summary_from_json",
-    "support_bounds",
     "sweep",
-    "width",
 ]

@@ -1,17 +1,18 @@
 """Sufficient-condition classifiers for lonely runner instances.
 
-Three integer-arithmetic rules, each sound (a positive answer always
+Three integer-arithmetic rules, evaluated together by ``evaluate_rules``
+and reported by ``classify``.  Each is sound (a positive answer always
 means the vector is an instance, confirmed against the exact oracle in
 the test suite):
 
-* ``rule_thm1``: for k >= 4, the condition n_2 (k/n_3 - 1/n_k) >= k+1
+* thm1: for k >= 4, the condition n_2 (k/n_3 - 1/n_k) >= k+1
   (evaluated cross-multiplied, no division) makes the planar cell Q of
   the runner polyhedron wide enough in both axis directions to contain
   an integer point.
-* ``rule_thm2``: for k >= 2, n_2 <= k n_k together with
+* thm2: for k >= 2, n_2 <= k n_k together with
   n_k <= n_1 mod ((k+1) n_k) <= k n_k puts an integer inside the 1D
   window interval, which zero-pads into the full polyhedron.
-* ``rule_slow_fast``: n_1 <= k n_k, in which case t = k/((k+1) n_1) is
+* slow_fast: n_1 <= k n_k, in which case t = k/((k+1) n_1) is
   suitable.  Unlike the other two this rule is exact for its witness:
   that particular time is suitable if and only if the condition holds.
 """
@@ -28,9 +29,6 @@ from .model import SpeedVector
 __all__ = [
     "ClassificationReport",
     "evaluate_rules",
-    "rule_thm1",
-    "rule_thm2",
-    "rule_slow_fast",
     "classify",
 ]
 
@@ -38,8 +36,8 @@ __all__ = [
 def evaluate_rules(speeds: Sequence[int]) -> tuple[bool, bool, bool]:
     """Rule triple (thm1, thm2, slow_fast) on a descending speed tuple.
 
-    Integer-only fast path used by the enumeration sweep; the public
-    rule_* functions wrap it for single vectors.  Rules whose shape
+    Integer-only, so the enumeration sweep calls it on raw tuples;
+    classify calls it for single vectors.  Rules whose shape
     requirements are not met (k too small) are simply False.
     """
     k = len(speeds)
@@ -56,24 +54,6 @@ def evaluate_rules(speeds: Sequence[int]) -> tuple[bool, bool, bool]:
         thm2 = n2 <= k * nk and nk <= remainder <= k * nk
     slow_fast = n1 <= k * nk
     return thm1, thm2, slow_fast
-
-
-def rule_thm1(n: SpeedVector) -> bool:
-    """n_2 (k/n_3 - 1/n_k) >= k + 1 with k >= 4; False for smaller k."""
-    return evaluate_rules(n.speeds)[0]
-
-
-def rule_thm2(n: SpeedVector) -> bool:
-    """n_2 <= k n_k and n_k <= n_1 mod ((k+1) n_k) <= k n_k; False at k = 1."""
-    return evaluate_rules(n.speeds)[1]
-
-
-def rule_slow_fast(n: SpeedVector) -> tuple[bool, Fraction | None]:
-    """n_1 <= k n_k, with its witness time k/((k+1) n_1) when it holds."""
-    ok = evaluate_rules(n.speeds)[2]
-    if not ok:
-        return False, None
-    return True, Fraction(n.k, (n.k + 1) * n[0])
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-__all__ = ["SpeedVector", "new_speed_vector", "normalize", "gcd_of"]
+__all__ = ["SpeedVector", "new_speed_vector", "normalize"]
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,3 @@ def normalize(values: Iterable[int]) -> SpeedVector:
         raise ValueError("normalize needs at least one positive value")
     g = math.gcd(*kept)
     return SpeedVector(tuple(v // g for v in kept))
-
-
-def gcd_of(n: SpeedVector) -> int:
-    """gcd of all speeds; 1 means the vector is coprime."""
-    return math.gcd(*n.speeds)

@@ -37,7 +37,6 @@ __all__ = [
     "is_instance",
     "earliest_suitable_time",
     "is_suitable",
-    "reflect_time",
     "half_period_witness",
     "lattice_witness_from_time",
 ]
@@ -64,10 +63,6 @@ class TimeInterval:
     def __contains__(self, t: Fraction) -> bool:
         return self.lo <= t <= self.hi
 
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class SuitabilitySet:
@@ -91,9 +86,6 @@ class SuitabilitySet:
 
     def contains(self, t: Fraction) -> bool:
         return any(t in iv for iv in self.intervals)
-
-    def total_length(self) -> Fraction:
-        return sum((iv.length for iv in self.intervals), Fraction(0))
 
     def to_json(self) -> list[list[str]]:
         """JSON form: array of two-element rational-string arrays."""
@@ -187,19 +179,6 @@ def is_suitable(n: SpeedVector, t: Fraction | int) -> bool:
     lo = Fraction(1, k + 1)
     hi = Fraction(k, k + 1)
     return all(lo <= frac(s * t) <= hi for s in n)
-
-
-def reflect_time(t: Fraction | int) -> Fraction:
-    """Mirror t -> 1 - t inside [0, 1].
-
-    Suitability is preserved: frac(s * (1 - t)) = 1 - frac(s * t)
-    whenever s * t is not an integer, and the window [1/(k+1), k/(k+1)]
-    is symmetric about 1/2.
-    """
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise ValueError(f"reflect_time expects t in [0, 1], got {t}")
-    return 1 - t
 
 
 def half_period_witness(n: SpeedVector) -> Fraction | None:

@@ -19,8 +19,10 @@ slant band on n_2 x_1 - n_1 x_2).  The windows are useful one way
 round: any integer point found inside them zero-pads to an integer
 point of P(n) whenever n_{m+1} <= k n_k, which is how instance
 witnesses are produced here.  Everything is computed in exact rational
-arithmetic: support bounds by Fourier-Motzkin elimination, vertices by
-pairwise line intersection.
+arithmetic: Q is the box clipped by the two sides of the band, one
+Sutherland-Hodgman pass each (Sutherland and Hodgman, *CACM* 17,
+1974), and every width, level range and emptiness test reads its
+vertices.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import SpeedVector
 
@@ -43,8 +44,6 @@ __all__ = [
     "p1_interval",
     "q_halfplanes",
     "q_geometry",
-    "support_bounds",
-    "width",
     "lemma_widths",
     "integer_point_in_q",
     "lift_to_p",
@@ -66,9 +65,6 @@ class HalfPlane:
 
     def holds(self, x1: Fraction, x2: Fraction) -> bool:
         return self.value(x1, x2) <= self.b
-
-    def tight(self, x1: Fraction, x2: Fraction) -> bool:
-        return self.value(x1, x2) == self.b
 
 
 @dataclass(frozen=True)
@@ -154,6 +150,9 @@ def p1_interval(n: SpeedVector) -> tuple[Fraction, Fraction]:
 
 
 def _q_bounds(n: SpeedVector) -> tuple[Fraction, ...]:
+    """Box bounds (lo1, hi1, lo2, hi2) on x_1, x_2, band bounds (lo5, hi5) on n_2 x_1 - n_1 x_2."""
+    if n.k < 3:
+        raise ValueError("the 2D cell needs k >= 3")
     k = n.k
     n1, n2, n3, nk = n[0], n[1], n[2], n[k - 1]
     lo1 = Fraction(n1, (k + 1) * nk) - Fraction(k, k + 1)
@@ -173,8 +172,6 @@ def q_halfplanes(n: SpeedVector) -> tuple[HalfPlane, ...]:
     of Q zero-pad into P(n) when n_3 <= k * n_k (see lift_to_p).  Needs
     k >= 3 (the bounds involve n_3).
     """
-    if n.k < 3:
-        raise ValueError("the 2D cell needs k >= 3")
     lo1, hi1, lo2, hi2, lo5, hi5 = _q_bounds(n)
     one = Fraction(1)
     n1 = Fraction(n[0])
@@ -201,183 +198,83 @@ def _landmarks(n: SpeedVector) -> QLandmarks:
     return QLandmarks(alpha, beta, gamma, delta, zeta, kappa)
 
 
-def _vertices(hps: Sequence[HalfPlane]) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Feasible pairwise line intersections = extreme points, CCW order.
+def _clip(n: SpeedVector) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Vertices of Q in CCW order from the lexicographically smallest; () when empty.
 
-    A feasible intersection of two non-parallel constraint lines is
-    always an extreme point: a constraint line through a relative
-    interior point of the region or of one of its edges would exclude
-    nearby feasible points unless it coincides with the edge line (and
-    coinciding lines have determinant zero, so the pair is skipped).
+    The box corners, counterclockwise, are clipped by one
+    Sutherland-Hodgman pass for each side of the band
+    lo5 <= n_2 x_1 - n_1 x_2 <= hi5.  A pass keeps the order, so the
+    cycle stays counterclockwise.  A degenerate box (a segment or a
+    point) repeats corners, and repeats are dropped at the end.
     """
-    points: set[tuple[Fraction, Fraction]] = set()
-    m = len(hps)
-    for i in range(m):
-        for j in range(i + 1, m):
-            a, b = hps[i], hps[j]
-            det = a.a1 * b.a2 - a.a2 * b.a1
-            if det == 0:
-                continue
-            x1 = (a.b * b.a2 - a.a2 * b.b) / det
-            x2 = (a.a1 * b.b - a.b * b.a1) / det
-            if all(h.holds(x1, x2) for h in hps):
-                points.add((x1, x2))
-    return _ccw_sorted(points)
-
-
-def _ccw_sorted(points: Iterable[tuple[Fraction, Fraction]]) -> tuple[tuple[Fraction, Fraction], ...]:
-    pts = list(points)
-    if len(pts) <= 1:
-        return tuple(pts)
-    cx = sum(p[0] for p in pts) / len(pts)
-    cy = sum(p[1] for p in pts) / len(pts)
-
-    def half(p: tuple[Fraction, Fraction]) -> int:
-        # 0 on the closed upper half starting at angle 0, 1 below.
-        if p[1] > cy or (p[1] == cy and p[0] >= cx):
-            return 0
-        return 1
-
-    def compare(p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]) -> int:
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return hp - hq
-        cross = (p[0] - cx) * (q[1] - cy) - (p[1] - cy) * (q[0] - cx)
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    ordered = sorted(pts, key=cmp_to_key(compare))
-    # Deterministic start: rotate the cycle to the lexicographically
-    # smallest vertex.
-    start = min(range(len(ordered)), key=lambda i: ordered[i])
-    return tuple(ordered[start:] + ordered[:start])
+    lo1, hi1, lo2, hi2, lo5, hi5 = _q_bounds(n)
+    if lo1 > hi1 or lo2 > hi2:
+        return ()
+    n1, n2 = n[0], n[1]
+    poly = [(lo1, lo2), (hi1, lo2), (hi1, hi2), (lo1, hi2)]
+    for sign, bound in ((1, lo5), (-1, hi5)):
+        # Keep the points with sign * (n_2 x_1 - n_1 x_2 - bound) >= 0.
+        g = [sign * (n2 * x1 - n1 * x2 - bound) for x1, x2 in poly]
+        clipped = []
+        for i, p in enumerate(poly):
+            q, gp, gq = poly[i - 1], g[i], g[i - 1]
+            if (gp >= 0) != (gq >= 0):
+                # The edge q -> p crosses the line; add the crossing.
+                t = gq / (gq - gp)
+                clipped.append((q[0] + t * (p[0] - q[0]), q[1] + t * (p[1] - q[1])))
+            if gp >= 0:
+                clipped.append(p)
+        poly = clipped
+    vertices = [p for i, p in enumerate(poly) if p != poly[i - 1]] or poly[:1]
+    if not vertices:
+        return ()
+    start = vertices.index(min(vertices))
+    return tuple(vertices[start:] + vertices[:start])
 
 
 def q_geometry(n: SpeedVector) -> QGeometry:
     """Half-planes, vertices, and landmark levels of Q for k >= 3."""
-    hps = q_halfplanes(n)
-    return QGeometry(hps, _vertices(hps), _landmarks(n))
-
-
-def _project(
-    hps: Sequence[HalfPlane], direction: tuple[Fraction, Fraction]
-) -> tuple[bool, Fraction | None, Fraction | None]:
-    """(feasible, lo, hi) of <direction, x> over the region; None = unbounded.
-
-    Fourier-Motzkin elimination in rotated coordinates u = <d, x>,
-    w = <d_perp, x>: each constraint becomes p*u + q*w <= r, the w
-    variable is eliminated by pairing opposite-sign q rows, and the
-    surviving one-variable rows give the exact projection interval.
-    """
-    d1, d2 = Fraction(direction[0]), Fraction(direction[1])
-    if d1 == 0 and d2 == 0:
-        raise ValueError("direction must be nonzero")
-    norm = d1 * d1 + d2 * d2
-    direct: list[tuple[Fraction, Fraction]] = []  # rows p*u <= r
-    uppers: list[tuple[Fraction, Fraction, Fraction]] = []  # q > 0
-    lowers: list[tuple[Fraction, Fraction, Fraction]] = []  # q < 0
-    for hp in hps:
-        p = hp.a1 * d1 + hp.a2 * d2
-        q = hp.a2 * d1 - hp.a1 * d2
-        r = hp.b * norm
-        if q == 0:
-            direct.append((p, r))
-        elif q > 0:
-            uppers.append((p, q, r))
-        else:
-            lowers.append((p, q, r))
-    for pi, qi, ri in uppers:
-        for pj, qj, rj in lowers:
-            # (r_j - p_j u)/q_j <= (r_i - p_i u)/q_i, multiplied by q_i*q_j < 0
-            direct.append((pj * qi - pi * qj, rj * qi - ri * qj))
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    for p, r in direct:
-        if p == 0:
-            if r < 0:
-                return False, None, None
-        elif p > 0:
-            bound = r / p
-            if hi is None or bound < hi:
-                hi = bound
-        else:
-            bound = r / p
-            if lo is None or bound > lo:
-                lo = bound
-    if lo is not None and hi is not None and lo > hi:
-        return False, None, None
-    return True, lo, hi
-
-
-def support_bounds(
-    region: QGeometry | Sequence[HalfPlane], direction: tuple[Fraction | int, Fraction | int]
-) -> tuple[Fraction | None, Fraction | None]:
-    """Exact (min, max) of <direction, x> over the region; None = unbounded.
-
-    Raises ValueError when the region is empty.
-    """
-    hps = region.halfplanes if isinstance(region, QGeometry) else tuple(region)
-    feasible, lo, hi = _project(hps, (Fraction(direction[0]), Fraction(direction[1])))
-    if not feasible:
-        raise ValueError("empty region")
-    return lo, hi
-
-
-def width(
-    region: QGeometry | Sequence[HalfPlane], direction: tuple[Fraction | int, Fraction | int]
-) -> Fraction:
-    """Width max <d, x> - min <d, x> of the region along a direction."""
-    lo, hi = support_bounds(region, direction)
-    if lo is None or hi is None:
-        raise ValueError("region is unbounded along this direction")
-    return hi - lo
-
-
-def _feasible(hps: Sequence[HalfPlane]) -> bool:
-    ok, _, _ = _project(hps, (Fraction(1), _ZERO))
-    return ok
+    return QGeometry(q_halfplanes(n), _clip(n), _landmarks(n))
 
 
 def lemma_widths(n: SpeedVector) -> LemmaWidths:
     """Closed-form widths of Q and of its two distinguished subregions.
 
-    Subregion emptiness is decided exactly by feasibility of the
-    extended half-plane system, not by the sign of the closed form.
+    Emptiness is decided exactly from the x_2 range of Q's vertices, not
+    by the sign of the closed form: Q cut to x_2 >= alpha is empty when
+    alpha is above the range, and Q cut to the slab [beta, gamma] when
+    the slab misses the range.
     """
-    hps = q_halfplanes(n)
+    vertices = _clip(n)
+    if not vertices:
+        return LemmaWidths(None, None, None, None)
     lm = _landmarks(n)
     k = n.k
     n1, n2, n3, nk = n[0], n[1], n[2], n[k - 1]
     spread = Fraction(k, n3) - Fraction(1, nk)
-    if not _feasible(hps):
-        return LemmaWidths(None, None, None, None)
+    lo = min(x2 for _, x2 in vertices)
+    hi = max(x2 for _, x2 in vertices)
     wq_e1 = Fraction(n1, k + 1) * spread + Fraction(k - 1, k + 1)
     wq_e2 = Fraction(n2, k + 1) * spread + Fraction(k - 1, k + 1)
-    one = Fraction(1)
-    above_alpha = hps + (HalfPlane(_ZERO, -one, -lm.alpha),)
-    slab = hps + (HalfPlane(_ZERO, -one, -lm.beta), HalfPlane(_ZERO, one, lm.gamma))
-    wq2_e2 = Fraction(n2, k + 1) * spread - Fraction(2, k + 1) if _feasible(above_alpha) else None
-    wq5_e2 = lm.gamma - lm.beta if _feasible(slab) else None
+    wq2_e2 = Fraction(n2, k + 1) * spread - Fraction(2, k + 1) if lm.alpha <= hi else None
+    wq5_e2 = lm.gamma - lm.beta if max(lm.beta, lo) <= min(lm.gamma, hi) else None
     return LemmaWidths(wq_e1, wq_e2, wq2_e2, wq5_e2)
 
 
 def integer_point_in_q(n: SpeedVector) -> LatticePoint2 | None:
     """Integer point of Q minimizing (x2, x1) lexicographically, or None.
 
-    Scans integer x2 levels across the exact x2 support of Q; on each
+    Scans integer x2 levels across the x2 range of Q's vertices; on each
     level the admissible x1 range is the box bound intersected with the
     slant band solved for x1.
     """
-    hps = q_halfplanes(n)
-    feasible, lo, hi = _project(hps, (_ZERO, Fraction(1)))
-    if not feasible:
+    vertices = _clip(n)
+    if not vertices:
         return None
-    assert lo is not None and hi is not None  # Q is always bounded
     lo1, hi1, _, _, lo5, hi5 = _q_bounds(n)
     n1, n2 = n[0], n[1]
+    lo = min(x2 for _, x2 in vertices)
+    hi = max(x2 for _, x2 in vertices)
     for z in range(math.ceil(lo), math.floor(hi) + 1):
         xlo = max(lo1, (lo5 + n1 * z) / n2)
         xhi = min(hi1, (hi5 + n1 * z) / n2)

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import lonely_runner
 from lonely_runner.model import SpeedVector
 from lonely_runner.oracle import is_suitable
-from lonely_runner.polyhedron import contains
+from lonely_runner.polyhedron import HalfPlane, contains
 
 __all__ = [
     "descending_subsets",
@@ -27,6 +27,9 @@ __all__ = [
     "suitability_probe_points",
     "brute_dyadic_m",
     "brute_integer_points_in_region",
+    "project",
+    "support_bounds",
+    "width",
     "translate_invariance_check",
     "child_env",
 ]
@@ -122,6 +125,78 @@ def brute_integer_points_in_region(halfplanes, x1_range, x2_range) -> list[tuple
             if all(h.holds(Fraction(x1), Fraction(x2)) for h in halfplanes):
                 hits.append((x1, x2))
     return hits
+
+
+def project(
+    hps: Sequence[HalfPlane], direction: tuple[Fraction, Fraction]
+) -> tuple[bool, Fraction | None, Fraction | None]:
+    """(feasible, lo, hi) of <direction, x> over the region; None = unbounded.
+
+    Fourier-Motzkin elimination in rotated coordinates u = <d, x>,
+    w = <d_perp, x>: each constraint becomes p*u + q*w <= r, the w
+    variable is eliminated by pairing opposite-sign q rows, and the
+    surviving one-variable rows give the exact projection interval.
+    An independent second path to the vertices of the library's clip.
+    """
+    d1, d2 = Fraction(direction[0]), Fraction(direction[1])
+    if d1 == 0 and d2 == 0:
+        raise ValueError("direction must be nonzero")
+    norm = d1 * d1 + d2 * d2
+    direct: list[tuple[Fraction, Fraction]] = []  # rows p*u <= r
+    uppers: list[tuple[Fraction, Fraction, Fraction]] = []  # q > 0
+    lowers: list[tuple[Fraction, Fraction, Fraction]] = []  # q < 0
+    for hp in hps:
+        p = hp.a1 * d1 + hp.a2 * d2
+        q = hp.a2 * d1 - hp.a1 * d2
+        r = hp.b * norm
+        if q == 0:
+            direct.append((p, r))
+        elif q > 0:
+            uppers.append((p, q, r))
+        else:
+            lowers.append((p, q, r))
+    for pi, qi, ri in uppers:
+        for pj, qj, rj in lowers:
+            # (r_j - p_j u)/q_j <= (r_i - p_i u)/q_i, multiplied by q_i*q_j < 0
+            direct.append((pj * qi - pi * qj, rj * qi - ri * qj))
+    lo: Fraction | None = None
+    hi: Fraction | None = None
+    for p, r in direct:
+        if p == 0:
+            if r < 0:
+                return False, None, None
+        elif p > 0:
+            bound = r / p
+            if hi is None or bound < hi:
+                hi = bound
+        else:
+            bound = r / p
+            if lo is None or bound > lo:
+                lo = bound
+    if lo is not None and hi is not None and lo > hi:
+        return False, None, None
+    return True, lo, hi
+
+
+def support_bounds(
+    hps: Sequence[HalfPlane], direction: tuple[Fraction | int, Fraction | int]
+) -> tuple[Fraction | None, Fraction | None]:
+    """Exact (min, max) of <direction, x> over the region; None = unbounded.
+
+    Raises ValueError when the region is empty.
+    """
+    feasible, lo, hi = project(hps, (Fraction(direction[0]), Fraction(direction[1])))
+    if not feasible:
+        raise ValueError("empty region")
+    return lo, hi
+
+
+def width(hps: Sequence[HalfPlane], direction: tuple[Fraction | int, Fraction | int]) -> Fraction:
+    """Width max <d, x> - min <d, x> of the region along a direction."""
+    lo, hi = support_bounds(hps, direction)
+    if lo is None or hi is None:
+        raise ValueError("region is unbounded along this direction")
+    return hi - lo
 
 
 def _contains_translated(n: SpeedVector, y: Sequence[int], v: Sequence[int]) -> bool:

@@ -10,7 +10,7 @@ import math
 import time
 from fractions import Fraction
 
-from helpers import descending_subsets
+from helpers import descending_subsets, width
 from lonely_runner.classify import classify, evaluate_rules
 from lonely_runner.cli import main
 from lonely_runner.dyadic import find_dyadic_time
@@ -32,7 +32,6 @@ from lonely_runner.polyhedron import (
     lift_to_p,
     q_geometry,
     q_halfplanes,
-    width,
 )
 
 F = Fraction

@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import descending_subsets
-from lonely_runner.classify import (
-    classify,
-    evaluate_rules,
-    rule_slow_fast,
-    rule_thm1,
-    rule_thm2,
-)
+from lonely_runner.classify import classify, evaluate_rules
 from lonely_runner.cli import main
 from lonely_runner.model import SpeedVector, new_speed_vector
 from lonely_runner.oracle import earliest_suitable_time, is_instance, is_suitable
@@ -23,32 +17,24 @@ F = Fraction
 
 
 def test_rule_thm1_frozen():
-    assert rule_thm1(new_speed_vector([17, 16, 7, 6, 5, 4, 2]))
-    assert not rule_thm1(new_speed_vector([10, 4, 3, 1]))
+    assert evaluate_rules((17, 16, 7, 6, 5, 4, 2))[0]
+    assert not evaluate_rules((10, 4, 3, 1))[0]
     # Needs k >= 4.
-    assert not rule_thm1(new_speed_vector([9, 8, 7]))
+    assert not evaluate_rules((9, 8, 7))[0]
 
 
 def test_rule_thm2_frozen():
-    assert rule_thm2(new_speed_vector([20, 14, 8, 6, 5, 4, 2]))
+    assert evaluate_rules((20, 14, 8, 6, 5, 4, 2))[1]
     # n_2 = 16 > k n_k = 14 breaks the first condition.
-    assert not rule_thm2(new_speed_vector([17, 16, 7, 6, 5, 4, 2]))
+    assert not evaluate_rules((17, 16, 7, 6, 5, 4, 2))[1]
     # k = 1 is false by convention.
-    assert not rule_thm2(new_speed_vector([5]))
+    assert not evaluate_rules((5,))[1]
 
 
 def test_rule_slow_fast_frozen():
-    ok, t = rule_slow_fast(new_speed_vector([4, 3, 2]))
-    assert ok and t == F(3, 16)
-    ok, t = rule_slow_fast(new_speed_vector([17, 16, 7, 6, 5, 4, 2]))
-    assert not ok and t is None
-
-
-def test_evaluate_rules_matches_wrappers():
-    for speeds in [(17, 16, 7, 6, 5, 4, 2), (20, 14, 8, 6, 5, 4, 2), (4, 3, 2), (5,)]:
-        n = SpeedVector(speeds)
-        triple = evaluate_rules(speeds)
-        assert triple == (rule_thm1(n), rule_thm2(n), rule_slow_fast(n)[0])
+    assert evaluate_rules((4, 3, 2))[2]
+    assert classify(new_speed_vector([4, 3, 2])).witness_time == F(3, 16)
+    assert not evaluate_rules((17, 16, 7, 6, 5, 4, 2))[2]
 
 
 @pytest.mark.parametrize("speeds", sorted(descending_subsets(9)))

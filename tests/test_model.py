@@ -1,8 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lonely_runner.model import SpeedVector, gcd_of, new_speed_vector, normalize
+from lonely_runner.model import SpeedVector, new_speed_vector, normalize
 
 
 def test_speed_vector_basics():
@@ -56,16 +58,10 @@ def test_normalize_needs_a_positive_value():
         normalize([0, -1])
 
 
-def test_gcd_of():
-    assert gcd_of(SpeedVector((4, 3, 2))) == 1
-    assert gcd_of(SpeedVector((6, 3))) == 3
-    assert gcd_of(SpeedVector((7,))) == 7
-
-
 @given(st.lists(st.integers(min_value=-5, max_value=60), min_size=1).filter(lambda v: any(x >= 1 for x in v)))
 def test_normalize_is_canonical(values):
     n = normalize(values)
-    assert gcd_of(n) == 1
+    assert math.gcd(*n.speeds) == 1
     assert all(a > b for a, b in zip(n.speeds, n.speeds[1:]))
     assert all(s >= 1 for s in n)
     # Idempotent: normalizing a normalized vector changes nothing.

@@ -17,7 +17,6 @@ from lonely_runner.oracle import (
     is_instance,
     is_suitable,
     lattice_witness_from_time,
-    reflect_time,
     runner_intervals,
     suitable_set,
 )
@@ -39,11 +38,10 @@ def test_time_interval_validation():
         TimeInterval(F(1, 2), F(3, 2))
 
 
-def test_time_interval_membership_and_length():
+def test_time_interval_membership():
     iv = TimeInterval(F(1, 4), F(3, 4))
     assert F(1, 4) in iv and F(1, 2) in iv and F(3, 4) in iv
     assert F(1, 8) not in iv
-    assert iv.length == F(1, 2)
 
 
 def test_suitability_set_requires_sorted_disjoint():
@@ -57,7 +55,6 @@ def test_suitability_set_accessors():
     assert not s.is_empty
     assert s.earliest() == F(1, 4)
     assert s.contains(F(7, 24)) and not s.contains(F(5, 12))
-    assert s.total_length() == F(1, 12) + F(1, 6)
     empty = SuitabilitySet(())
     assert empty.is_empty and empty.earliest() is None
 
@@ -178,17 +175,10 @@ def test_interval_set_matches_definition(speeds):
         assert times.contains(t) == is_suitable(n, t)
 
 
-def test_reflect_time():
-    assert reflect_time(F(1, 3)) == F(2, 3)
-    assert reflect_time(0) == 1
-    with pytest.raises(ValueError):
-        reflect_time(F(3, 2))
-
-
 @pytest.mark.parametrize("speeds", [(4, 3, 2), (5, 4, 3, 2, 1), (9, 7, 2), (12, 7, 5, 3)])
 def test_suitable_set_reflection_symmetry(speeds):
     times = suitable_set(SpeedVector(speeds))
-    mirrored = [(reflect_time(iv.hi), reflect_time(iv.lo)) for iv in reversed(times.intervals)]
+    mirrored = [(1 - iv.hi, 1 - iv.lo) for iv in reversed(times.intervals)]
     assert mirrored == [(iv.lo, iv.hi) for iv in times.intervals]
 
 

@@ -1,10 +1,18 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import brute_integer_points_in_region, descending_subsets, translate_invariance_check
+from helpers import (
+    brute_integer_points_in_region,
+    descending_subsets,
+    project,
+    support_bounds,
+    translate_invariance_check,
+    width,
+)
 from lonely_runner.model import SpeedVector, new_speed_vector
 from lonely_runner.polyhedron import (
     HalfPlane,
@@ -16,8 +24,6 @@ from lonely_runner.polyhedron import (
     p1_interval,
     q_geometry,
     q_halfplanes,
-    support_bounds,
-    width,
 )
 
 F = Fraction
@@ -97,6 +103,9 @@ def test_q_geometry_vertices_frozen():
         (F(5, 4), F(15, 8)),
         (F(3, 16), F(7, 8)),
     )
+    # A box of zero width leaves a segment, and an empty box an empty cell.
+    assert q_geometry(new_speed_vector([9, 8, 6, 1])).vertices == ((F(1), F(4, 5)), (F(1), F(13, 15)))
+    assert q_geometry(new_speed_vector([13, 12, 11, 1])).vertices == ()
 
 
 def test_q_landmarks_frozen():
@@ -133,7 +142,7 @@ def test_q_vertices_are_valid(speeds):
     assert len(set(verts)) == len(verts)
     for x1, x2 in verts:
         assert all(h.holds(x1, x2) for h in geom.halfplanes)
-        assert sum(h.tight(x1, x2) for h in geom.halfplanes) >= 2
+        assert sum(h.value(x1, x2) == h.b for h in geom.halfplanes) >= 2
     # Counterclockwise convex position: no clockwise turn anywhere.
     m = len(verts)
     if m >= 3:
@@ -166,12 +175,25 @@ def test_width_empty_and_unbounded_errors():
     assert width(half_strip, (0, 1)) == 1
 
 
-@pytest.mark.parametrize("speeds", [(17, 16, 7, 6, 5, 4, 2), (9, 8, 7), (12, 9, 7, 5), (11, 10, 9, 8, 2)])
+def _seeded_vectors(count, ks, top, seed):
+    rng = random.Random(seed)
+    return [tuple(sorted(rng.sample(range(1, top + 1), rng.choice(ks)), reverse=True)) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "speeds",
+    [(17, 16, 7, 6, 5, 4, 2), (9, 8, 7), (12, 9, 7, 5), (11, 10, 9, 8, 2), (9, 8, 6, 1)]
+    + _seeded_vectors(12, (3, 7), 10**9, seed=6),
+)
 def test_width_agrees_with_vertex_extremes(speeds):
+    # Fourier-Motzkin over the six half-planes against the clipped vertices.
     geom = q_geometry(SpeedVector(speeds))
+    if not geom.vertices:
+        assert not project(geom.halfplanes, (1, 0))[0]
+        return
     for d in [(1, 0), (0, 1), (2, 3), (-1, 5)]:
         values = [d[0] * x1 + d[1] * x2 for x1, x2 in geom.vertices]
-        assert width(geom, d) == max(values) - min(values)
+        assert width(geom.halfplanes, d) == max(values) - min(values)
 
 
 def test_lemma_widths_frozen():
@@ -181,6 +203,21 @@ def test_lemma_widths_frozen():
     assert (w.wq_e1, w.wq_e2, w.wq2_e2, w.wq5_e2) == (F(19, 15), F(13, 15), None, F(41, 75))
     w = lemma_widths(new_speed_vector([100, 99, 98, 1]))
     assert (w.wq_e1, w.wq_e2, w.wq2_e2, w.wq5_e2) == (None, None, None, None)
+
+
+def test_lemma_widths_emptiness_matches_projection():
+    # Which widths are None is decided from the clipped vertices; the
+    # extended half-plane systems decide it a second way.
+    for speeds in descending_subsets(10, min_size=3):
+        n = SpeedVector(speeds)
+        hps = q_halfplanes(n)
+        lm = q_geometry(n).landmarks
+        above_alpha = hps + (HalfPlane(F(0), F(-1), -lm.alpha),)
+        slab = hps + (HalfPlane(F(0), F(-1), -lm.beta), HalfPlane(F(0), F(1), lm.gamma))
+        w = lemma_widths(n)
+        assert (w.wq_e1 is not None) == project(hps, (1, 0))[0], speeds
+        assert (w.wq2_e2 is not None) == project(above_alpha, (1, 0))[0], speeds
+        assert (w.wq5_e2 is not None) == project(slab, (1, 0))[0], speeds
 
 
 def test_lemma_widths_needs_k3():
