@@ -204,12 +204,16 @@ def _clip(n: SpeedVector) -> tuple[tuple[Fraction, Fraction], ...]:
     The box corners, counterclockwise, are clipped by one
     Sutherland-Hodgman pass for each side of the band
     lo5 <= n_2 x_1 - n_1 x_2 <= hi5.  A pass keeps the order, so the
-    cycle stays counterclockwise.  A degenerate box (a segment or a
-    point) repeats corners, and repeats are dropped at the end.
+    cycle stays counterclockwise.  A box of zero width (a segment)
+    repeats corners, and repeats are dropped at the end.
     """
     lo1, hi1, lo2, hi2, lo5, hi5 = _q_bounds(n)
     if lo1 > hi1 or lo2 > hi2:
         return ()
+    # Over a nonempty box, n_2 x_1 - n_1 x_2 rises above lo5 by at least
+    # (k-1) n_1/(k+1) and falls below hi5 by at least (k-1) n_2/(k+1).
+    # So Q is empty only with the box, and as the box is never a point
+    # (n_1 != n_2), Q has two vertices or more.
     n1, n2 = n[0], n[1]
     poly = [(lo1, lo2), (hi1, lo2), (hi1, hi2), (lo1, hi2)]
     for sign, bound in ((1, lo5), (-1, hi5)):
@@ -225,9 +229,7 @@ def _clip(n: SpeedVector) -> tuple[tuple[Fraction, Fraction], ...]:
             if gp >= 0:
                 clipped.append(p)
         poly = clipped
-    vertices = [p for i, p in enumerate(poly) if p != poly[i - 1]] or poly[:1]
-    if not vertices:
-        return ()
+    vertices = [p for i, p in enumerate(poly) if p != poly[i - 1]]
     start = vertices.index(min(vertices))
     return tuple(vertices[start:] + vertices[:start])
 
