@@ -26,12 +26,12 @@ print(f"vector {n} with k = {n.k} runners")
 # Each runner alone is clear of the start on `speed` arcs per period.
 for speed in n:
     arcs = runner_intervals(speed, n.k)
-    print(f"  speed {speed}: clear on " + " ".join(f"[{iv.lo}, {iv.hi}]" for iv in arcs))
+    print(f"  speed {speed}: clear on " + " ".join(f"[{lo}, {hi}]" for lo, hi in arcs))
 
 # The suitable set is the exact intersection of those arc systems.
 times = suitable_set(n)
-print("suitable set:", " ".join(f"[{iv.lo}, {iv.hi}]" for iv in times.intervals))
-print("total suitable length per period:", sum(iv.hi - iv.lo for iv in times.intervals))
+print("suitable set:", " ".join(f"[{lo}, {hi}]" for lo, hi in times))
+print("total suitable length per period:", sum(hi - lo for lo, hi in times))
 
 # The earliest suitable time doubles as the canonical witness.
 t = earliest_suitable_time(n)

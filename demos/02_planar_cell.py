@@ -44,7 +44,7 @@ print("closed-form lemma widths:", lemma_widths(n))
 
 # Find the integer point and lift it into the full polyhedron.
 p = integer_point_in_q(n)
-print("integer point of Q:", (p.x1, p.x2))
+print("integer point of Q:", p)
 lifted = lift_to_p(n, p, 2)
 print("zero-padded lift:", lifted, "in P(n):", contains(n, lifted))
 

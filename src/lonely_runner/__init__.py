@@ -24,8 +24,6 @@ from .enumeration import (
 from .exact_arith import format_rational, frac
 from .model import SpeedVector, new_speed_vector, normalize
 from .oracle import (
-    SuitabilitySet,
-    TimeInterval,
     earliest_suitable_time,
     half_period_witness,
     is_instance,
@@ -36,7 +34,6 @@ from .oracle import (
 )
 from .polyhedron import (
     HalfPlane,
-    LatticePoint2,
     LemmaWidths,
     QGeometry,
     QLandmarks,
@@ -57,13 +54,10 @@ __all__ = [
     "DyadicWitness",
     "EnumerationSummary",
     "HalfPlane",
-    "LatticePoint2",
     "LemmaWidths",
     "QGeometry",
     "QLandmarks",
     "SpeedVector",
-    "SuitabilitySet",
-    "TimeInterval",
     "VectorRecord",
     "classify",
     "contains",

@@ -90,8 +90,6 @@ def _plain(value: object) -> object:
         return format_rational(value)
     if isinstance(value, SpeedVector):
         return list(value.speeds)
-    if isinstance(value, oracle.SuitabilitySet):
-        return value.to_json()
     if is_dataclass(value):
         return vars(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -107,8 +105,8 @@ def _text(value: object) -> str:
         return format_rational(value)
     if isinstance(value, tuple):
         return "(" + ",".join(map(_text, value)) + ")"
-    if isinstance(value, oracle.SuitabilitySet):
-        return " ".join(f"[{format_rational(iv.lo)}, {format_rational(iv.hi)}]" for iv in value.intervals)
+    if isinstance(value, list):
+        return " ".join(f"[{_text(lo)}, {_text(hi)}]" for lo, hi in value)
     return str(value)
 
 
@@ -129,10 +127,10 @@ def _emit(obj: dict, as_json: bool, lines: list[str] | None = None) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     n = _vector_from_args(args)
     times = oracle.suitable_set(n)
-    earliest = times.earliest()
+    earliest = times[0][0] if times else None
     obj = {
         "vector": n,
-        "instance": not times.is_empty,
+        "instance": bool(times),
         "earliest_time": earliest,
         "half_period_witness": oracle._checked_half_period(n, earliest),
         "lattice_witness": None if earliest is None else oracle.lattice_witness_from_time(n, earliest),

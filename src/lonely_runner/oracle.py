@@ -17,21 +17,23 @@ in a row, [t, earliest of their arc ends] is suitable, and the join
 resumes at the next arc of the runner whose arc ended first.  Times are
 integer pairs compared by cross-multiplication, memory is O(k), and a
 caller that needs only the first interval stops there.
+
+``suitable_set`` returns the whole set as a list of plain (lo, hi)
+``Fraction`` pairs, sorted and disjoint by construction.  That order is
+not re-checked at run time; the tests compare the list with an
+independent intersection of the per-runner arc lists.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact_arith import format_rational, frac
+from .exact_arith import frac
 from .model import SpeedVector
 
 __all__ = [
-    "TimeInterval",
-    "SuitabilitySet",
     "runner_intervals",
     "suitable_set",
     "is_instance",
@@ -43,61 +45,19 @@ __all__ = [
 
 _HALF = Fraction(1, 2)
 
-# suitable_set holds the whole set, about 320 bytes per interval.  Distinct
+# suitable_set holds the whole set, about 290 bytes per interval.  Distinct
 # intervals end at distinct arc ends, so there are at most sum(n) of them;
 # a larger sum is refused before any work instead of filling memory.
 _MAX_SUITABLE_ARCS = 1 << 20
 
 
-@dataclass(frozen=True)
-class TimeInterval:
-    """Closed interval of times inside [0, 1]."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.lo <= self.hi <= 1:
-            raise ValueError(f"bad time interval [{self.lo}, {self.hi}]")
-
-    def __contains__(self, t: Fraction) -> bool:
-        return self.lo <= t <= self.hi
-
-
-@dataclass(frozen=True)
-class SuitabilitySet:
-    """Sorted, pairwise disjoint closed intervals of suitable times."""
-
-    intervals: tuple[TimeInterval, ...]
-
-    def __post_init__(self) -> None:
-        prev = None
-        for iv in self.intervals:
-            if prev is not None and iv.lo <= prev:
-                raise ValueError("intervals must be sorted and disjoint")
-            prev = iv.hi
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    def earliest(self) -> Fraction | None:
-        return self.intervals[0].lo if self.intervals else None
-
-    def contains(self, t: Fraction) -> bool:
-        return any(t in iv for iv in self.intervals)
-
-    def to_json(self) -> list[list[str]]:
-        """JSON form: array of two-element rational-string arrays."""
-        return [[format_rational(iv.lo), format_rational(iv.hi)] for iv in self.intervals]
-
-
-def runner_intervals(speed: int, k: int) -> tuple[TimeInterval, ...]:
+def runner_intervals(speed: int, k: int) -> tuple[tuple[Fraction, Fraction], ...]:
     """Times in (0, 1) at which one runner of the given speed is clear.
 
     With k runners in play the clearance threshold is 1/(k+1), so a
     runner of this speed is clear on the `speed` arcs
-    [(m + 1/(k+1))/speed, (m + k/(k+1))/speed], m = 0..speed-1.
+    [(m + 1/(k+1))/speed, (m + k/(k+1))/speed], m = 0..speed-1,
+    returned as (lo, hi) pairs.
     """
     if speed < 1:
         raise ValueError(f"speed must be a positive integer, got {speed}")
@@ -105,7 +65,7 @@ def runner_intervals(speed: int, k: int) -> tuple[TimeInterval, ...]:
         raise ValueError(f"k must be a positive integer, got {k}")
     den = (k + 1) * speed
     return tuple(
-        TimeInterval(Fraction(m * (k + 1) + 1, den), Fraction(m * (k + 1) + k, den))
+        (Fraction(m * (k + 1) + 1, den), Fraction(m * (k + 1) + k, den))
         for m in range(speed)
     )
 
@@ -148,11 +108,15 @@ def _leapfrog(speeds: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
             i = i + 1 if i + 1 < k else 0
 
 
-def suitable_set(n: SpeedVector) -> SuitabilitySet:
-    """All suitable times for n, as exact closed intervals inside (0, 1)."""
+def suitable_set(n: SpeedVector) -> list[tuple[Fraction, Fraction]]:
+    """All suitable times for n, as exact closed intervals (lo, hi) inside (0, 1).
+
+    The pairs are sorted and disjoint: 0 < lo <= hi < next lo, and the
+    last hi < 1.
+    """
     if sum(n.speeds) > _MAX_SUITABLE_ARCS:
         raise ValueError(f"{n} may have {sum(n.speeds)} suitable intervals, over the limit {_MAX_SUITABLE_ARCS}")
-    return SuitabilitySet(tuple(TimeInterval(Fraction(a, b), Fraction(c, d)) for a, b, c, d in _leapfrog(n.speeds)))
+    return [(Fraction(a, b), Fraction(c, d)) for a, b, c, d in _leapfrog(n.speeds)]
 
 
 def is_instance(n: SpeedVector) -> bool:

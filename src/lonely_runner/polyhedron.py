@@ -21,8 +21,7 @@ point of P(n) whenever n_{m+1} <= k n_k, which is how instance
 witnesses are produced here.  Everything is computed in exact rational
 arithmetic: Q is the box clipped by the two sides of the band, one
 Sutherland-Hodgman pass each (Sutherland and Hodgman, *CACM* 17,
-1974), and every width, level range and emptiness test reads its
-vertices.
+1974).  Its x_2 range and emptiness need no clip (see lemma_widths).
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "QLandmarks",
     "QGeometry",
     "LemmaWidths",
-    "LatticePoint2",
     "contains",
     "p1_interval",
     "q_halfplanes",
@@ -109,14 +107,6 @@ class LemmaWidths:
     wq_e2: Fraction | None
     wq2_e2: Fraction | None
     wq5_e2: Fraction | None
-
-
-@dataclass(frozen=True)
-class LatticePoint2:
-    """Integer point of the plane."""
-
-    x1: int
-    x2: int
 
 
 def contains(n: SpeedVector, x: Sequence[Fraction | int]) -> bool:
@@ -210,10 +200,11 @@ def _clip(n: SpeedVector) -> tuple[tuple[Fraction, Fraction], ...]:
     lo1, hi1, lo2, hi2, lo5, hi5 = _q_bounds(n)
     if lo1 > hi1 or lo2 > hi2:
         return ()
-    # Over a nonempty box, n_2 x_1 - n_1 x_2 rises above lo5 by at least
-    # (k-1) n_1/(k+1) and falls below hi5 by at least (k-1) n_2/(k+1).
-    # So Q is empty only with the box, and as the box is never a point
-    # (n_1 != n_2), Q has two vertices or more.
+    # At the corner (lo1, lo2), n_2 x_1 - n_1 x_2 is (k-1) n_1/(k+1)
+    # above lo5 and (k-1) n_2/(k+1) below hi5; at (hi1, hi2) the two
+    # margins swap.  So both corners lie in Q: Q is empty only with the
+    # box, spans its whole x_2 range [lo2, hi2], and as the box is never
+    # a point (n_1 != n_2), has two vertices or more.
     n1, n2 = n[0], n[1]
     poly = [(lo1, lo2), (hi1, lo2), (hi1, hi2), (lo1, hi2)]
     for sign, bound in ((1, lo5), (-1, hi5)):
@@ -242,54 +233,55 @@ def q_geometry(n: SpeedVector) -> QGeometry:
 def lemma_widths(n: SpeedVector) -> LemmaWidths:
     """Closed-form widths of Q and of its two distinguished subregions.
 
-    Emptiness is decided exactly from the x_2 range of Q's vertices, not
-    by the sign of the closed form: Q cut to x_2 >= alpha is empty when
-    alpha is above the range, and Q cut to the slab [beta, gamma] when
-    the slab misses the range.
+    Emptiness is decided exactly from the x_2 range of Q, not by the
+    sign of the closed form: Q cut to x_2 >= alpha is empty when alpha
+    is above the range, and Q cut to the slab [beta, gamma] when the
+    slab misses the range.  That range is the box bound [lo2, hi2] of
+    _q_bounds: the band meets the bottom and the top edge of a nonempty
+    box at its corners (lo1, lo2) and (hi1, hi2) (see _clip), and Q is
+    empty only when the box is.
     """
-    vertices = _clip(n)
-    if not vertices:
+    lo1, hi1, lo2, hi2, _, _ = _q_bounds(n)
+    if lo1 > hi1 or lo2 > hi2:
         return LemmaWidths(None, None, None, None)
     lm = _landmarks(n)
     k = n.k
     n1, n2, n3, nk = n[0], n[1], n[2], n[k - 1]
     spread = Fraction(k, n3) - Fraction(1, nk)
-    lo = min(x2 for _, x2 in vertices)
-    hi = max(x2 for _, x2 in vertices)
     wq_e1 = Fraction(n1, k + 1) * spread + Fraction(k - 1, k + 1)
     wq_e2 = Fraction(n2, k + 1) * spread + Fraction(k - 1, k + 1)
-    wq2_e2 = Fraction(n2, k + 1) * spread - Fraction(2, k + 1) if lm.alpha <= hi else None
-    wq5_e2 = lm.gamma - lm.beta if max(lm.beta, lo) <= min(lm.gamma, hi) else None
+    wq2_e2 = Fraction(n2, k + 1) * spread - Fraction(2, k + 1) if lm.alpha <= hi2 else None
+    wq5_e2 = lm.gamma - lm.beta if max(lm.beta, lo2) <= min(lm.gamma, hi2) else None
     return LemmaWidths(wq_e1, wq_e2, wq2_e2, wq5_e2)
 
 
-def integer_point_in_q(n: SpeedVector) -> LatticePoint2 | None:
-    """Integer point of Q minimizing (x2, x1) lexicographically, or None.
+def integer_point_in_q(n: SpeedVector) -> tuple[int, int] | None:
+    """Integer point (x1, x2) of Q minimizing (x2, x1) lexicographically, or None.
 
-    Scans integer x2 levels across the x2 range of Q's vertices; on each
-    level the admissible x1 range is the box bound intersected with the
-    slant band solved for x1.
+    Scans integer x2 levels across the x2 range of Q; on each level the
+    admissible x1 range is the box bound intersected with the slant
+    band solved for x1.  That range is the box bound [lo2, hi2]: the
+    band meets the bottom and the top edge of a nonempty box at its
+    corners (lo1, lo2) and (hi1, hi2) (see _clip), and Q is empty only
+    when the box is.
     """
-    vertices = _clip(n)
-    if not vertices:
+    lo1, hi1, lo2, hi2, lo5, hi5 = _q_bounds(n)
+    if lo1 > hi1 or lo2 > hi2:
         return None
-    lo1, hi1, _, _, lo5, hi5 = _q_bounds(n)
     n1, n2 = n[0], n[1]
-    lo = min(x2 for _, x2 in vertices)
-    hi = max(x2 for _, x2 in vertices)
-    for z in range(math.ceil(lo), math.floor(hi) + 1):
+    for z in range(math.ceil(lo2), math.floor(hi2) + 1):
         xlo = max(lo1, (lo5 + n1 * z) / n2)
         xhi = min(hi1, (hi5 + n1 * z) / n2)
         if xlo > xhi:
             continue
         c = math.ceil(xlo)
         if c <= math.floor(xhi):
-            return LatticePoint2(c, z)
+            return c, z
     return None
 
 
 def lift_to_p(
-    n: SpeedVector, p: LatticePoint2 | Sequence[int] | int, m: int
+    n: SpeedVector, p: Sequence[int] | int, m: int
 ) -> tuple[int, ...]:
     """Zero-pad a point of the m-dimensional window into P(n).
 
@@ -303,10 +295,8 @@ def lift_to_p(
         raise ValueError(f"m must be 1 or 2, got {m}")
     if m > n.k:
         raise ValueError(f"m = {m} exceeds k = {n.k}")
-    if isinstance(p, LatticePoint2):
-        coords: tuple[int, ...] = (p.x1, p.x2)
-    elif isinstance(p, int):
-        coords = (p,)
+    if isinstance(p, int):
+        coords: tuple[int, ...] = (p,)
     else:
         coords = tuple(p)
     if len(coords) != m:

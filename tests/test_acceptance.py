@@ -120,13 +120,12 @@ def test_criterion_06_reflection_to_12():
     for speeds in descending_subsets(12):
         n = SpeedVector(speeds)
         times = suitable_set(n)
-        if times.is_empty:
+        if not times:
             continue
         instances += 1
         witness = half_period_witness(n)
         assert witness is not None and witness <= F(1, 2), speeds
-        mirrored = [(1 - iv.hi, 1 - iv.lo) for iv in reversed(times.intervals)]
-        assert mirrored == [(iv.lo, iv.hi) for iv in times.intervals], speeds
+        assert [(1 - hi, 1 - lo) for lo, hi in reversed(times)] == times, speeds
     assert instances == 4095
     _report(6, start, 120.0, f"half-period witness and exact symmetry on {instances} instances")
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import child_env
-from lonely_runner import cli, dyadic, enumeration, model, oracle
+from lonely_runner import cli, dyadic, enumeration, model, oracle, polyhedron
 from lonely_runner.cli import main
 
 
@@ -205,6 +205,14 @@ def test_vector_commands_build_the_suitable_set_once(monkeypatch, capsys, argv, 
     assert code == 0
     assert out == expected
     assert len(builds) == 1
+
+
+def test_polytope_clips_q_once(monkeypatch, capsys):
+    # The vertices come from one clip; the lemma widths read the box bounds.
+    clips = counting(monkeypatch, polyhedron, "_clip")
+    code, _, _ = run_cli(capsys, "polytope", "17", "16", "7", "6", "5", "4", "2")
+    assert code == 0
+    assert len(clips) == 1
 
 
 def test_check_keeps_the_reflection_guard(monkeypatch, capsys):

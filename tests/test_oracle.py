@@ -10,8 +10,6 @@ from helpers import descending_subsets, grid_denominator, scaled_suitable_set, s
 from lonely_runner import oracle, polyhedron
 from lonely_runner.model import SpeedVector, new_speed_vector
 from lonely_runner.oracle import (
-    SuitabilitySet,
-    TimeInterval,
     earliest_suitable_time,
     half_period_witness,
     is_instance,
@@ -24,47 +22,12 @@ from lonely_runner.oracle import (
 F = Fraction
 
 
-def as_json(n):
-    return suitable_set(new_speed_vector(n)).to_json()
-
-
-def test_time_interval_validation():
-    TimeInterval(F(1, 3), F(1, 2))
-    with pytest.raises(ValueError):
-        TimeInterval(F(1, 2), F(1, 3))
-    with pytest.raises(ValueError):
-        TimeInterval(F(-1, 3), F(1, 2))
-    with pytest.raises(ValueError):
-        TimeInterval(F(1, 2), F(3, 2))
-
-
-def test_time_interval_membership():
-    iv = TimeInterval(F(1, 4), F(3, 4))
-    assert F(1, 4) in iv and F(1, 2) in iv and F(3, 4) in iv
-    assert F(1, 8) not in iv
-
-
-def test_suitability_set_requires_sorted_disjoint():
-    SuitabilitySet((TimeInterval(F(1, 4), F(1, 3)), TimeInterval(F(1, 2), F(2, 3))))
-    with pytest.raises(ValueError, match="sorted and disjoint"):
-        SuitabilitySet((TimeInterval(F(1, 4), F(1, 2)), TimeInterval(F(1, 2), F(2, 3))))
-
-
-def test_suitability_set_accessors():
-    s = SuitabilitySet((TimeInterval(F(1, 4), F(1, 3)), TimeInterval(F(1, 2), F(2, 3))))
-    assert not s.is_empty
-    assert s.earliest() == F(1, 4)
-    assert s.contains(F(7, 24)) and not s.contains(F(5, 12))
-    empty = SuitabilitySet(())
-    assert empty.is_empty and empty.earliest() is None
-
-
 def test_runner_intervals_frozen():
-    assert [(iv.lo, iv.hi) for iv in runner_intervals(3, 3)] == [
+    assert runner_intervals(3, 3) == (
         (F(1, 12), F(1, 4)),
         (F(5, 12), F(7, 12)),
         (F(3, 4), F(11, 12)),
-    ]
+    )
     assert len(runner_intervals(7, 4)) == 7
 
 
@@ -76,10 +39,10 @@ def test_runner_intervals_domain_checks():
 
 
 def test_suitable_set_frozen_values():
-    assert as_json([2, 1]) == [["1/3", "1/3"], ["2/3", "2/3"]]
-    assert as_json([1]) == [["1/2", "1/2"]]
-    assert as_json([4, 3, 2]) == [["1/8", "3/16"], ["13/16", "7/8"]]
-    assert as_json([3, 2, 1]) == [["1/4", "1/4"], ["3/4", "3/4"]]
+    assert suitable_set(new_speed_vector([2, 1])) == [(F(1, 3), F(1, 3)), (F(2, 3), F(2, 3))]
+    assert suitable_set(new_speed_vector([1])) == [(F(1, 2), F(1, 2))]
+    assert suitable_set(new_speed_vector([4, 3, 2])) == [(F(1, 8), F(3, 16)), (F(13, 16), F(7, 8))]
+    assert suitable_set(new_speed_vector([3, 2, 1])) == [(F(1, 4), F(1, 4)), (F(3, 4), F(3, 4))]
 
 
 def test_earliest_frozen_values():
@@ -119,10 +82,20 @@ def arc_list_intervals(n):
     return [(F(lo, den), F(hi, den)) for lo, hi in arcs]
 
 
+def assert_sorted_disjoint(intervals):
+    # suitable_set returns plain pairs and does not check their order itself.
+    prev_hi = F(0)
+    for lo, hi in intervals:
+        assert prev_hi < lo <= hi < 1
+        prev_hi = hi
+
+
 def test_leapfrog_matches_arc_lists_on_small_subsets():
     for speeds in descending_subsets(11):
         n = SpeedVector(speeds)
-        assert [(iv.lo, iv.hi) for iv in suitable_set(n).intervals] == arc_list_intervals(n), speeds
+        times = suitable_set(n)
+        assert times == arc_list_intervals(n), speeds
+        assert_sorted_disjoint(times)
 
 
 @pytest.mark.parametrize("k,tier", [(3, 10**3), (7, 10**3), (3, 10**4), (7, 10**4)])
@@ -130,7 +103,9 @@ def test_leapfrog_matches_arc_lists_at_larger_speeds(k, tier):
     rng = random.Random(tier + k)
     for _ in range(2):
         n = new_speed_vector(rng.sample(range(tier - tier // 10, tier + 1), k))
-        assert [(iv.lo, iv.hi) for iv in suitable_set(n).intervals] == arc_list_intervals(n)
+        times = suitable_set(n)
+        assert times == arc_list_intervals(n)
+        assert_sorted_disjoint(times)
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,7 +128,7 @@ def test_leapfrog_intervals_at_huge_speeds(speeds):
 
 def test_suitable_set_refuses_more_arcs_than_the_limit(monkeypatch):
     monkeypatch.setattr(oracle, "_MAX_SUITABLE_ARCS", 9)
-    assert len(suitable_set(new_speed_vector([4, 3, 2])).intervals) == 2
+    assert len(suitable_set(new_speed_vector([4, 3, 2]))) == 2
     monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: pytest.fail("the limit is checked first"))
     with pytest.raises(ValueError, match="limit 9"):
         suitable_set(new_speed_vector([5, 3, 2]))
@@ -172,14 +147,13 @@ def test_interval_set_matches_definition(speeds):
     n = SpeedVector(speeds)
     times = suitable_set(n)
     for t in suitability_probe_points(n):
-        assert times.contains(t) == is_suitable(n, t)
+        assert any(lo <= t <= hi for lo, hi in times) == is_suitable(n, t)
 
 
 @pytest.mark.parametrize("speeds", [(4, 3, 2), (5, 4, 3, 2, 1), (9, 7, 2), (12, 7, 5, 3)])
 def test_suitable_set_reflection_symmetry(speeds):
     times = suitable_set(SpeedVector(speeds))
-    mirrored = [(1 - iv.hi, 1 - iv.lo) for iv in reversed(times.intervals)]
-    assert mirrored == [(iv.lo, iv.hi) for iv in times.intervals]
+    assert [(1 - hi, 1 - lo) for lo, hi in reversed(times)] == times
 
 
 def test_half_period_witness_on_instances():

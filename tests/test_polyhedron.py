@@ -16,7 +16,6 @@ from helpers import (
 from lonely_runner.model import SpeedVector, new_speed_vector
 from lonely_runner.polyhedron import (
     HalfPlane,
-    LatticePoint2,
     contains,
     integer_point_in_q,
     lemma_widths,
@@ -246,8 +245,8 @@ def test_lemma_suite_small_sweep():
 
 
 def test_integer_point_frozen():
-    assert integer_point_in_q(REMARK_VECTOR) == LatticePoint2(1, 1)
-    assert integer_point_in_q(new_speed_vector([4, 3, 2])) == LatticePoint2(0, 0)
+    assert integer_point_in_q(REMARK_VECTOR) == (1, 1)
+    assert integer_point_in_q(new_speed_vector([4, 3, 2])) == (0, 0)
     assert integer_point_in_q(new_speed_vector([100, 99, 98, 1])) is None
 
 
@@ -270,7 +269,7 @@ def test_integer_point_matches_brute_scan(speeds):
         assert found is None
     else:
         best = min(hits, key=lambda p: (p[1], p[0]))
-        assert found == LatticePoint2(*best)
+        assert found == best
 
 
 def test_lift_frozen_examples():
