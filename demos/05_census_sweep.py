@@ -3,10 +3,12 @@ Census sweep over all speed subsets
 ===================================
 
 Every nonempty subset of {1..N} is a speed vector; the sweep counts
-coprimality and rule coverage across all 2^N - 1 of them, and the
-coprime total has a Moebius closed form to check against.  Shard
-partitioning never changes the outcome, which is what makes the big
-runs safe to parallelize.
+coprimality and rule coverage across all 2^N - 1 of them.  The rules
+read only the extremes of a vector, so the rules-only summary is
+counted in closed form from those extremes, with a Moebius inversion
+over the common divisor for the coprime counts, and visits no vector.
+Shards split only the per-vector loop that the oracle, the dyadic
+search and the record export need, and never change its outcome.
 """
 
 import tempfile
@@ -28,14 +30,15 @@ print(f"any rule: {summary.any_rule_count} of {summary.coprime_vectors} coprime"
       f" ({100 * summary.any_rule_count / summary.coprime_vectors:.2f}%)")
 print(f"elapsed: {summary.elapsed} ms")
 
-# Sharding is associative bookkeeping, not a different computation.
+# A rules-only summary is closed-form; shards cannot change it.
 assert sweep(N, require_coprime=True, shard_count=7) == summary
 print("shard_count=7 reproduces the summary exactly")
 
-# The desk-scale census needs no enumeration at all.
+# The desk-scale coprime count needs no enumeration either.
 print(f"\ncoprime count at N=32: {coprime_count_moebius(32)} of {2**32 - 1}")
 
-# Per-vector records stream out as CSV or JSON for offline analysis.
+# Per-vector records come from the mask loop and stream out as CSV or
+# JSON for offline analysis.
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "census_n8.csv"
     export(iter_vector_records(8, with_oracle=True, with_dyadic=True), "csv", path)

@@ -33,6 +33,19 @@ __all__ = [
 ]
 
 
+def _rules(n1: int, n2: int, n3: int, nk: int, k: int) -> tuple[bool, bool, bool]:
+    """Rule triple from the extremes n_1 > n_2 > n_3 > ... > n_k of k speeds.
+
+    The rules read nothing else, which is what lets the census count
+    them without visiting the speeds in between.  n_2 is read only when
+    k >= 2, n_3 only when k >= 4.
+    """
+    thm1 = k >= 4 and n2 * (k * nk - n3) >= (k + 1) * n3 * nk
+    thm2 = k >= 2 and n2 <= k * nk and nk <= n1 % ((k + 1) * nk) <= k * nk
+    slow_fast = n1 <= k * nk
+    return thm1, thm2, slow_fast
+
+
 def evaluate_rules(speeds: Sequence[int]) -> tuple[bool, bool, bool]:
     """Rule triple (thm1, thm2, slow_fast) on a descending speed tuple.
 
@@ -41,19 +54,7 @@ def evaluate_rules(speeds: Sequence[int]) -> tuple[bool, bool, bool]:
     requirements are not met (k too small) are simply False.
     """
     k = len(speeds)
-    n1 = speeds[0]
-    nk = speeds[-1]
-    thm1 = False
-    if k >= 4:
-        n2, n3 = speeds[1], speeds[2]
-        thm1 = n2 * (k * nk - n3) >= (k + 1) * n3 * nk
-    thm2 = False
-    if k >= 2:
-        n2 = speeds[1]
-        remainder = n1 % ((k + 1) * nk)
-        thm2 = n2 <= k * nk and nk <= remainder <= k * nk
-    slow_fast = n1 <= k * nk
-    return thm1, thm2, slow_fast
+    return _rules(speeds[0], speeds[min(1, k - 1)], speeds[min(2, k - 1)], speeds[-1], k)
 
 
 @dataclass(frozen=True)

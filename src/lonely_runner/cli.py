@@ -148,8 +148,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_polytope(args: argparse.Namespace) -> int:
     n = _vector_from_args(args)
-    geom = polyhedron.q_geometry(n)
-    widths = polyhedron.lemma_widths(n)
+    geom, widths = polyhedron._cell(n)
     obj = {"vector": n, **vars(geom), "lemma_widths": widths}
     lines = [f"vector: {n}"]
     lines += [f"halfplane: {_text(h.a1)}*x1 + {_text(h.a2)}*x2 <= {_text(h.b)}" for h in geom.halfplanes]

@@ -1,19 +1,24 @@
 """Census sweep over all speed subsets of {1..N}.
 
 Bitmask i (1 <= i < 2^N) encodes the subset whose bit j-1 means speed
-j; decoding a mask yields the descending speed tuple.  The sweep
-partitions the mask range into contiguous shards, counts coprimality
-and the rule triple for each vector, optionally runs the exact oracle
-or the dyadic grid search, and merges the shard summaries fieldwise.
-The merge is associative and commutative, so the result does not
-depend on the shard count.  One loop serves the summary, the record
-stream and the export, which gets both from a single pass.
+j; decoding a mask yields the descending speed tuple.  The per-vector
+loop partitions the mask range into contiguous shards, counts
+coprimality and the rule triple for each vector, optionally runs the
+exact oracle or the dyadic grid search, and merges the shard summaries
+fieldwise.  The merge is associative and commutative, so the result
+does not depend on the shard count.  One loop serves the oracle and
+dyadic summaries, the record stream and the export, which gets both
+from a single pass.
 
-The number of coprime subsets has a closed form by Mobius inversion
-over the common divisor (subsets of {1..N} with gcd divisible by d are
-in bijection with subsets of {1..N/d}), which is what
-:func:`coprime_count_moebius` computes; the sweep's counted value must
-agree with it exactly.
+A rules-only summary visits no vector.  The rules read only the
+extremes (n_1, n_2, n_3, n_k) and k, so each pattern of extremes is
+counted once with the number of ways to choose the speeds between n_3
+and n_k; shards then split nothing.  The number of coprime subsets has
+a closed form by Mobius inversion over the common divisor (subsets of
+{1..N} with gcd divisible by d are in bijection with subsets of
+{1..N/d}), which is what :func:`coprime_count_moebius` computes.  The
+rules are homogeneous in the speeds, so their coprime counts invert
+the same way.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from fractions import Fraction
 from typing import IO, Generator, Iterable, Iterator
 
 from . import dyadic, oracle
-from .classify import evaluate_rules
+from .classify import _rules, evaluate_rules
 from .exact_arith import format_rational
 from .model import SpeedVector
 
@@ -253,6 +258,59 @@ def _census(
     return replace(summary, elapsed=int((time.perf_counter() - start) * 1000))
 
 
+def _patterns(n1: int, binom: list[list[int]]) -> Iterator[tuple[int, int, int, int, int]]:
+    """(n2, n3, nk, k, weight) for the subsets of {1..n1} with top speed n1.
+
+    Subsets of one to three speeds are listed one by one (a missing n_2
+    or n_3 repeats n_k, as :func:`evaluate_rules` reads it); one of
+    k >= 4 speeds is listed by its extremes, weighted by
+    C(n3 - nk - 1, k - 4), the number of ways to choose the k - 4
+    speeds strictly between n_3 and n_k.
+    """
+    yield n1, n1, n1, 1, 1
+    for n2 in range(1, n1):
+        yield n2, n2, n2, 2, 1
+        for n3 in range(1, n2):
+            yield n2, n3, n3, 3, 1
+            for nk in range(1, n3):
+                for middle, weight in enumerate(binom[n3 - nk - 1]):
+                    yield n2, n3, nk, middle + 4, weight
+
+
+def _rule_census(max_speed: int, require_coprime: bool) -> EnumerationSummary:
+    """The rules-only summary of :func:`sweep` in closed form, visiting no vector.
+
+    Running totals over the top speed give the counts F(m) =
+    (thm1, thm2, slow_fast, any_rule) over the subsets of {1..m} for
+    every m at once.  The rules are homogeneous in the speeds, so a
+    subset with gcd d fires the rules of the subset divided by d, and
+    the coprime counts are sum_d mu(d) F(max_speed // d).
+    """
+    start = time.perf_counter()
+    binom = [[math.comb(gap, j) for j in range(gap + 1)] for gap in range(max_speed)]
+    prefix = [(0, 0, 0, 0)]
+    for n1 in range(1, max_speed + 1):
+        thm1_ct, thm2_ct, slow_ct, any_ct = prefix[-1]
+        for n2, n3, nk, k, weight in _patterns(n1, binom):
+            thm1, thm2, slow_fast = _rules(n1, n2, n3, nk, k)
+            if thm1:
+                thm1_ct += weight
+            if thm2:
+                thm2_ct += weight
+            if slow_fast:
+                slow_ct += weight
+            if thm1 or thm2 or slow_fast:
+                any_ct += weight
+        prefix.append((thm1_ct, thm2_ct, slow_ct, any_ct))
+    counts = prefix[max_speed]
+    if require_coprime:
+        mu = _mobius_upto(max_speed)
+        counts = [sum(mu[d] * prefix[max_speed // d][i] for d in range(1, max_speed + 1)) for i in range(4)]
+    total, coprime = (1 << max_speed) - 1, coprime_count_moebius(max_speed)
+    elapsed = int((time.perf_counter() - start) * 1000)
+    return EnumerationSummary(max_speed, total, coprime, *counts, None, None, elapsed)
+
+
 def merge_summaries(a: EnumerationSummary, b: EnumerationSummary) -> EnumerationSummary:
     """Fieldwise addition of two shard summaries over the same max_speed."""
     if a.max_speed != b.max_speed:
@@ -278,10 +336,14 @@ def sweep(
 
     ``require_coprime`` restricts classification (and the optional
     oracle and dyadic passes) to coprime vectors; total and coprime
-    counts always cover the whole range.  The result is identical for
-    every shard_count.
+    counts always cover the whole range.  Without the oracle and the
+    dyadic pass the summary is counted in closed form and visits no
+    vector; shards split only the per-vector loop, and the result is
+    identical for every shard_count.
     """
-    bounds = shard_bounds(max_speed, shard_count)
+    bounds = shard_bounds(max_speed, shard_count)  # checks both arguments on either path
+    if not (with_oracle or with_dyadic):
+        return _rule_census(max_speed, require_coprime)
     try:
         next(_census(max_speed, bounds, require_coprime, with_oracle, with_dyadic, records=False))
     except StopIteration as done:

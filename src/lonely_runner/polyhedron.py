@@ -162,7 +162,11 @@ def q_halfplanes(n: SpeedVector) -> tuple[HalfPlane, ...]:
     of Q zero-pad into P(n) when n_3 <= k * n_k (see lift_to_p).  Needs
     k >= 3 (the bounds involve n_3).
     """
-    lo1, hi1, lo2, hi2, lo5, hi5 = _q_bounds(n)
+    return _halfplanes(n, _q_bounds(n))
+
+
+def _halfplanes(n: SpeedVector, bounds: tuple[Fraction, ...]) -> tuple[HalfPlane, ...]:
+    lo1, hi1, lo2, hi2, lo5, hi5 = bounds
     one = Fraction(1)
     n1 = Fraction(n[0])
     n2 = Fraction(n[1])
@@ -188,16 +192,16 @@ def _landmarks(n: SpeedVector) -> QLandmarks:
     return QLandmarks(alpha, beta, gamma, delta, zeta, kappa)
 
 
-def _clip(n: SpeedVector) -> tuple[tuple[Fraction, Fraction], ...]:
+def _clip(n: SpeedVector, bounds: tuple[Fraction, ...]) -> tuple[tuple[Fraction, Fraction], ...]:
     """Vertices of Q in CCW order from the lexicographically smallest; () when empty.
 
-    The box corners, counterclockwise, are clipped by one
-    Sutherland-Hodgman pass for each side of the band
-    lo5 <= n_2 x_1 - n_1 x_2 <= hi5.  A pass keeps the order, so the
-    cycle stays counterclockwise.  A box of zero width (a segment)
+    bounds are the _q_bounds of n.  The box corners, counterclockwise,
+    are clipped by one Sutherland-Hodgman pass for each side of the
+    band lo5 <= n_2 x_1 - n_1 x_2 <= hi5.  A pass keeps the order, so
+    the cycle stays counterclockwise.  A box of zero width (a segment)
     repeats corners, and repeats are dropped at the end.
     """
-    lo1, hi1, lo2, hi2, lo5, hi5 = _q_bounds(n)
+    lo1, hi1, lo2, hi2, lo5, hi5 = bounds
     if lo1 > hi1 or lo2 > hi2:
         return ()
     # At the corner (lo1, lo2), n_2 x_1 - n_1 x_2 is (k-1) n_1/(k+1)
@@ -227,7 +231,15 @@ def _clip(n: SpeedVector) -> tuple[tuple[Fraction, Fraction], ...]:
 
 def q_geometry(n: SpeedVector) -> QGeometry:
     """Half-planes, vertices, and landmark levels of Q for k >= 3."""
-    return QGeometry(q_halfplanes(n), _clip(n), _landmarks(n))
+    bounds = _q_bounds(n)
+    return QGeometry(_halfplanes(n, bounds), _clip(n, bounds), _landmarks(n))
+
+
+def _cell(n: SpeedVector) -> tuple[QGeometry, LemmaWidths]:
+    """q_geometry and lemma_widths of n from one _q_bounds and one _landmarks."""
+    bounds = _q_bounds(n)
+    lm = _landmarks(n)
+    return QGeometry(_halfplanes(n, bounds), _clip(n, bounds), lm), _widths(n, bounds, lm)
 
 
 def lemma_widths(n: SpeedVector) -> LemmaWidths:
@@ -241,10 +253,13 @@ def lemma_widths(n: SpeedVector) -> LemmaWidths:
     box at its corners (lo1, lo2) and (hi1, hi2) (see _clip), and Q is
     empty only when the box is.
     """
-    lo1, hi1, lo2, hi2, _, _ = _q_bounds(n)
+    return _widths(n, _q_bounds(n), _landmarks(n))
+
+
+def _widths(n: SpeedVector, bounds: tuple[Fraction, ...], lm: QLandmarks) -> LemmaWidths:
+    lo1, hi1, lo2, hi2, _, _ = bounds
     if lo1 > hi1 or lo2 > hi2:
         return LemmaWidths(None, None, None, None)
-    lm = _landmarks(n)
     k = n.k
     n1, n2, n3, nk = n[0], n[1], n[2], n[k - 1]
     spread = Fraction(k, n3) - Fraction(1, nk)

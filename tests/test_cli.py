@@ -1,7 +1,9 @@
 import io
 import json
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -215,6 +217,15 @@ def test_polytope_clips_q_once(monkeypatch, capsys):
     assert len(clips) == 1
 
 
+def test_polytope_builds_the_box_and_landmarks_once(monkeypatch, capsys):
+    bounds = counting(monkeypatch, polyhedron, "_q_bounds")
+    landmarks = counting(monkeypatch, polyhedron, "_landmarks")
+    code, _, _ = run_cli(capsys, "polytope", "17", "16", "7", "6", "5", "4", "2")
+    assert code == 0
+    assert len(bounds) == 1
+    assert len(landmarks) == 1
+
+
 def test_check_keeps_the_reflection_guard(monkeypatch, capsys):
     # A suitable set that starts after 1/2 cannot be symmetric; check
     # reports it as an internal error instead of printing a witness.
@@ -326,6 +337,57 @@ def test_too_many_shards_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "shard_count" in err
+
+
+def test_rules_only_enumerate_checks_arguments_first(monkeypatch, capsys):
+    # shard_bounds rejects both arguments before the closed form starts.
+    monkeypatch.setattr(enumeration, "_rule_census", lambda *args: pytest.fail("arguments are checked first"))
+    code, out, err = run_cli(capsys, "enumerate", "40")
+    assert (code, out) == (1, "")
+    assert "max_speed" in err
+    code, out, err = run_cli(capsys, "enumerate", "4", "--shards", "65537")
+    assert (code, out) == (1, "")
+    assert "shard_count" in err
+    for max_speed in (0, 33):
+        with pytest.raises(ValueError, match="max_speed"):
+            enumeration.sweep(max_speed)
+
+
+def test_rules_only_enumerate_visits_no_mask(monkeypatch, capsys):
+    masks = counting(monkeypatch, enumeration, "_census")
+    code, out, err = run_cli(capsys, "enumerate", "20", "--require-coprime")
+    assert code == 0
+    assert masks == []
+    assert "any_rule_count: 437288\n" in out
+    assert re.fullmatch(r"elapsed_ms=\d+\n", err)
+
+
+ENUMERATE_32 = {
+    "max_speed": 32,
+    "total_vectors": 4294967295,
+    "coprime_vectors": 4294900694,
+    "oracle_instance_count": None,
+    "dyadic_verified_count": None,
+}
+
+
+@pytest.mark.parametrize(
+    "flags,counts",
+    [
+        (["--require-coprime"], (454092, 1753364770, 1730994914, 1753402168)),
+        ([], (454686, 1753393237, 1731022402, 1753430977)),
+    ],
+)
+def test_enumerate_32_in_closed_form(capsys, flags, counts):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "enumerate", "32", *flags, "--json")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    thm1, thm2, slow_fast, any_rule = counts
+    assert json.loads(out) == dict(
+        ENUMERATE_32, thm1_count=thm1, thm2_count=thm2, slow_fast_count=slow_fast, any_rule_count=any_rule
+    )
+    assert elapsed < 2.0
 
 
 def test_unknown_subcommand_exits_1(capsys):

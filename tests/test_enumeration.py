@@ -111,9 +111,38 @@ def test_sweep_domain_checks():
         sweep(33)
 
 
+def _mask_loop(max_speed, shards, require_coprime=False):
+    """The summary of the per-vector loop over every mask, without records."""
+    census = _census(max_speed, shard_bounds(max_speed, shards), require_coprime, False, False, records=False)
+    with pytest.raises(StopIteration) as done:
+        next(census)
+    return done.value.value
+
+
 @pytest.mark.parametrize("shards", [1, 3, 7, 64])
 def test_sweep_shard_count_invariance(shards):
-    assert sweep(10, shard_count=shards) == sweep(10)
+    # A rules-only sweep is closed-form and ignores shards; the mask loop splits them.
+    assert _mask_loop(10, shards) == _mask_loop(10, 1)
+
+
+@pytest.mark.parametrize("require_coprime", [False, True])
+@pytest.mark.parametrize("max_speed", range(1, 17))
+def test_closed_form_sweep_matches_mask_loop(max_speed, require_coprime):
+    closed = sweep(max_speed, require_coprime=require_coprime)
+    for shards in (1, 3, 7):
+        assert _mask_loop(max_speed, shards, require_coprime) == closed
+
+
+def test_closed_form_and_mask_loop_give_the_n20_coprime_census():
+    # The census_rules workload of the benchmark prints these counts.
+    closed = sweep(20, require_coprime=True)
+    masks = _mask_loop(20, 1, require_coprime=True)
+    for summary in (closed, masks):
+        assert summary.total_vectors == 1048575
+        assert summary.coprime_vectors == 1047479
+        counts = (summary.thm1_count, summary.thm2_count, summary.slow_fast_count, summary.any_rule_count)
+        assert counts == (2686, 436220, 428275, 437288)
+    assert closed == masks
 
 
 def test_sweep_require_coprime_counts():
