@@ -16,9 +16,6 @@ from .enumeration import (
     coprime_count_moebius,
     export,
     iter_vector_records,
-    merge_summaries,
-    shard_bounds,
-    summary_from_json,
     sweep,
 )
 from .exact_arith import format_rational, frac
@@ -78,15 +75,12 @@ __all__ = [
     "lattice_witness_from_time",
     "lemma_widths",
     "lift_to_p",
-    "merge_summaries",
     "new_speed_vector",
     "normalize",
     "p1_interval",
     "q_geometry",
     "q_halfplanes",
     "runner_intervals",
-    "shard_bounds",
     "suitable_set",
-    "summary_from_json",
     "sweep",
 ]

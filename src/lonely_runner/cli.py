@@ -17,6 +17,7 @@ cannot drift apart.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import is_dataclass
@@ -39,6 +40,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lonely-runner", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -64,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--require-coprime", action="store_true", help="classify only coprime vectors")
     p.add_argument("--with-oracle", action="store_true", help="run the exact oracle per vector")
     p.add_argument("--with-dyadic", action="store_true", help="run the dyadic search per vector")
-    p.add_argument("--shards", type=int, default=1, metavar="S", help="number of contiguous shards")
     p.add_argument("--out", metavar="FILE", help="also write per-vector records to FILE")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="format for --out")
     p.add_argument("--json", action="store_true", help="emit the summary as JSON")
@@ -178,7 +179,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         "require_coprime": args.require_coprime,
         "with_oracle": args.with_oracle,
         "with_dyadic": args.with_dyadic,
-        "shard_count": args.shards,
     }
     if args.out:
         summary = enumeration._sweep_export(args.max_speed, args.format, args.out, **options)

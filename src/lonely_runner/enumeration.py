@@ -2,23 +2,21 @@
 
 Bitmask i (1 <= i < 2^N) encodes the subset whose bit j-1 means speed
 j; decoding a mask yields the descending speed tuple.  The per-vector
-loop partitions the mask range into contiguous shards, counts
-coprimality and the rule triple for each vector, optionally runs the
-exact oracle or the dyadic grid search, and merges the shard summaries
-fieldwise.  The merge is associative and commutative, so the result
-does not depend on the shard count.  One loop serves the oracle and
+loop runs once over the masks in ascending order, counts coprimality
+and the rule triple for each vector, and optionally runs the exact
+oracle or the dyadic grid search.  One loop serves the oracle and
 dyadic summaries, the record stream and the export, which gets both
 from a single pass.
 
 A rules-only summary visits no vector.  The rules read only the
 extremes (n_1, n_2, n_3, n_k) and k, so each pattern of extremes is
 counted once with the number of ways to choose the speeds between n_3
-and n_k; shards then split nothing.  The number of coprime subsets has
-a closed form by Mobius inversion over the common divisor (subsets of
-{1..N} with gcd divisible by d are in bijection with subsets of
-{1..N/d}), which is what :func:`coprime_count_moebius` computes.  The
-rules are homogeneous in the speeds, so their coprime counts invert
-the same way.
+and n_k.  The number of coprime subsets has a closed form by Mobius
+inversion over the common divisor (subsets of {1..N} with gcd
+divisible by d are in bijection with subsets of {1..N/d}), which is
+what :func:`coprime_count_moebius` computes.  The rules are
+homogeneous in the speeds, so their coprime counts invert the same
+way.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import IO, Generator, Iterable, Iterator
 
@@ -42,18 +40,12 @@ __all__ = [
     "VectorRecord",
     "CSV_FIELDS",
     "coprime_count_moebius",
-    "shard_bounds",
-    "merge_summaries",
     "sweep",
     "iter_vector_records",
     "export",
-    "summary_from_json",
 ]
 
 _MAX_SWEEP = 32
-# shard_bounds holds every shard edge in memory; more shards than this
-# would only allocate, since a shard of a 2^32 range is already small.
-_MAX_SHARDS = 1 << 16
 _MAX_MOEBIUS = 62  # 2^62 subsets still fit comfortably in a machine word
 
 
@@ -169,93 +161,69 @@ def _decode(mask: int) -> tuple[int, ...]:
     return tuple(speeds)
 
 
-def shard_bounds(max_speed: int, shard_count: int) -> list[tuple[int, int]]:
-    """Contiguous half-open mask ranges covering [1, 2^max_speed)."""
+def _check_max_speed(max_speed: int) -> None:
     if not 1 <= max_speed <= _MAX_SWEEP:
         raise ValueError(f"max_speed must be in [1, {_MAX_SWEEP}], got {max_speed}")
-    if not 1 <= shard_count <= _MAX_SHARDS:
-        raise ValueError(f"shard_count must be in [1, {_MAX_SHARDS}], got {shard_count}")
-    total = (1 << max_speed) - 1
-    edges = [1 + (total * i) // shard_count for i in range(shard_count + 1)]
-    return [(edges[i], edges[i + 1]) for i in range(shard_count)]
 
 
 def _census(
-    max_speed: int,
-    bounds: list[tuple[int, int]],
-    require_coprime: bool,
-    with_oracle: bool,
-    with_dyadic: bool,
-    records: bool,
+    max_speed: int, require_coprime: bool, with_oracle: bool, with_dyadic: bool, records: bool
 ) -> Generator[VectorRecord, None, EnumerationSummary]:
-    """The one per-vector loop: census of the mask ranges ``bounds``.
+    """The one per-vector loop, over every mask in ascending order.
 
-    Counts every vector in local integers and merges each shard's
-    summary as the shard ends; yields a VectorRecord per classified
-    vector only when ``records`` is set.  Returns the summary, whose
-    ``elapsed`` includes the consumer's time between records.
+    Counts every vector in local integers; yields a VectorRecord per
+    classified vector only when ``records`` is set.  Returns the
+    summary, whose ``elapsed`` includes the consumer's time between
+    records.
     """
     start = time.perf_counter()
-    summary = None
     gcd = math.gcd
     earliest = witness = None  # reassigned per vector only when their pass is on
-    for lo, hi in bounds:
-        total = coprime_ct = thm1_ct = thm2_ct = slow_ct = any_ct = 0
-        oracle_ct = 0 if with_oracle else None
-        dyadic_ct = 0 if with_dyadic else None
-        for mask in range(lo, hi):
-            speeds = _decode(mask)
-            total += 1
-            coprime = gcd(*speeds) == 1
-            if coprime:
-                coprime_ct += 1
-            elif require_coprime:
-                continue
-            thm1, thm2, slow_fast = evaluate_rules(speeds)
-            if thm1:
-                thm1_ct += 1
-            if thm2:
-                thm2_ct += 1
-            if slow_fast:
-                slow_ct += 1
-            if thm1 or thm2 or slow_fast:
-                any_ct += 1
-            if with_oracle or with_dyadic:
-                sv = SpeedVector(speeds)
-                if with_oracle:
-                    earliest = oracle.earliest_suitable_time(sv)
-                    if earliest is not None:
-                        oracle_ct += 1
-                if with_dyadic:
-                    witness = dyadic.find_dyadic_time(sv)
-                    if witness is not None:
-                        dyadic_ct += 1
-            if records:
-                yield VectorRecord(
-                    speeds=speeds,
-                    k=len(speeds),
-                    coprime=coprime,
-                    thm1=thm1,
-                    thm2=thm2,
-                    slow_fast=slow_fast,
-                    any_rule=thm1 or thm2 or slow_fast,
-                    is_instance=earliest is not None if with_oracle else None,
-                    earliest_time=earliest,
-                    dyadic_m=None if witness is None else witness.m,
-                )
-        part = EnumerationSummary(
-            max_speed=max_speed,
-            total_vectors=total,
-            coprime_vectors=coprime_ct,
-            thm1_count=thm1_ct,
-            thm2_count=thm2_ct,
-            slow_fast_count=slow_ct,
-            any_rule_count=any_ct,
-            oracle_instance_count=oracle_ct,
-            dyadic_verified_count=dyadic_ct,
-        )
-        summary = part if summary is None else merge_summaries(summary, part)
-    return replace(summary, elapsed=int((time.perf_counter() - start) * 1000))
+    coprime_ct = thm1_ct = thm2_ct = slow_ct = any_ct = 0
+    oracle_ct = 0 if with_oracle else None
+    dyadic_ct = 0 if with_dyadic else None
+    for mask in range(1, 1 << max_speed):
+        speeds = _decode(mask)
+        coprime = gcd(*speeds) == 1
+        if coprime:
+            coprime_ct += 1
+        elif require_coprime:
+            continue
+        thm1, thm2, slow_fast = evaluate_rules(speeds)
+        if thm1:
+            thm1_ct += 1
+        if thm2:
+            thm2_ct += 1
+        if slow_fast:
+            slow_ct += 1
+        if thm1 or thm2 or slow_fast:
+            any_ct += 1
+        if with_oracle or with_dyadic:
+            sv = SpeedVector(speeds)
+            if with_oracle:
+                earliest = oracle.earliest_suitable_time(sv)
+                if earliest is not None:
+                    oracle_ct += 1
+            if with_dyadic:
+                witness = dyadic.find_dyadic_time(sv)
+                if witness is not None:
+                    dyadic_ct += 1
+        if records:
+            yield VectorRecord(
+                speeds=speeds,
+                k=len(speeds),
+                coprime=coprime,
+                thm1=thm1,
+                thm2=thm2,
+                slow_fast=slow_fast,
+                any_rule=thm1 or thm2 or slow_fast,
+                is_instance=earliest is not None if with_oracle else None,
+                earliest_time=earliest,
+                dyadic_m=None if witness is None else witness.m,
+            )
+    counts = (coprime_ct, thm1_ct, thm2_ct, slow_ct, any_ct, oracle_ct, dyadic_ct)
+    elapsed = int((time.perf_counter() - start) * 1000)
+    return EnumerationSummary(max_speed, (1 << max_speed) - 1, *counts, elapsed)
 
 
 def _patterns(n1: int, binom: list[list[int]]) -> Iterator[tuple[int, int, int, int, int]]:
@@ -311,26 +279,12 @@ def _rule_census(max_speed: int, require_coprime: bool) -> EnumerationSummary:
     return EnumerationSummary(max_speed, total, coprime, *counts, None, None, elapsed)
 
 
-def merge_summaries(a: EnumerationSummary, b: EnumerationSummary) -> EnumerationSummary:
-    """Fieldwise addition of two shard summaries over the same max_speed."""
-    if a.max_speed != b.max_speed:
-        raise ValueError("cannot merge summaries with different max_speed")
-    sums = {}
-    for f in fields(EnumerationSummary)[1:]:  # the fields after max_speed
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if (x is None) != (y is None):
-            raise ValueError("cannot merge summaries with different options")
-        sums[f.name] = None if x is None else x + y
-    return EnumerationSummary(max_speed=a.max_speed, **sums)
-
-
 def sweep(
     max_speed: int,
     *,
     require_coprime: bool = False,
     with_oracle: bool = False,
     with_dyadic: bool = False,
-    shard_count: int = 1,
 ) -> EnumerationSummary:
     """Enumerate all nonempty subsets of {1..max_speed} and aggregate.
 
@@ -338,14 +292,13 @@ def sweep(
     oracle and dyadic passes) to coprime vectors; total and coprime
     counts always cover the whole range.  Without the oracle and the
     dyadic pass the summary is counted in closed form and visits no
-    vector; shards split only the per-vector loop, and the result is
-    identical for every shard_count.
+    vector; with either, the per-vector loop counts every vector.
     """
-    bounds = shard_bounds(max_speed, shard_count)  # checks both arguments on either path
+    _check_max_speed(max_speed)  # on either path, before any work
     if not (with_oracle or with_dyadic):
         return _rule_census(max_speed, require_coprime)
     try:
-        next(_census(max_speed, bounds, require_coprime, with_oracle, with_dyadic, records=False))
+        next(_census(max_speed, require_coprime, with_oracle, with_dyadic, records=False))
     except StopIteration as done:
         return done.value
     raise AssertionError("a census without records yielded one")
@@ -357,20 +310,24 @@ def iter_vector_records(
     require_coprime: bool = False,
     with_oracle: bool = False,
     with_dyadic: bool = False,
-) -> Iterator[VectorRecord]:
-    """Stream one VectorRecord per classified vector, masks ascending."""
-    bounds = shard_bounds(max_speed, 1)
-    yield from _census(max_speed, bounds, require_coprime, with_oracle, with_dyadic, records=True)
+) -> Generator[VectorRecord, None, EnumerationSummary]:
+    """Stream one VectorRecord per classified vector, masks ascending.
+
+    ``max_speed`` is checked at the call, before the stream exists; the
+    stream returns the summary of its pass.
+    """
+    _check_max_speed(max_speed)
+    return _census(max_speed, require_coprime, with_oracle, with_dyadic, records=True)
 
 
 def _sweep_export(
-    max_speed: int, fmt: str, destination: str | os.PathLike | IO[str], *, shard_count: int = 1, **flags: bool
+    max_speed: int, fmt: str, destination: str | os.PathLike | IO[str], **flags: bool
 ) -> EnumerationSummary:
     """:func:`sweep` that exports every record in the same pass, for ``enumerate --out``.
 
     Arguments are checked before the destination is opened.
     """
-    census = _census(max_speed, shard_bounds(max_speed, shard_count), records=True, **flags)
+    census = iter_vector_records(max_speed, **flags)
     summary = []
 
     def drain() -> Iterator[VectorRecord]:
@@ -401,7 +358,7 @@ def export(records: Iterable[VectorRecord], fmt: str, destination: str | os.Path
     """Write a record stream to a file or file-like as csv or json.
 
     A summary has its own JSON form, :meth:`EnumerationSummary.to_json_obj`,
-    which :func:`summary_from_json` reads back.
+    which ``EnumerationSummary(**obj)`` reads back.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -413,10 +370,3 @@ def export(records: Iterable[VectorRecord], fmt: str, destination: str | os.Path
             raise OSError(f"cannot write {destination}: {exc}") from exc
     else:
         _export_to(destination, records, fmt)
-
-
-def summary_from_json(source: str | dict) -> EnumerationSummary:
-    """Rebuild an EnumerationSummary from its JSON text or object."""
-    obj = json.loads(source) if isinstance(source, str) else source
-    counts = {f.name: obj[f.name] for f in fields(EnumerationSummary) if f.name != "elapsed"}
-    return EnumerationSummary(**counts, elapsed=obj.get("elapsed", 0))

@@ -10,11 +10,13 @@ import math
 import time
 from fractions import Fraction
 
+import pytest
+
 from helpers import descending_subsets, width
 from lonely_runner.classify import classify, evaluate_rules
 from lonely_runner.cli import main
 from lonely_runner.dyadic import find_dyadic_time
-from lonely_runner.enumeration import coprime_count_moebius, sweep
+from lonely_runner.enumeration import _census, coprime_count_moebius, sweep
 from lonely_runner.model import SpeedVector
 from lonely_runner.oracle import (
     earliest_suitable_time,
@@ -207,11 +209,11 @@ def test_criterion_09_witness_roundtrip_to_12():
     )
 
 
-def test_criterion_10_shard_determinism():
+def test_criterion_10_closed_form_matches_mask_loop():
     start = time.perf_counter()
-    outputs = [
-        json.dumps(sweep(16, shard_count=shards).to_json_obj())
-        for shards in (1, 4, 13)
-    ]
-    assert outputs[0] == outputs[1] == outputs[2]
-    _report(10, start, 60.0, "N = 16 sweep JSON byte-identical across shards 1, 4, 13")
+    closed = json.dumps(sweep(16).to_json_obj())
+    census = _census(16, False, False, False, records=False)
+    with pytest.raises(StopIteration) as done:
+        next(census)
+    assert closed == json.dumps(done.value.value.to_json_obj())
+    _report(10, start, 60.0, "N = 16 closed-form sweep JSON byte-identical to the mask loop's")

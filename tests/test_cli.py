@@ -120,9 +120,26 @@ def test_enumerate_json_matches_library(capsys):
 
 
 def test_enumerate_stdout_is_deterministic(capsys):
-    _, first, _ = run_cli(capsys, "enumerate", "9", "--shards", "3", "--json")
-    _, second, _ = run_cli(capsys, "enumerate", "9", "--shards", "5", "--json")
+    _, first, _ = run_cli(capsys, "enumerate", "9", "--json")
+    _, second, _ = run_cli(capsys, "enumerate", "9", "--json")
     assert first == second
+
+
+def test_parser_is_built_once(capsys):
+    cli._build_parser.cache_clear()
+    _, first, _ = run_cli(capsys, "enumerate", "6", "--with-oracle")
+    code, out, err = run_cli(capsys, "enumerate", "4", "--bogus")
+    assert (code, out) == (1, "")
+    assert "--bogus" in err
+    _, second, _ = run_cli(capsys, "enumerate", "6", "--with-oracle")
+    assert second == first
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_shards_option_is_gone(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "4", "--shards", "3")
+    assert (code, out) == (1, "")
+    assert "--shards" in err
 
 
 def test_enumerate_text_output(capsys):
@@ -283,7 +300,7 @@ def test_enumerate_out_matches_library(tmp_path, capsys, coprime, with_oracle, w
     flags = [f"--{name.replace('_', '-')}" for name, on in options.items() if on]
     for fmt in ("csv", "json"):
         out_file = tmp_path / f"records.{fmt}"
-        argv = ["enumerate", "6", *flags, "--shards", "3", "--out", str(out_file), "--format", fmt]
+        argv = ["enumerate", "6", *flags, "--out", str(out_file), "--format", fmt]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         expected = io.StringIO()
@@ -332,22 +349,12 @@ def test_out_of_range_enumerate_exits_1(tmp_path, capsys):
     assert not out_file.exists()
 
 
-def test_too_many_shards_exits_1(capsys):
-    code, out, err = run_cli(capsys, "enumerate", "4", "--shards", "65537")
-    assert code == 1
-    assert out == ""
-    assert "shard_count" in err
-
-
 def test_rules_only_enumerate_checks_arguments_first(monkeypatch, capsys):
-    # shard_bounds rejects both arguments before the closed form starts.
+    # sweep rejects max_speed before the closed form starts.
     monkeypatch.setattr(enumeration, "_rule_census", lambda *args: pytest.fail("arguments are checked first"))
     code, out, err = run_cli(capsys, "enumerate", "40")
     assert (code, out) == (1, "")
     assert "max_speed" in err
-    code, out, err = run_cli(capsys, "enumerate", "4", "--shards", "65537")
-    assert (code, out) == (1, "")
-    assert "shard_count" in err
     for max_speed in (0, 33):
         with pytest.raises(ValueError, match="max_speed"):
             enumeration.sweep(max_speed)

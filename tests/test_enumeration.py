@@ -1,13 +1,11 @@
 import io
 import json
-from functools import reduce
 
 import pytest
 
 from helpers import coprime_count_brute, descending_subsets
 from lonely_runner.classify import evaluate_rules
 from lonely_runner.enumeration import (
-    _MAX_SHARDS,
     CSV_FIELDS,
     EnumerationSummary,
     VectorRecord,
@@ -15,9 +13,6 @@ from lonely_runner.enumeration import (
     coprime_count_moebius,
     export,
     iter_vector_records,
-    merge_summaries,
-    shard_bounds,
-    summary_from_json,
     sweep,
 )
 
@@ -42,26 +37,6 @@ def test_moebius_count_domain():
         coprime_count_moebius(0)
     with pytest.raises(ValueError):
         coprime_count_moebius(63)
-
-
-@pytest.mark.parametrize("max_speed,shards", [(4, 1), (4, 3), (8, 5), (8, 64), (10, 7)])
-def test_shard_bounds_partition(max_speed, shards):
-    bounds = shard_bounds(max_speed, shards)
-    assert len(bounds) == shards
-    assert bounds[0][0] == 1
-    assert bounds[-1][1] == 1 << max_speed
-    for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
-        assert hi == lo
-
-
-def test_shard_bounds_domain():
-    with pytest.raises(ValueError):
-        shard_bounds(4, 0)
-    assert len(shard_bounds(4, _MAX_SHARDS)) == _MAX_SHARDS
-    with pytest.raises(ValueError, match="shard_count"):
-        shard_bounds(4, _MAX_SHARDS + 1)
-    with pytest.raises(ValueError, match="max_speed"):
-        shard_bounds(33, 1)
 
 
 def test_sweep_frozen_small():
@@ -111,32 +86,24 @@ def test_sweep_domain_checks():
         sweep(33)
 
 
-def _mask_loop(max_speed, shards, require_coprime=False):
+def _mask_loop(max_speed, require_coprime=False):
     """The summary of the per-vector loop over every mask, without records."""
-    census = _census(max_speed, shard_bounds(max_speed, shards), require_coprime, False, False, records=False)
+    census = _census(max_speed, require_coprime, False, False, records=False)
     with pytest.raises(StopIteration) as done:
         next(census)
     return done.value.value
 
 
-@pytest.mark.parametrize("shards", [1, 3, 7, 64])
-def test_sweep_shard_count_invariance(shards):
-    # A rules-only sweep is closed-form and ignores shards; the mask loop splits them.
-    assert _mask_loop(10, shards) == _mask_loop(10, 1)
-
-
 @pytest.mark.parametrize("require_coprime", [False, True])
 @pytest.mark.parametrize("max_speed", range(1, 17))
 def test_closed_form_sweep_matches_mask_loop(max_speed, require_coprime):
-    closed = sweep(max_speed, require_coprime=require_coprime)
-    for shards in (1, 3, 7):
-        assert _mask_loop(max_speed, shards, require_coprime) == closed
+    assert _mask_loop(max_speed, require_coprime) == sweep(max_speed, require_coprime=require_coprime)
 
 
 def test_closed_form_and_mask_loop_give_the_n20_coprime_census():
     # The census_rules workload of the benchmark prints these counts.
     closed = sweep(20, require_coprime=True)
-    masks = _mask_loop(20, 1, require_coprime=True)
+    masks = _mask_loop(20, require_coprime=True)
     for summary in (closed, masks):
         assert summary.total_vectors == 1048575
         assert summary.coprime_vectors == 1047479
@@ -163,31 +130,6 @@ def test_sweep_oracle_and_dyadic_counts():
     summary = sweep(6, require_coprime=True, with_oracle=True, with_dyadic=True)
     assert summary.oracle_instance_count == 53
     assert summary.dyadic_verified_count == 53
-
-
-def test_merge_summaries_properties():
-    parts = [sweep_part for sweep_part in _shard_parts(8, 5)]
-    merged = reduce(merge_summaries, parts)
-    assert merged == sweep(8)
-    # Merge order is irrelevant.
-    assert reduce(merge_summaries, reversed(parts)) == merged
-
-
-def _shard_parts(max_speed, shards):
-    for bounds in shard_bounds(max_speed, shards):
-        with pytest.raises(StopIteration) as done:
-            next(_census(max_speed, [bounds], False, False, False, records=False))
-        yield done.value.value
-
-
-def test_merge_summaries_rejects_mismatches():
-    a = sweep(4)
-    b = sweep(5)
-    with pytest.raises(ValueError, match="max_speed"):
-        merge_summaries(a, b)
-    c = sweep(4, with_oracle=True)
-    with pytest.raises(ValueError, match="options"):
-        merge_summaries(a, c)
 
 
 def test_summary_equality_ignores_elapsed():
@@ -234,7 +176,7 @@ def test_vector_record_serialization():
 
 def test_export_summary_json_roundtrip():
     summary = sweep(6, with_oracle=True)
-    assert summary_from_json(json.dumps(summary.to_json_obj())) == summary
+    assert EnumerationSummary(**json.loads(json.dumps(summary.to_json_obj()))) == summary
 
 
 def test_export_records_csv(tmp_path):
@@ -266,3 +208,21 @@ def test_export_wraps_os_errors(tmp_path):
 def test_iter_vector_records_checks_max_speed():
     with pytest.raises(ValueError, match="max_speed"):
         next(iter_vector_records(0))
+
+
+def test_iter_vector_records_checks_max_speed_at_the_call(tmp_path):
+    # The check runs when the stream is made, so export never opens path.
+    path = tmp_path / "records.csv"
+    with pytest.raises(ValueError, match="max_speed"):
+        export(iter_vector_records(40), "csv", path)
+    assert not path.exists()
+
+
+def test_iter_vector_records_returns_the_summary():
+    stream = iter_vector_records(6, with_oracle=True)
+    records = []
+    with pytest.raises(StopIteration) as done:
+        while True:
+            records.append(next(stream))
+    assert len(records) == 63
+    assert done.value.value == sweep(6, with_oracle=True)
