@@ -297,6 +297,13 @@ def test_lift_domain_errors():
         lift_to_p(new_speed_vector([100, 99, 98, 1]), (24, 24), 2)
     with pytest.raises(ValueError, match="outside"):
         lift_to_p(n, 5, 1)
+    # The 2D window of REMARK_VECTOR: x1 in [3/16, 2], x2 in [1/8, 15/8]
+    # and -95/8 <= 16 x1 - 17 x2 <= 103/8.  (0, 0) misses the box; (2, 1)
+    # is in the box, but 16*2 - 17*1 = 15 is above the band.
+    with pytest.raises(ValueError, match="outside"):
+        lift_to_p(REMARK_VECTOR, (0, 0), 2)
+    with pytest.raises(ValueError, match="outside"):
+        lift_to_p(REMARK_VECTOR, (2, 1), 2)
 
 
 @pytest.mark.parametrize("speeds", sorted(descending_subsets(8, min_size=3)))
