@@ -12,7 +12,6 @@ integer point of P(n) whenever n_3 <= k * n_k.
 from lonely_runner import (
     contains,
     integer_point_in_q,
-    lemma_widths,
     lift_to_p,
     new_speed_vector,
     p1_interval,
@@ -40,7 +39,7 @@ print(f"landmarks: alpha={lm.alpha} beta={lm.beta} gamma={lm.gamma} delta={lm.de
 for axis in (0, 1):
     values = [v[axis] for v in geom.vertices]
     print(f"width along x{axis + 1}:", max(values) - min(values))
-print("closed-form lemma widths:", lemma_widths(n))
+print("closed-form lemma widths:", geom.lemma_widths)
 
 # Find the integer point and lift it into the full polyhedron.
 p = integer_point_in_q(n)

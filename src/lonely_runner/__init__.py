@@ -36,11 +36,9 @@ from .polyhedron import (
     QLandmarks,
     contains,
     integer_point_in_q,
-    lemma_widths,
     lift_to_p,
     p1_interval,
     q_geometry,
-    q_halfplanes,
 )
 
 __version__ = "0.1.0"
@@ -73,13 +71,11 @@ __all__ = [
     "is_suitable",
     "iter_vector_records",
     "lattice_witness_from_time",
-    "lemma_widths",
     "lift_to_p",
     "new_speed_vector",
     "normalize",
     "p1_interval",
     "q_geometry",
-    "q_halfplanes",
     "runner_intervals",
     "suitable_set",
     "sweep",

@@ -82,7 +82,7 @@ def _vector_from_args(args: argparse.Namespace) -> SpeedVector:
         return model.normalize(args.speeds)
     # Canonical input form: descending, duplicates collapsed; the gcd is
     # divided out only under --normalize.
-    return model.new_speed_vector(sorted(set(args.speeds), reverse=True))
+    return model.new_speed_vector(set(args.speeds))
 
 
 def _plain(value: object) -> object:
@@ -149,13 +149,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_polytope(args: argparse.Namespace) -> int:
     n = _vector_from_args(args)
-    geom, widths = polyhedron._cell(n)
-    obj = {"vector": n, **vars(geom), "lemma_widths": widths}
+    geom = polyhedron.q_geometry(n)
+    obj = {"vector": n, **vars(geom)}
     lines = [f"vector: {n}"]
     lines += [f"halfplane: {_text(h.a1)}*x1 + {_text(h.a2)}*x2 <= {_text(h.b)}" for h in geom.halfplanes]
     lines.append("vertices: " + " ".join(f"({_text(x1)}, {_text(x2)})" for x1, x2 in geom.vertices))
     lines.append("landmarks: " + " ".join(f"{name}={_text(v)}" for name, v in vars(geom.landmarks).items()))
-    lines += [f"{name}: {_text(v)}" for name, v in vars(widths).items()]
+    lines += [f"{name}: {_text(v)}" for name, v in vars(geom.lemma_widths).items()]
     _emit(obj, args.json, lines)
     return 0
 

@@ -56,12 +56,11 @@ def find_dyadic_time(n: SpeedVector) -> DyadicWitness | None:
 
     The minimal m, when there is one, is at most ceil(D/2).
     """
-    exponent = dyadic_exponent(n)
-    den = (1 << exponent) * (n.k + 1) * n[0]
+    den = dyadic_denominator(n)
     for lo_num, lo_den, hi_num, hi_den in oracle._leapfrog(n.speeds):
         # Smallest m with m/den >= lo; intervals lie inside (0, 1), so
         # 1 <= m_lo <= den.
         m_lo = -((-lo_num * den) // lo_den)
         if m_lo <= (hi_num * den) // hi_den:
-            return DyadicWitness(exponent, den, m_lo, Fraction(m_lo, den))
+            return DyadicWitness(dyadic_exponent(n), den, m_lo, Fraction(m_lo, den))
     return None

@@ -49,6 +49,9 @@ _HALF = Fraction(1, 2)
 # intervals end at distinct arc ends, so there are at most sum(n) of them;
 # a larger sum is refused before any work instead of filling memory.
 _MAX_SUITABLE_ARCS = 1 << 20
+# The join's work grows like k * sum(n), at 0.1-0.2 us a step, so the set
+# of (1, ..., 1000) would take over a minute; 2^23 steps take 1-2 s.
+_MAX_JOIN_STEPS = 1 << 23
 
 
 def runner_intervals(speed: int, k: int) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -116,6 +119,8 @@ def suitable_set(n: SpeedVector) -> list[tuple[Fraction, Fraction]]:
     """
     if sum(n.speeds) > _MAX_SUITABLE_ARCS:
         raise ValueError(f"{n} may have {sum(n.speeds)} suitable intervals, over the limit {_MAX_SUITABLE_ARCS}")
+    if n.k * sum(n.speeds) > _MAX_JOIN_STEPS:
+        raise ValueError(f"{n} may take {n.k * sum(n.speeds)} join steps, over the limit {_MAX_JOIN_STEPS}")
     return [(Fraction(a, b), Fraction(c, d)) for a, b, c, d in _leapfrog(n.speeds)]
 
 

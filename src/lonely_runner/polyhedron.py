@@ -21,7 +21,7 @@ point of P(n) whenever n_{m+1} <= k n_k, which is how instance
 witnesses are produced here.  Everything is computed in exact rational
 arithmetic: Q is the box clipped by the two sides of the band, one
 Sutherland-Hodgman pass each (Sutherland and Hodgman, *CACM* 17,
-1974).  Its x_2 range and emptiness need no clip (see lemma_widths).
+1974).  Its x_2 range and emptiness are read from the box (see _clip).
 """
 
 from __future__ import annotations
@@ -40,9 +40,7 @@ __all__ = [
     "LemmaWidths",
     "contains",
     "p1_interval",
-    "q_halfplanes",
     "q_geometry",
-    "lemma_widths",
     "integer_point_in_q",
     "lift_to_p",
 ]
@@ -85,15 +83,6 @@ class QLandmarks:
 
 
 @dataclass(frozen=True)
-class QGeometry:
-    """The six half-planes of Q, its vertices in CCW order, and landmarks."""
-
-    halfplanes: tuple[HalfPlane, ...]
-    vertices: tuple[tuple[Fraction, Fraction], ...]
-    landmarks: QLandmarks
-
-
-@dataclass(frozen=True)
 class LemmaWidths:
     """Closed-form widths of Q and two subregions; None when empty.
 
@@ -107,6 +96,16 @@ class LemmaWidths:
     wq_e2: Fraction | None
     wq2_e2: Fraction | None
     wq5_e2: Fraction | None
+
+
+@dataclass(frozen=True)
+class QGeometry:
+    """Q as one value: six half-planes, vertices in CCW order, landmarks, lemma widths."""
+
+    halfplanes: tuple[HalfPlane, ...]
+    vertices: tuple[tuple[Fraction, Fraction], ...]
+    landmarks: QLandmarks
+    lemma_widths: LemmaWidths
 
 
 def contains(n: SpeedVector, x: Sequence[Fraction | int]) -> bool:
@@ -154,32 +153,6 @@ def _q_bounds(n: SpeedVector) -> tuple[Fraction, ...]:
     return lo1, hi1, lo2, hi2, lo5, hi5
 
 
-def q_halfplanes(n: SpeedVector) -> tuple[HalfPlane, ...]:
-    """The six half-planes cutting out Q, the planar window into P(n).
-
-    Order: x1 lower, x1 upper, x2 lower, x2 upper, slant lower, slant
-    upper, where the slant constraints bound n_2 x_1 - n_1 x_2.  Points
-    of Q zero-pad into P(n) when n_3 <= k * n_k (see lift_to_p).  Needs
-    k >= 3 (the bounds involve n_3).
-    """
-    return _halfplanes(n, _q_bounds(n))
-
-
-def _halfplanes(n: SpeedVector, bounds: tuple[Fraction, ...]) -> tuple[HalfPlane, ...]:
-    lo1, hi1, lo2, hi2, lo5, hi5 = bounds
-    one = Fraction(1)
-    n1 = Fraction(n[0])
-    n2 = Fraction(n[1])
-    return (
-        HalfPlane(-one, _ZERO, -lo1),
-        HalfPlane(one, _ZERO, hi1),
-        HalfPlane(_ZERO, -one, -lo2),
-        HalfPlane(_ZERO, one, hi2),
-        HalfPlane(-n2, n1, -lo5),
-        HalfPlane(n2, -n1, hi5),
-    )
-
-
 def _landmarks(n: SpeedVector) -> QLandmarks:
     k = n.k
     n1, n2, n3, nk = n[0], n[1], n[2], n[k - 1]
@@ -200,15 +173,17 @@ def _clip(n: SpeedVector, bounds: tuple[Fraction, ...]) -> tuple[tuple[Fraction,
     band lo5 <= n_2 x_1 - n_1 x_2 <= hi5.  A pass keeps the order, so
     the cycle stays counterclockwise.  A box of zero width (a segment)
     repeats corners, and repeats are dropped at the end.
+
+    The x_2 range of Q needs no clip.  At the corner (lo1, lo2),
+    n_2 x_1 - n_1 x_2 is (k-1) n_1/(k+1) above lo5 and (k-1) n_2/(k+1)
+    below hi5; at (hi1, hi2) the two margins swap.  So both corners lie
+    in Q: Q is empty only with the box, spans its whole x_2 range
+    [lo2, hi2], and as the box is never a point (n_1 != n_2), has two
+    vertices or more.
     """
     lo1, hi1, lo2, hi2, lo5, hi5 = bounds
     if lo1 > hi1 or lo2 > hi2:
         return ()
-    # At the corner (lo1, lo2), n_2 x_1 - n_1 x_2 is (k-1) n_1/(k+1)
-    # above lo5 and (k-1) n_2/(k+1) below hi5; at (hi1, hi2) the two
-    # margins swap.  So both corners lie in Q: Q is empty only with the
-    # box, spans its whole x_2 range [lo2, hi2], and as the box is never
-    # a point (n_1 != n_2), has two vertices or more.
     n1, n2 = n[0], n[1]
     poly = [(lo1, lo2), (hi1, lo2), (hi1, hi2), (lo1, hi2)]
     for sign, bound in ((1, lo5), (-1, hi5)):
@@ -230,55 +205,50 @@ def _clip(n: SpeedVector, bounds: tuple[Fraction, ...]) -> tuple[tuple[Fraction,
 
 
 def q_geometry(n: SpeedVector) -> QGeometry:
-    """Half-planes, vertices, and landmark levels of Q for k >= 3."""
-    bounds = _q_bounds(n)
-    return QGeometry(_halfplanes(n, bounds), _clip(n, bounds), _landmarks(n))
+    """The planar cell Q of n, for k >= 3 (the bounds involve n_3).
 
-
-def _cell(n: SpeedVector) -> tuple[QGeometry, LemmaWidths]:
-    """q_geometry and lemma_widths of n from one _q_bounds and one _landmarks."""
-    bounds = _q_bounds(n)
-    lm = _landmarks(n)
-    return QGeometry(_halfplanes(n, bounds), _clip(n, bounds), lm), _widths(n, bounds, lm)
-
-
-def lemma_widths(n: SpeedVector) -> LemmaWidths:
-    """Closed-form widths of Q and of its two distinguished subregions.
-
-    Emptiness is decided exactly from the x_2 range of Q, not by the
-    sign of the closed form: Q cut to x_2 >= alpha is empty when alpha
-    is above the range, and Q cut to the slab [beta, gamma] when the
-    slab misses the range.  That range is the box bound [lo2, hi2] of
-    _q_bounds: the band meets the bottom and the top edge of a nonempty
-    box at its corners (lo1, lo2) and (hi1, hi2) (see _clip), and Q is
-    empty only when the box is.
+    The half-planes come in the order x1 lower, x1 upper, x2 lower, x2
+    upper, slant lower, slant upper, where the slant constraints bound
+    n_2 x_1 - n_1 x_2.  Points of Q zero-pad into P(n) when
+    n_3 <= k * n_k (see lift_to_p).  The lemma widths are None exactly
+    when their region is empty, decided from the x_2 range [lo2, hi2]
+    of Q (see _clip), not by the sign of the closed form: Q cut to
+    x_2 >= alpha is empty when alpha is above the range, and Q cut to
+    the slab [beta, gamma] when the slab misses the range.
     """
-    return _widths(n, _q_bounds(n), _landmarks(n))
-
-
-def _widths(n: SpeedVector, bounds: tuple[Fraction, ...], lm: QLandmarks) -> LemmaWidths:
-    lo1, hi1, lo2, hi2, _, _ = bounds
-    if lo1 > hi1 or lo2 > hi2:
-        return LemmaWidths(None, None, None, None)
+    bounds = _q_bounds(n)
+    lo1, hi1, lo2, hi2, lo5, hi5 = bounds
+    lm = _landmarks(n)
+    vertices = _clip(n, bounds)
     k = n.k
     n1, n2, n3, nk = n[0], n[1], n[2], n[k - 1]
-    spread = Fraction(k, n3) - Fraction(1, nk)
-    wq_e1 = Fraction(n1, k + 1) * spread + Fraction(k - 1, k + 1)
-    wq_e2 = Fraction(n2, k + 1) * spread + Fraction(k - 1, k + 1)
-    wq2_e2 = Fraction(n2, k + 1) * spread - Fraction(2, k + 1) if lm.alpha <= hi2 else None
-    wq5_e2 = lm.gamma - lm.beta if max(lm.beta, lo2) <= min(lm.gamma, hi2) else None
-    return LemmaWidths(wq_e1, wq_e2, wq2_e2, wq5_e2)
+    one = Fraction(1)
+    halfplanes = (
+        HalfPlane(-one, _ZERO, -lo1),
+        HalfPlane(one, _ZERO, hi1),
+        HalfPlane(_ZERO, -one, -lo2),
+        HalfPlane(_ZERO, one, hi2),
+        HalfPlane(Fraction(-n2), Fraction(n1), -lo5),
+        HalfPlane(Fraction(n2), Fraction(-n1), hi5),
+    )
+    widths = LemmaWidths(None, None, None, None)
+    if vertices:
+        spread = Fraction(k, n3) - Fraction(1, nk)
+        widths = LemmaWidths(
+            Fraction(n1, k + 1) * spread + Fraction(k - 1, k + 1),
+            Fraction(n2, k + 1) * spread + Fraction(k - 1, k + 1),
+            Fraction(n2, k + 1) * spread - Fraction(2, k + 1) if lm.alpha <= hi2 else None,
+            lm.gamma - lm.beta if max(lm.beta, lo2) <= min(lm.gamma, hi2) else None,
+        )
+    return QGeometry(halfplanes, vertices, lm, widths)
 
 
 def integer_point_in_q(n: SpeedVector) -> tuple[int, int] | None:
     """Integer point (x1, x2) of Q minimizing (x2, x1) lexicographically, or None.
 
-    Scans integer x2 levels across the x2 range of Q; on each level the
-    admissible x1 range is the box bound intersected with the slant
-    band solved for x1.  That range is the box bound [lo2, hi2]: the
-    band meets the bottom and the top edge of a nonempty box at its
-    corners (lo1, lo2) and (hi1, hi2) (see _clip), and Q is empty only
-    when the box is.
+    Scans integer x2 levels across the x2 range [lo2, hi2] of Q (see
+    _clip); on each level the admissible x1 range is the box bound
+    intersected with the slant band solved for x1.
     """
     lo1, hi1, lo2, hi2, lo5, hi5 = _q_bounds(n)
     if lo1 > hi1 or lo2 > hi2:
@@ -325,8 +295,9 @@ def lift_to_p(
         lo, hi = p1_interval(n)
         inside = lo <= coords[0] <= hi
     else:
-        x1, x2 = Fraction(coords[0]), Fraction(coords[1])
-        inside = all(h.holds(x1, x2) for h in q_halfplanes(n))
+        lo1, hi1, lo2, hi2, lo5, hi5 = _q_bounds(n)
+        x1, x2 = coords
+        inside = lo1 <= x1 <= hi1 and lo2 <= x2 <= hi2 and lo5 <= n[1] * x1 - n[0] * x2 <= hi5
     if not inside:
         raise ValueError(f"point {coords} is outside the {m}-dimensional window")
     lifted = coords + (0,) * (k - m)

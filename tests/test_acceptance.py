@@ -30,10 +30,8 @@ from lonely_runner.polyhedron import (
     HalfPlane,
     contains,
     integer_point_in_q,
-    lemma_widths,
     lift_to_p,
     q_geometry,
-    q_halfplanes,
 )
 
 F = Fraction
@@ -159,12 +157,12 @@ def test_criterion_08_geometry_cross_checks():
         if n2 * (k * nk - n3) < (k + 1) * n3 * nk:
             continue
         checked += 1
-        w = lemma_widths(n)
+        geom = q_geometry(n)
+        w = geom.lemma_widths
         assert w.wq_e1 is not None and w.wq_e1 >= 1, speeds
         assert w.wq_e2 is not None and w.wq_e2 >= 1, speeds
         assert w.wq2_e2 is not None and w.wq2_e2 >= F(k - 1, k + 1), speeds
-        hps = q_halfplanes(n)
-        geom = q_geometry(n)
+        hps = geom.halfplanes
         assert w.wq_e1 == width(hps, (1, 0)) == max(v[0] for v in geom.vertices) - min(
             v[0] for v in geom.vertices
         ), speeds

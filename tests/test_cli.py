@@ -256,11 +256,14 @@ def test_check_keeps_the_reflection_guard(monkeypatch, capsys):
 def test_check_refuses_huge_speeds_before_any_work(monkeypatch, capsys):
     # The set could hold sum(n) intervals.  The limit is checked before
     # the join starts; a join started here would fail the test, not fill memory.
+    # The join's work, about k * sum(n) steps, has its own limit: 1..1000
+    # has a sum of 500500, under the first limit, but k * sum(n) = 500500000.
     monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: pytest.fail("the limit is checked first"))
-    code, out, err = run_cli(capsys, "check", "1000000000000", "1")
-    assert code == 1
-    assert out == ""
-    assert "limit" in err
+    for speeds in (["1000000000000", "1"], [str(s) for s in range(1, 1001)]):
+        code, out, err = run_cli(capsys, "check", *speeds)
+        assert code == 1
+        assert out == ""
+        assert "limit" in err
 
 
 @pytest.mark.parametrize("argv", [("dyadic",), ("classify", "--with-oracle")])

@@ -134,6 +134,15 @@ def test_suitable_set_refuses_more_arcs_than_the_limit(monkeypatch):
         suitable_set(new_speed_vector([5, 3, 2]))
 
 
+def test_suitable_set_refuses_more_join_steps_than_the_limit(monkeypatch):
+    # k * sum(n) is 27 for (4, 3, 2) and 30 for (5, 3, 2).
+    monkeypatch.setattr(oracle, "_MAX_JOIN_STEPS", 27)
+    assert len(suitable_set(new_speed_vector([4, 3, 2]))) == 2
+    monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: pytest.fail("the limit is checked first"))
+    with pytest.raises(ValueError, match="limit 27"):
+        suitable_set(new_speed_vector([5, 3, 2]))
+
+
 @pytest.mark.parametrize(
     "speeds",
     sorted(descending_subsets(6)) + [(7, 5, 3), (9, 7, 2), (8, 5, 3, 2), (7, 6, 5, 4, 3)],

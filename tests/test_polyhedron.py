@@ -18,11 +18,9 @@ from lonely_runner.polyhedron import (
     HalfPlane,
     contains,
     integer_point_in_q,
-    lemma_widths,
     lift_to_p,
     p1_interval,
     q_geometry,
-    q_halfplanes,
 )
 
 F = Fraction
@@ -75,13 +73,13 @@ def test_p1_interval_length_bound():
         assert hi - lo >= F(k - 1, k + 1)
 
 
-def test_q_halfplanes_needs_k3():
+def test_q_geometry_needs_k3():
     with pytest.raises(ValueError, match="k >= 3"):
-        q_halfplanes(new_speed_vector([2, 1]))
+        q_geometry(new_speed_vector([2, 1]))
 
 
 def test_q_halfplanes_frozen():
-    hps = q_halfplanes(REMARK_VECTOR)
+    hps = q_geometry(REMARK_VECTOR).halfplanes
     assert [(h.a1, h.a2, h.b) for h in hps] == [
         (F(-1), F(0), F(-3, 16)),
         (F(1), F(0), F(2)),
@@ -124,9 +122,10 @@ def test_landmark_relations_to_bounds(speeds):
     # separate code paths, so agreement is informative.
     n = SpeedVector(speeds)
     k = n.k
-    hps = q_halfplanes(n)
+    geom = q_geometry(n)
+    hps = geom.halfplanes
     lo1, hi2, lo2 = -hps[0].b, hps[3].b, -hps[2].b
-    lm = q_geometry(n).landmarks
+    lm = geom.landmarks
     assert lm.alpha == lo2 + 1
     assert lm.kappa == lo1 + 1
     assert lm.delta == lo2 + F(k - 1, k + 1)
@@ -196,11 +195,11 @@ def test_width_agrees_with_vertex_extremes(speeds):
 
 
 def test_lemma_widths_frozen():
-    w = lemma_widths(REMARK_VECTOR)
+    w = q_geometry(REMARK_VECTOR).lemma_widths
     assert (w.wq_e1, w.wq_e2, w.wq2_e2, w.wq5_e2) == (F(29, 16), F(7, 4), F(3, 4), F(87, 68))
-    w = lemma_widths(new_speed_vector([10, 4, 3, 1]))
+    w = q_geometry(new_speed_vector([10, 4, 3, 1])).lemma_widths
     assert (w.wq_e1, w.wq_e2, w.wq2_e2, w.wq5_e2) == (F(19, 15), F(13, 15), None, F(41, 75))
-    w = lemma_widths(new_speed_vector([100, 99, 98, 1]))
+    w = q_geometry(new_speed_vector([100, 99, 98, 1])).lemma_widths
     assert (w.wq_e1, w.wq_e2, w.wq2_e2, w.wq5_e2) == (None, None, None, None)
 
 
@@ -209,19 +208,15 @@ def test_lemma_widths_emptiness_matches_projection():
     # extended half-plane systems decide it a second way.
     for speeds in descending_subsets(10, min_size=3):
         n = SpeedVector(speeds)
-        hps = q_halfplanes(n)
-        lm = q_geometry(n).landmarks
+        geom = q_geometry(n)
+        hps = geom.halfplanes
+        lm = geom.landmarks
         above_alpha = hps + (HalfPlane(F(0), F(-1), -lm.alpha),)
         slab = hps + (HalfPlane(F(0), F(-1), -lm.beta), HalfPlane(F(0), F(1), lm.gamma))
-        w = lemma_widths(n)
+        w = geom.lemma_widths
         assert (w.wq_e1 is not None) == project(hps, (1, 0))[0], speeds
         assert (w.wq2_e2 is not None) == project(above_alpha, (1, 0))[0], speeds
         assert (w.wq5_e2 is not None) == project(slab, (1, 0))[0], speeds
-
-
-def test_lemma_widths_needs_k3():
-    with pytest.raises(ValueError, match="k >= 3"):
-        lemma_widths(new_speed_vector([2, 1]))
 
 
 def test_lemma_suite_small_sweep():
@@ -235,7 +230,7 @@ def test_lemma_suite_small_sweep():
         if n2 * (k * nk - n3) < (k + 1) * n3 * nk:
             continue
         checked += 1
-        w = lemma_widths(n)
+        w = q_geometry(n).lemma_widths
         assert w.wq_e1 is not None and w.wq_e1 >= 1
         assert w.wq_e2 is not None and w.wq_e2 >= 1
         assert w.wq2_e2 is not None and w.wq2_e2 >= F(k - 1, k + 1)
