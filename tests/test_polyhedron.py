@@ -73,9 +73,9 @@ def test_p1_interval_length_bound():
         assert hi - lo >= F(k - 1, k + 1)
 
 
-def test_q_geometry_needs_k3():
+def test_q_halfplanes_needs_k3():
     with pytest.raises(ValueError, match="k >= 3"):
-        q_geometry(new_speed_vector([2, 1]))
+        q_geometry(new_speed_vector([2, 1])).halfplanes
 
 
 def test_q_halfplanes_frozen():
@@ -217,6 +217,11 @@ def test_lemma_widths_emptiness_matches_projection():
         assert (w.wq_e1 is not None) == project(hps, (1, 0))[0], speeds
         assert (w.wq2_e2 is not None) == project(above_alpha, (1, 0))[0], speeds
         assert (w.wq5_e2 is not None) == project(slab, (1, 0))[0], speeds
+
+
+def test_lemma_widths_needs_k3():
+    with pytest.raises(ValueError, match="k >= 3"):
+        q_geometry(new_speed_vector([2, 1])).lemma_widths
 
 
 def test_lemma_suite_small_sweep():
