@@ -12,20 +12,20 @@ from fractions import Fraction
 
 from lonely_runner import (
     earliest_suitable_time,
-    half_period_witness,
     is_suitable,
     lattice_witness_from_time,
     new_speed_vector,
-    runner_intervals,
     suitable_set,
 )
 
 n = new_speed_vector([2, 3, 4])  # any order goes in, storage is descending
 print(f"vector {n} with k = {n.k} runners")
 
-# Each runner alone is clear of the start on `speed` arcs per period.
+# Each runner alone is clear of the start on `speed` arcs per period,
+# [(m + 1/(k+1))/speed, (m + k/(k+1))/speed] for m = 0..speed-1.
 for speed in n:
-    arcs = runner_intervals(speed, n.k)
+    den = (n.k + 1) * speed
+    arcs = [(Fraction(m * (n.k + 1) + 1, den), Fraction(m * (n.k + 1) + n.k, den)) for m in range(speed)]
     print(f"  speed {speed}: clear on " + " ".join(f"[{lo}, {hi}]" for lo, hi in arcs))
 
 # The suitable set is the exact intersection of those arc systems.
@@ -39,9 +39,10 @@ print("earliest suitable time:", t)
 print("definitional check agrees:", is_suitable(n, t))
 
 # Reflection t -> 1 - t preserves suitability, so a witness always
-# exists in the first half period.
+# exists in the first half period: the earliest time is one.
 print("reflected witness", 1 - t, "suitable:", is_suitable(n, 1 - t))
-print("half-period witness:", half_period_witness(n))
+assert t <= Fraction(1, 2)
+print("half-period witness:", t)
 
 # Rounding the runner positions down at a suitable time gives an
 # integer point of the runner polyhedron (see demo 02).

@@ -9,6 +9,8 @@ numerators and measures the claim over every coprime vector up to a
 bound.
 """
 
+from fractions import Fraction
+
 from lonely_runner import (
     dyadic_denominator,
     dyadic_exponent,
@@ -21,11 +23,11 @@ for speeds in ([4, 3, 2], [5, 1], [17, 16, 7, 6, 5, 4, 2]):
     n = new_speed_vector(speeds)
     e = dyadic_exponent(n)
     den = dyadic_denominator(n)
-    witness = find_dyadic_time(n)
-    print(f"{str(n):24s} e={e} D={den:6d} minimal m={witness.m:5d} time={witness.time}")
+    m = find_dyadic_time(n)
+    print(f"{str(n):24s} e={e} D={den:6d} minimal m={m:5d} time={Fraction(m, den)}")
     # The minimal numerator lies in the lower half of the grid: the
     # suitable set is symmetric about 1/2, and so is the grid.
-    assert witness.m <= (den + 1) // 2
+    assert m <= (den + 1) // 2
 
 # Measure: every coprime vector with n_1 <= 10 is an instance with a
 # dyadic witness.  The record stream carries both verdicts.

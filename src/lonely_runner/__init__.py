@@ -8,9 +8,8 @@ grid search, and a census sweep over all speed subsets of {1..N}.
 """
 
 from .classify import ClassificationReport, classify, evaluate_rules
-from .dyadic import DyadicWitness, dyadic_denominator, dyadic_exponent, find_dyadic_time
+from .dyadic import dyadic_denominator, dyadic_exponent, find_dyadic_time
 from .enumeration import (
-    CSV_FIELDS,
     EnumerationSummary,
     VectorRecord,
     coprime_count_moebius,
@@ -18,15 +17,12 @@ from .enumeration import (
     iter_vector_records,
     sweep,
 )
-from .exact_arith import format_rational, frac
-from .model import SpeedVector, new_speed_vector, normalize
+from .model import SpeedVector, format_rational, new_speed_vector, normalize
 from .oracle import (
     earliest_suitable_time,
-    half_period_witness,
     is_instance,
     is_suitable,
     lattice_witness_from_time,
-    runner_intervals,
     suitable_set,
 )
 from .polyhedron import (
@@ -45,8 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassificationReport",
-    "CSV_FIELDS",
-    "DyadicWitness",
     "EnumerationSummary",
     "HalfPlane",
     "LemmaWidths",
@@ -64,8 +58,6 @@ __all__ = [
     "export",
     "find_dyadic_time",
     "format_rational",
-    "frac",
-    "half_period_witness",
     "integer_point_in_q",
     "is_instance",
     "is_suitable",
@@ -76,7 +68,6 @@ __all__ = [
     "normalize",
     "p1_interval",
     "q_geometry",
-    "runner_intervals",
     "suitable_set",
     "sweep",
 ]

@@ -26,8 +26,7 @@ from fractions import Fraction
 from . import dyadic as dyadic_mod
 from . import enumeration, model, oracle, polyhedron
 from .classify import classify as run_classify
-from .exact_arith import format_rational
-from .model import SpeedVector
+from .model import SpeedVector, format_rational
 
 __all__ = ["main", "run"]
 
@@ -77,12 +76,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Python prints no int of more than 4300 digits.  The largest integers a
+# command prints are the widths and vertices of Q in ``polytope``, products
+# of three speeds and small multiples of k + 1, so 3 * 1400 digits leave room.
+_MAX_SPEED_DIGITS = 1400
+_SPEED_LIMIT = 10**_MAX_SPEED_DIGITS
+
+
 def _vector_from_args(args: argparse.Namespace) -> SpeedVector:
-    if args.normalize:
-        return model.normalize(args.speeds)
     # Canonical input form: descending, duplicates collapsed; the gcd is
-    # divided out only under --normalize.
-    return model.new_speed_vector(set(args.speeds))
+    # divided out only under --normalize, after the speeds are validated.
+    n = model.new_speed_vector(set(args.speeds))
+    if args.normalize:
+        n = model.normalize(n)
+    if n[0] >= _SPEED_LIMIT:
+        raise ValueError(f"speeds must have at most {_MAX_SPEED_DIGITS} digits, got {len(str(n[0]))}")
+    return n
 
 
 def _plain(value: object) -> object:
@@ -162,13 +171,14 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
 
 def _cmd_dyadic(args: argparse.Namespace) -> int:
     n = _vector_from_args(args)
-    witness = dyadic_mod.find_dyadic_time(n)
+    den = dyadic_mod.dyadic_denominator(n)
+    m = dyadic_mod.find_dyadic_time(n)
     obj = {
         "vector": n,
         "exponent": dyadic_mod.dyadic_exponent(n),
-        "denominator": dyadic_mod.dyadic_denominator(n),
-        "m": None if witness is None else witness.m,
-        "time": None if witness is None else witness.time,
+        "denominator": den,
+        "m": m,
+        "time": None if m is None else Fraction(m, den),
     }
     _emit(obj, args.json)
     return 0

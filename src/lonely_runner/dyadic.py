@@ -18,27 +18,16 @@ changes the answer: t = 1 is never suitable, so a minimal hit with
 m/D > 1/2 would reflect to the suitable time 1 - m/D < 1/2, and the
 grid is symmetric (D - m is a grid numerator), contradicting
 minimality.
+
+The search returns m alone; the grid time is m / dyadic_denominator(n).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from . import oracle
 from .model import SpeedVector
 
-__all__ = ["DyadicWitness", "dyadic_exponent", "dyadic_denominator", "find_dyadic_time"]
-
-
-@dataclass(frozen=True)
-class DyadicWitness:
-    """Minimal grid numerator m with m/denominator suitable."""
-
-    exponent: int
-    denominator: int
-    m: int
-    time: Fraction
+__all__ = ["dyadic_exponent", "dyadic_denominator", "find_dyadic_time"]
 
 
 def dyadic_exponent(n: SpeedVector) -> int:
@@ -51,7 +40,7 @@ def dyadic_denominator(n: SpeedVector) -> int:
     return (1 << dyadic_exponent(n)) * (n.k + 1) * n[0]
 
 
-def find_dyadic_time(n: SpeedVector) -> DyadicWitness | None:
+def find_dyadic_time(n: SpeedVector) -> int | None:
     """Minimal m in [1, D] with m/D suitable, or None when no grid time is.
 
     The minimal m, when there is one, is at most ceil(D/2).
@@ -62,5 +51,5 @@ def find_dyadic_time(n: SpeedVector) -> DyadicWitness | None:
         # 1 <= m_lo <= den.
         m_lo = -((-lo_num * den) // lo_den)
         if m_lo <= (hi_num * den) // hi_den:
-            return DyadicWitness(dyadic_exponent(n), den, m_lo, Fraction(m_lo, den))
+            return m_lo
     return None

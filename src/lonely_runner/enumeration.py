@@ -32,13 +32,11 @@ from typing import IO, Generator, Iterable, Iterator
 
 from . import dyadic, oracle
 from .classify import _rules, evaluate_rules
-from .exact_arith import format_rational
-from .model import SpeedVector
+from .model import SpeedVector, format_rational
 
 __all__ = [
     "EnumerationSummary",
     "VectorRecord",
-    "CSV_FIELDS",
     "coprime_count_moebius",
     "sweep",
     "iter_vector_records",
@@ -147,9 +145,6 @@ class VectorRecord:
         return obj
 
 
-CSV_FIELDS = tuple(f.name for f in fields(VectorRecord))
-
-
 def _decode(mask: int) -> tuple[int, ...]:
     """Descending speed tuple of a subset bitmask (bit j-1 <-> speed j)."""
     speeds = []
@@ -178,7 +173,7 @@ def _census(
     """
     start = time.perf_counter()
     gcd = math.gcd
-    earliest = witness = None  # reassigned per vector only when their pass is on
+    earliest = dyadic_m = None  # reassigned per vector only when their pass is on
     coprime_ct = thm1_ct = thm2_ct = slow_ct = any_ct = 0
     oracle_ct = 0 if with_oracle else None
     dyadic_ct = 0 if with_dyadic else None
@@ -205,8 +200,8 @@ def _census(
                 if earliest is not None:
                     oracle_ct += 1
             if with_dyadic:
-                witness = dyadic.find_dyadic_time(sv)
-                if witness is not None:
+                dyadic_m = dyadic.find_dyadic_time(sv)
+                if dyadic_m is not None:
                     dyadic_ct += 1
         if records:
             yield VectorRecord(
@@ -219,7 +214,7 @@ def _census(
                 any_rule=thm1 or thm2 or slow_fast,
                 is_instance=earliest is not None if with_oracle else None,
                 earliest_time=earliest,
-                dyadic_m=None if witness is None else witness.m,
+                dyadic_m=dyadic_m,
             )
     counts = (coprime_ct, thm1_ct, thm2_ct, slow_ct, any_ct, oracle_ct, dyadic_ct)
     elapsed = int((time.perf_counter() - start) * 1000)
@@ -349,7 +344,7 @@ def _export_to(handle: IO[str], records: Iterable[VectorRecord], fmt: str) -> No
         handle.write("]\n")
     else:
         writer = csv.writer(handle)
-        writer.writerow(CSV_FIELDS)
+        writer.writerow(f.name for f in fields(VectorRecord))
         for record in records:
             writer.writerow(record.to_csv_row())
 

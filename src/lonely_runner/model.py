@@ -8,15 +8,19 @@ so duplicates would silently change the problem being decided.
 common factor, which yields the canonical representative of the
 scale-invariance class (speeds c*n and n have the same suitable times
 up to the substitution t -> t/c).
+
+:func:`format_rational` is the one text form of a rational that the
+CLI and the export files print.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator
 
-__all__ = ["SpeedVector", "new_speed_vector", "normalize"]
+__all__ = ["SpeedVector", "new_speed_vector", "normalize", "format_rational"]
 
 
 @dataclass(frozen=True)
@@ -75,3 +79,13 @@ def normalize(values: Iterable[int]) -> SpeedVector:
         raise ValueError("normalize needs at least one positive value")
     g = math.gcd(*kept)
     return SpeedVector(tuple(v // g for v in kept))
+
+
+def format_rational(q: Fraction | int) -> str:
+    """Render a rational as ``numerator/denominator``, integers included.
+
+    Integers come out as ``n/1`` so that every serialized rational has
+    the same shape, which ``Fraction`` reads back.  Both types carry a
+    reduced numerator and a positive denominator, so nothing is rebuilt.
+    """
+    return f"{q.numerator}/{q.denominator}"

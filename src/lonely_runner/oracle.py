@@ -21,7 +21,9 @@ caller that needs only the first interval stops there.
 ``suitable_set`` returns the whole set as a list of plain (lo, hi)
 ``Fraction`` pairs, sorted and disjoint by construction.  That order is
 not re-checked at run time; the tests compare the list with an
-independent intersection of the per-runner arc lists.
+independent intersection of the per-runner arc lists.  The set is
+symmetric under t -> 1 - t, so a nonempty set starts at or before 1/2;
+``check`` guards the join's first interval with that.
 """
 
 from __future__ import annotations
@@ -30,16 +32,13 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact_arith import frac
 from .model import SpeedVector
 
 __all__ = [
-    "runner_intervals",
     "suitable_set",
     "is_instance",
     "earliest_suitable_time",
     "is_suitable",
-    "half_period_witness",
     "lattice_witness_from_time",
 ]
 
@@ -52,25 +51,6 @@ _MAX_SUITABLE_ARCS = 1 << 20
 # The join's work grows like k * sum(n), at 0.1-0.2 us a step, so the set
 # of (1, ..., 1000) would take over a minute; 2^23 steps take 1-2 s.
 _MAX_JOIN_STEPS = 1 << 23
-
-
-def runner_intervals(speed: int, k: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Times in (0, 1) at which one runner of the given speed is clear.
-
-    With k runners in play the clearance threshold is 1/(k+1), so a
-    runner of this speed is clear on the `speed` arcs
-    [(m + 1/(k+1))/speed, (m + k/(k+1))/speed], m = 0..speed-1,
-    returned as (lo, hi) pairs.
-    """
-    if speed < 1:
-        raise ValueError(f"speed must be a positive integer, got {speed}")
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    den = (k + 1) * speed
-    return tuple(
-        (Fraction(m * (k + 1) + 1, den), Fraction(m * (k + 1) + k, den))
-        for m in range(speed)
-    )
 
 
 def _leapfrog(speeds: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
@@ -147,17 +127,7 @@ def is_suitable(n: SpeedVector, t: Fraction | int) -> bool:
     k = n.k
     lo = Fraction(1, k + 1)
     hi = Fraction(k, k + 1)
-    return all(lo <= frac(s * t) <= hi for s in n)
-
-
-def half_period_witness(n: SpeedVector) -> Fraction | None:
-    """A suitable time <= 1/2, or None when n is not an instance.
-
-    The suitable set is symmetric under t -> 1 - t, so a nonempty set
-    always reaches into [0, 1/2]; the earliest suitable time is such a
-    witness.
-    """
-    return _checked_half_period(n, earliest_suitable_time(n))
+    return all(lo <= s * t % 1 <= hi for s in n)
 
 
 def _checked_half_period(n: SpeedVector, earliest: Fraction | None) -> Fraction | None:

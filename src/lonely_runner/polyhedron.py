@@ -56,12 +56,6 @@ class HalfPlane:
     a2: Fraction
     b: Fraction
 
-    def value(self, x1: Fraction, x2: Fraction) -> Fraction:
-        return self.a1 * x1 + self.a2 * x2
-
-    def holds(self, x1: Fraction, x2: Fraction) -> bool:
-        return self.value(x1, x2) <= self.b
-
 
 @dataclass(frozen=True)
 class QLandmarks:

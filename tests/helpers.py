@@ -117,12 +117,17 @@ def brute_dyadic_m(n: SpeedVector, den: int, limit: int) -> int | None:
     return None
 
 
+def halfplane_lhs(h: HalfPlane, x1: Fraction | int, x2: Fraction | int) -> Fraction:
+    """Left-hand side a1*x1 + a2*x2 of the constraint h, at (x1, x2)."""
+    return h.a1 * x1 + h.a2 * x2
+
+
 def brute_integer_points_in_region(halfplanes, x1_range, x2_range) -> list[tuple[int, int]]:
     """All integer points of a half-plane region inside a search box."""
     hits = []
     for x2 in x2_range:
         for x1 in x1_range:
-            if all(h.holds(Fraction(x1), Fraction(x2)) for h in halfplanes):
+            if all(halfplane_lhs(h, x1, x2) <= h.b for h in halfplanes):
                 hits.append((x1, x2))
     return hits
 

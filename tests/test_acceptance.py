@@ -15,12 +15,11 @@ import pytest
 from helpers import descending_subsets, width
 from lonely_runner.classify import classify, evaluate_rules
 from lonely_runner.cli import main
-from lonely_runner.dyadic import find_dyadic_time
+from lonely_runner.dyadic import dyadic_denominator, find_dyadic_time
 from lonely_runner.enumeration import _census, coprime_count_moebius, sweep
 from lonely_runner.model import SpeedVector
 from lonely_runner.oracle import (
     earliest_suitable_time,
-    half_period_witness,
     is_instance,
     is_suitable,
     lattice_witness_from_time,
@@ -123,7 +122,7 @@ def test_criterion_06_reflection_to_12():
         if not times:
             continue
         instances += 1
-        witness = half_period_witness(n)
+        witness = earliest_suitable_time(n)
         assert witness is not None and witness <= F(1, 2), speeds
         assert [(1 - hi, 1 - lo) for lo, hi in reversed(times)] == times, speeds
     assert instances == 4095
@@ -139,9 +138,9 @@ def test_criterion_07_dyadic_witness_to_12():
         n = SpeedVector(speeds)
         if not is_instance(n):
             continue
-        witness = find_dyadic_time(n)
-        assert witness is not None, speeds
-        assert is_suitable(n, witness.time), speeds
+        m = find_dyadic_time(n)
+        assert m is not None, speeds
+        assert is_suitable(n, F(m, dyadic_denominator(n))), speeds
         checked += 1
     assert checked == coprime_count_moebius(12) == 4016
     _report(7, start, 300.0, f"dyadic witness found for all {checked} coprime instances")

@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import lonely_runner
 
@@ -22,3 +24,11 @@ def test_every_public_name_resolves():
     for module in library_modules():
         for name in module.__all__:
             assert getattr(lonely_runner, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_readme_layout_lists_every_module():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Layout", 1)[1].split("```")[1]
+    listed = re.findall(r"^  (\S+\.py) ", block, re.MULTILINE)
+    on_disk = sorted(path.name for path in Path(lonely_runner.__path__[0]).glob("*.py"))
+    assert sorted(listed) == on_disk

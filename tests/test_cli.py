@@ -155,7 +155,7 @@ def test_enumerate_out_csv(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "enumerate", "5", "--out", str(out_file), "--format", "csv")
     assert code == 0
     lines = out_file.read_text().strip().splitlines()
-    assert lines[0] == ",".join(enumeration.CSV_FIELDS)
+    assert lines[0] == "speeds,k,coprime,thm1,thm2,slow_fast,any_rule,is_instance,earliest_time,dyadic_m"
     assert len(lines) == 1 + 31
 
 
@@ -333,6 +333,27 @@ def test_invalid_speed_exits_1(capsys):
     code, _, err = run_cli(capsys, "check", "0")
     assert code == 1
     assert "positive" in err
+    # --normalize divides out the gcd of valid speeds; it drops no bad one.
+    code, out, err = run_cli(capsys, "check", "0", "4", "6", "--normalize")
+    assert (code, out) == (1, "")
+    assert "positive" in err
+
+
+@pytest.mark.parametrize("command,longest", [("dyadic", 2802), ("polytope", 4201)])
+def test_speeds_too_large_to_print_exit_1(monkeypatch, capsys, command, longest):
+    # At the bound the dyadic denominator has 2,802 digits and the widths of
+    # Q, products of three speeds, 4,201: under the 4,300 that Python prints.
+    # One digit more is refused before any work.
+    at_bound = [str(10**cli._MAX_SPEED_DIGITS - d) for d in (1, 3, 5, 7)]
+    code, out, _ = run_cli(capsys, command, *at_bound)
+    assert code == 0
+    assert max(map(len, re.findall(r"\d+", out))) == longest
+    monkeypatch.setattr(dyadic, "find_dyadic_time", lambda n: pytest.fail("the bound is checked first"))
+    monkeypatch.setattr(polyhedron, "q_geometry", lambda n: pytest.fail("the bound is checked first"))
+    over = [str(10**cli._MAX_SPEED_DIGITS + d) for d in (1, 3, 5, 7)]
+    code, out, err = run_cli(capsys, command, *over)
+    assert (code, out) == (1, "")
+    assert err == f"error: speeds must have at most {cli._MAX_SPEED_DIGITS} digits, got {cli._MAX_SPEED_DIGITS + 1}\n"
 
 
 def test_duplicate_after_normalize_ok_but_bad_vector_exits_1(capsys):

@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lonely_runner.model import SpeedVector, new_speed_vector, normalize
+from lonely_runner.model import SpeedVector, format_rational, new_speed_vector, normalize
 
 
 def test_speed_vector_basics():
@@ -66,3 +67,15 @@ def test_normalize_is_canonical(values):
     assert all(s >= 1 for s in n)
     # Idempotent: normalizing a normalized vector changes nothing.
     assert normalize(n.speeds).speeds == n.speeds
+
+
+def test_format_rational_always_has_denominator():
+    assert format_rational(Fraction(3, 4)) == "3/4"
+    assert format_rational(2) == "2/1"
+    assert format_rational(Fraction(-1, 2)) == "-1/2"
+    assert format_rational(Fraction(2, 4)) == "1/2"
+
+
+@given(st.fractions(max_denominator=10**6))
+def test_parse_format_roundtrip(q):
+    assert Fraction(format_rational(q)) == q

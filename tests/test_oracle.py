@@ -11,31 +11,13 @@ from lonely_runner import oracle, polyhedron
 from lonely_runner.model import SpeedVector, new_speed_vector
 from lonely_runner.oracle import (
     earliest_suitable_time,
-    half_period_witness,
     is_instance,
     is_suitable,
     lattice_witness_from_time,
-    runner_intervals,
     suitable_set,
 )
 
 F = Fraction
-
-
-def test_runner_intervals_frozen():
-    assert runner_intervals(3, 3) == (
-        (F(1, 12), F(1, 4)),
-        (F(5, 12), F(7, 12)),
-        (F(3, 4), F(11, 12)),
-    )
-    assert len(runner_intervals(7, 4)) == 7
-
-
-def test_runner_intervals_domain_checks():
-    with pytest.raises(ValueError, match="speed"):
-        runner_intervals(0, 3)
-    with pytest.raises(ValueError, match="k must"):
-        runner_intervals(3, 0)
 
 
 def test_suitable_set_frozen_values():
@@ -168,19 +150,9 @@ def test_suitable_set_reflection_symmetry(speeds):
 def test_half_period_witness_on_instances():
     for speeds in [(4, 3, 2), (17, 16, 7, 6, 5, 4, 2), (2, 1)]:
         n = SpeedVector(speeds)
-        t = half_period_witness(n)
+        t = earliest_suitable_time(n)
         assert t is not None and t <= F(1, 2)
         assert is_suitable(n, t)
-
-
-def test_half_period_witness_branches(monkeypatch):
-    # No real vector at this scale is a non-instance, so the None and
-    # broken-symmetry branches are driven synthetically.
-    monkeypatch.setattr(oracle, "earliest_suitable_time", lambda n: None)
-    assert half_period_witness(new_speed_vector([4, 3, 2])) is None
-    monkeypatch.setattr(oracle, "earliest_suitable_time", lambda n: F(3, 4))
-    with pytest.raises(RuntimeError, match="symmetry"):
-        half_period_witness(new_speed_vector([4, 3, 2]))
 
 
 def test_lattice_witness_frozen():

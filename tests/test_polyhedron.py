@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     brute_integer_points_in_region,
     descending_subsets,
+    halfplane_lhs,
     project,
     support_bounds,
     translate_invariance_check,
@@ -139,8 +140,8 @@ def test_q_vertices_are_valid(speeds):
     verts = geom.vertices
     assert len(set(verts)) == len(verts)
     for x1, x2 in verts:
-        assert all(h.holds(x1, x2) for h in geom.halfplanes)
-        assert sum(h.value(x1, x2) == h.b for h in geom.halfplanes) >= 2
+        assert all(halfplane_lhs(h, x1, x2) <= h.b for h in geom.halfplanes)
+        assert sum(halfplane_lhs(h, x1, x2) == h.b for h in geom.halfplanes) >= 2
     # Counterclockwise convex position: no clockwise turn anywhere.
     m = len(verts)
     if m >= 3:
