@@ -41,14 +41,15 @@ for axis in (0, 1):
     print(f"width along x{axis + 1}:", max(values) - min(values))
 print("closed-form lemma widths:", geom.lemma_widths)
 
-# Find the integer point and lift it into the full polyhedron.
+# Find the integer point and lift it into the full polyhedron; the
+# point's length says which window it comes from.
 p = integer_point_in_q(n)
 print("integer point of Q:", p)
-lifted = lift_to_p(n, p, 2)
+lifted = lift_to_p(n, p)
 print("zero-padded lift:", lifted, "in P(n):", contains(n, lifted))
 
 # The 1D window works the same way when n_2 <= k * n_k.
 m = new_speed_vector([20, 14, 8, 6, 5, 4, 2])
 lo, hi = p1_interval(m)
 print(f"\nvector {m}: 1D window [{lo}, {hi}] contains the integer 1")
-print("lift of 1:", lift_to_p(m, 1, 1))
+print("lift of 1:", lift_to_p(m, (1,)))

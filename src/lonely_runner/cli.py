@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 from dataclasses import is_dataclass
 from fractions import Fraction
 
@@ -190,12 +191,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         "with_oracle": args.with_oracle,
         "with_dyadic": args.with_dyadic,
     }
+    start = time.perf_counter()
     if args.out:
-        summary = enumeration._sweep_export(args.max_speed, args.format, args.out, **options)
+        # One pass: the stream writes every record and returns the summary.
+        records = enumeration.iter_vector_records(args.max_speed, **options)
+        summary = enumeration.export(records, args.format, args.out)
     else:
         summary = enumeration.sweep(args.max_speed, **options)
-    _emit(summary.to_json_obj(), args.json)
-    print(f"elapsed_ms={summary.elapsed}", file=sys.stderr)
+    elapsed_ms = int((time.perf_counter() - start) * 1000)
+    _emit(vars(summary), args.json)
+    print(f"elapsed_ms={elapsed_ms}", file=sys.stderr)
     return 0
 
 

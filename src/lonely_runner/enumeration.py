@@ -5,8 +5,9 @@ j; decoding a mask yields the descending speed tuple.  The per-vector
 loop runs once over the masks in ascending order, counts coprimality
 and the rule triple for each vector, and optionally runs the exact
 oracle or the dyadic grid search.  One loop serves the oracle and
-dyadic summaries, the record stream and the export, which gets both
-from a single pass.
+dyadic summaries and the record stream; a stream returns its summary
+when it ends, so :func:`export` hands back the summary of the pass
+that wrote the file.
 
 A rules-only summary visits no vector.  The rules read only the
 extremes (n_1, n_2, n_3, n_k) and k, so each pattern of extremes is
@@ -25,10 +26,9 @@ import csv
 import json
 import math
 import os
-import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Generator, Iterable, Iterator
+from typing import IO, Generator, Iterable, Iterator, NamedTuple
 
 from . import dyadic, oracle
 from .classify import _rules, evaluate_rules
@@ -83,9 +83,8 @@ def coprime_count_moebius(max_speed: int) -> int:
 class EnumerationSummary:
     """Aggregate counts of one sweep.
 
-    ``elapsed`` is wall time in milliseconds and is excluded from
-    equality so that summaries over the same data compare equal no
-    matter how long they took.
+    ``vars(summary)`` is its JSON form, which ``EnumerationSummary(**obj)``
+    reads back.
     """
 
     max_speed: int
@@ -97,18 +96,10 @@ class EnumerationSummary:
     any_rule_count: int
     oracle_instance_count: int | None
     dyadic_verified_count: int | None
-    elapsed: int = field(compare=False, default=0)
-
-    def to_json_obj(self) -> dict:
-        """The counts by field name; ``elapsed`` is timing, not data, and is left out."""
-        obj = asdict(self)
-        del obj["elapsed"]
-        return obj
 
 
-@dataclass(frozen=True)
-class VectorRecord:
-    """Per-vector row of the census export."""
+class VectorRecord(NamedTuple):
+    """Per-vector row of the census export; ``_fields`` is the CSV header."""
 
     speeds: tuple[int, ...]
     k: int
@@ -139,7 +130,8 @@ class VectorRecord:
         ]
 
     def to_json_obj(self) -> dict:
-        obj = dict(vars(self), speeds=list(self.speeds))
+        obj = self._asdict()
+        obj["speeds"] = list(self.speeds)
         if self.earliest_time is not None:
             obj["earliest_time"] = format_rational(self.earliest_time)
         return obj
@@ -168,10 +160,8 @@ def _census(
 
     Counts every vector in local integers; yields a VectorRecord per
     classified vector only when ``records`` is set.  Returns the
-    summary, whose ``elapsed`` includes the consumer's time between
-    records.
+    summary.
     """
-    start = time.perf_counter()
     gcd = math.gcd
     earliest = dyadic_m = None  # reassigned per vector only when their pass is on
     coprime_ct = thm1_ct = thm2_ct = slow_ct = any_ct = 0
@@ -217,8 +207,7 @@ def _census(
                 dyadic_m=dyadic_m,
             )
     counts = (coprime_ct, thm1_ct, thm2_ct, slow_ct, any_ct, oracle_ct, dyadic_ct)
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return EnumerationSummary(max_speed, (1 << max_speed) - 1, *counts, elapsed)
+    return EnumerationSummary(max_speed, (1 << max_speed) - 1, *counts)
 
 
 def _patterns(n1: int, binom: list[list[int]]) -> Iterator[tuple[int, int, int, int, int]]:
@@ -249,7 +238,6 @@ def _rule_census(max_speed: int, require_coprime: bool) -> EnumerationSummary:
     subset with gcd d fires the rules of the subset divided by d, and
     the coprime counts are sum_d mu(d) F(max_speed // d).
     """
-    start = time.perf_counter()
     binom = [[math.comb(gap, j) for j in range(gap + 1)] for gap in range(max_speed)]
     prefix = [(0, 0, 0, 0)]
     for n1 in range(1, max_speed + 1):
@@ -270,8 +258,7 @@ def _rule_census(max_speed: int, require_coprime: bool) -> EnumerationSummary:
         mu = _mobius_upto(max_speed)
         counts = [sum(mu[d] * prefix[max_speed // d][i] for d in range(1, max_speed + 1)) for i in range(4)]
     total, coprime = (1 << max_speed) - 1, coprime_count_moebius(max_speed)
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return EnumerationSummary(max_speed, total, coprime, *counts, None, None, elapsed)
+    return EnumerationSummary(max_speed, total, coprime, *counts, None, None)
 
 
 def sweep(
@@ -315,23 +302,6 @@ def iter_vector_records(
     return _census(max_speed, require_coprime, with_oracle, with_dyadic, records=True)
 
 
-def _sweep_export(
-    max_speed: int, fmt: str, destination: str | os.PathLike | IO[str], **flags: bool
-) -> EnumerationSummary:
-    """:func:`sweep` that exports every record in the same pass, for ``enumerate --out``.
-
-    Arguments are checked before the destination is opened.
-    """
-    census = iter_vector_records(max_speed, **flags)
-    summary = []
-
-    def drain() -> Iterator[VectorRecord]:
-        summary.append((yield from census))
-
-    export(drain(), fmt, destination)
-    return summary[0]
-
-
 def _export_to(handle: IO[str], records: Iterable[VectorRecord], fmt: str) -> None:
     if fmt == "json":
         handle.write("[")
@@ -344,24 +314,33 @@ def _export_to(handle: IO[str], records: Iterable[VectorRecord], fmt: str) -> No
         handle.write("]\n")
     else:
         writer = csv.writer(handle)
-        writer.writerow(f.name for f in fields(VectorRecord))
+        writer.writerow(VectorRecord._fields)
         for record in records:
             writer.writerow(record.to_csv_row())
 
 
-def export(records: Iterable[VectorRecord], fmt: str, destination: str | os.PathLike | IO[str]) -> None:
+def export(
+    records: Iterable[VectorRecord], fmt: str, destination: str | os.PathLike | IO[str]
+) -> EnumerationSummary | None:
     """Write a record stream to a file or file-like as csv or json.
 
-    A summary has its own JSON form, :meth:`EnumerationSummary.to_json_obj`,
-    which ``EnumerationSummary(**obj)`` reads back.
+    Returns what the stream returns when it ends: the summary of its
+    pass for :func:`iter_vector_records`, ``None`` for a list.  The
+    format is checked before the destination is opened.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    ended = []
+
+    def stream() -> Iterator[VectorRecord]:
+        ended.append((yield from records))
+
     if isinstance(destination, (str, os.PathLike)):
         try:
             with open(destination, "w", newline="") as handle:
-                _export_to(handle, records, fmt)
+                _export_to(handle, stream(), fmt)
         except OSError as exc:
             raise OSError(f"cannot write {destination}: {exc}") from exc
     else:
-        _export_to(destination, records, fmt)
+        _export_to(destination, stream(), fmt)
+    return ended[0]

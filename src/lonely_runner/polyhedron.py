@@ -259,10 +259,8 @@ def integer_point_in_q(n: SpeedVector) -> tuple[int, int] | None:
     return None
 
 
-def lift_to_p(
-    n: SpeedVector, p: Sequence[int] | int, m: int
-) -> tuple[int, ...]:
-    """Zero-pad a point of the m-dimensional window into P(n).
+def lift_to_p(n: SpeedVector, p: Sequence[int]) -> tuple[int, ...]:
+    """Zero-pad a point of the m-dimensional window into P(n), m = len(p).
 
     Valid for m in {1, 2} when n_{m+1} <= k * n_k (vacuous when m = k):
     the padded coordinates then satisfy every constraint involving
@@ -270,16 +268,12 @@ def lift_to_p(
     failure raises, since it would mean the geometry and the algebra
     disagree.
     """
+    coords = tuple(p)
+    m = len(coords)
     if m not in (1, 2):
-        raise ValueError(f"m must be 1 or 2, got {m}")
+        raise ValueError(f"point must have 1 or 2 coordinates, got {m}")
     if m > n.k:
         raise ValueError(f"m = {m} exceeds k = {n.k}")
-    if isinstance(p, int):
-        coords: tuple[int, ...] = (p,)
-    else:
-        coords = tuple(p)
-    if len(coords) != m:
-        raise ValueError(f"point has dimension {len(coords)}, expected m = {m}")
     k = n.k
     if m < k and n[m] > k * n[k - 1]:
         raise ValueError(f"lift needs n_{m + 1} <= k*n_k, got {n[m]} > {k * n[k - 1]}")

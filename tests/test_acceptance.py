@@ -194,7 +194,7 @@ def test_criterion_09_witness_roundtrip_to_12():
         if n.k == 3 and n[2] <= n.k * n[n.k - 1]:
             p = integer_point_in_q(n)
             assert p is not None, speeds
-            assert contains(n, lift_to_p(n, p, 2)), speeds
+            assert contains(n, lift_to_p(n, p)), speeds
             planar_checked += 1
     assert lattice_checked == 4095
     assert planar_checked == 220
@@ -208,9 +208,9 @@ def test_criterion_09_witness_roundtrip_to_12():
 
 def test_criterion_10_closed_form_matches_mask_loop():
     start = time.perf_counter()
-    closed = json.dumps(sweep(16).to_json_obj())
+    closed = json.dumps(vars(sweep(16)))
     census = _census(16, False, False, False, records=False)
     with pytest.raises(StopIteration) as done:
         next(census)
-    assert closed == json.dumps(done.value.value.to_json_obj())
+    assert closed == json.dumps(vars(done.value.value))
     _report(10, start, 60.0, "N = 16 closed-form sweep JSON byte-identical to the mask loop's")

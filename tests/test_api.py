@@ -1,6 +1,9 @@
+import ast
 import importlib
+import io
 import pkgutil
 import re
+import tokenize
 from pathlib import Path
 
 import lonely_runner
@@ -32,3 +35,26 @@ def test_readme_layout_lists_every_module():
     listed = re.findall(r"^  (\S+\.py) ", block, re.MULTILINE)
     on_disk = sorted(path.name for path in Path(lonely_runner.__path__[0]).glob("*.py"))
     assert sorted(listed) == on_disk
+
+
+def test_readme_library_use_matches_its_comments():
+    # Each line ``expr  # value`` of the block must print as its comment
+    # begins; the rest of the comment is prose.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {
+        tok.start[0]: tok.string[1:].strip()
+        for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    namespace: dict = {}
+    checked = 0
+    for statement in ast.parse(block).body:
+        code = ast.get_source_segment(block, statement)
+        if isinstance(statement, ast.Expr) and statement.lineno in comments:
+            value = repr(eval(code, namespace))
+            assert comments[statement.lineno].startswith(value), f"{code}: {value}"
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked >= 5

@@ -156,10 +156,10 @@ def _confirm_rule_verdicts(speeds):
     if thm1:
         p = integer_point_in_q(n)
         assert p is not None
-        assert contains(n, lift_to_p(n, p, 2))
+        assert contains(n, lift_to_p(n, p))
     if thm2:
         lo, _ = p1_interval(n)
-        assert contains(n, lift_to_p(n, math.ceil(lo), 1))
+        assert contains(n, lift_to_p(n, (math.ceil(lo),)))
     if slow_fast:
         assert is_suitable(n, classify(n).witness_time)
     return thm1, thm2, slow_fast

@@ -115,7 +115,7 @@ def test_dyadic_json(capsys):
 def test_enumerate_json_matches_library(capsys):
     code, out, err = run_cli(capsys, "enumerate", "8", "--json")
     assert code == 0
-    assert json.loads(out) == enumeration.sweep(8).to_json_obj()
+    assert json.loads(out) == vars(enumeration.sweep(8))
     assert "elapsed_ms=" in err
 
 

@@ -1,4 +1,6 @@
+import csv
 import io
+import itertools
 import json
 
 import pytest
@@ -39,7 +41,7 @@ def test_moebius_count_domain():
 
 
 def test_sweep_frozen_small():
-    assert sweep(4).to_json_obj() == {
+    assert vars(sweep(4)) == {
         "max_speed": 4,
         "total_vectors": 15,
         "coprime_vectors": 11,
@@ -50,7 +52,7 @@ def test_sweep_frozen_small():
         "oracle_instance_count": None,
         "dyadic_verified_count": None,
     }
-    assert sweep(6).to_json_obj() == {
+    assert vars(sweep(6)) == {
         "max_speed": 6,
         "total_vectors": 63,
         "coprime_vectors": 53,
@@ -131,10 +133,18 @@ def test_sweep_oracle_and_dyadic_counts():
     assert summary.dyadic_verified_count == 53
 
 
-def test_summary_equality_ignores_elapsed():
-    a = sweep(5)
-    b = EnumerationSummary(**{**a.to_json_obj(), "elapsed": a.elapsed + 1000})
-    assert a == b
+def test_summary_holds_only_the_counts():
+    assert list(vars(sweep(5))) == [
+        "max_speed",
+        "total_vectors",
+        "coprime_vectors",
+        "thm1_count",
+        "thm2_count",
+        "slow_fast_count",
+        "any_rule_count",
+        "oracle_instance_count",
+        "dyadic_verified_count",
+    ]
 
 
 def test_iter_vector_records_order_and_fields():
@@ -175,7 +185,7 @@ def test_vector_record_serialization():
 
 def test_export_summary_json_roundtrip():
     summary = sweep(6, with_oracle=True)
-    assert EnumerationSummary(**json.loads(json.dumps(summary.to_json_obj()))) == summary
+    assert EnumerationSummary(**json.loads(json.dumps(vars(summary)))) == summary
 
 
 def test_export_records_csv(tmp_path):
@@ -192,6 +202,42 @@ def test_export_records_json_stream():
     data = json.loads(buffer.getvalue())
     assert len(data) == 7
     assert data[0]["speeds"] == [1]
+
+
+FLAG_SETS = [
+    dict(zip(("require_coprime", "with_oracle", "with_dyadic"), bits))
+    for bits in itertools.product((False, True), repeat=3)
+]
+COLUMN_COUNTS = {
+    "coprime": "coprime_vectors",
+    "thm1": "thm1_count",
+    "thm2": "thm2_count",
+    "slow_fast": "slow_fast_count",
+    "any_rule": "any_rule_count",
+    "is_instance": "oracle_instance_count",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("flags", FLAG_SETS, ids=lambda flags: "-".join(k for k, on in flags.items() if on) or "rules")
+def test_export_returns_the_summary_of_its_pass(fmt, flags):
+    buffer = io.StringIO()
+    summary = export(iter_vector_records(6, **flags), fmt, buffer)
+    assert summary == sweep(6, **flags)
+    if fmt == "csv":
+        rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))
+        on, found = (lambda value: value == "1"), (lambda value: value != "")
+    else:
+        rows = json.loads(buffer.getvalue())
+        on, found = (lambda value: value is True), (lambda value: value is not None)
+    assert len(rows) == (summary.coprime_vectors if flags["require_coprime"] else summary.total_vectors)
+    for column, key in COLUMN_COUNTS.items():
+        assert sum(on(row[column]) for row in rows) == (getattr(summary, key) or 0), column
+    assert sum(found(row["dyadic_m"]) for row in rows) == (summary.dyadic_verified_count or 0)
+
+
+def test_export_of_a_list_returns_none():
+    assert export(list(iter_vector_records(3)), "csv", io.StringIO()) is None
 
 
 def test_export_rejects_bad_format():

@@ -274,37 +274,35 @@ def test_integer_point_matches_brute_scan(speeds):
 
 
 def test_lift_frozen_examples():
-    assert lift_to_p(new_speed_vector([20, 14, 8, 6, 5, 4, 2]), 1, 1) == (1, 0, 0, 0, 0, 0, 0)
-    assert lift_to_p(new_speed_vector([4, 3, 2]), (0, 0), 2) == (0, 0, 0)
+    assert lift_to_p(new_speed_vector([20, 14, 8, 6, 5, 4, 2]), (1,)) == (1, 0, 0, 0, 0, 0, 0)
+    assert lift_to_p(new_speed_vector([4, 3, 2]), (0, 0)) == (0, 0, 0)
     p = integer_point_in_q(REMARK_VECTOR)
-    lifted = lift_to_p(REMARK_VECTOR, p, 2)
+    lifted = lift_to_p(REMARK_VECTOR, p)
     assert lifted == (1, 1, 0, 0, 0, 0, 0)
     assert contains(REMARK_VECTOR, lifted)
 
 
 def test_lift_identity_when_m_equals_k():
-    assert lift_to_p(new_speed_vector([2, 1]), (0, 0), 2) == (0, 0)
+    assert lift_to_p(new_speed_vector([2, 1]), (0, 0)) == (0, 0)
 
 
 def test_lift_domain_errors():
     n = new_speed_vector([20, 14, 8, 6, 5, 4, 2])
-    with pytest.raises(ValueError, match="m must be 1 or 2"):
-        lift_to_p(n, 1, 3)
+    with pytest.raises(ValueError, match="1 or 2 coordinates"):
+        lift_to_p(n, (1, 0, 0))
     with pytest.raises(ValueError, match="exceeds k"):
-        lift_to_p(new_speed_vector([3]), (0, 0), 2)
-    with pytest.raises(ValueError, match="dimension"):
-        lift_to_p(n, (1, 2), 1)
+        lift_to_p(new_speed_vector([3]), (0, 0))
     with pytest.raises(ValueError, match="lift needs"):
-        lift_to_p(new_speed_vector([100, 99, 98, 1]), (24, 24), 2)
+        lift_to_p(new_speed_vector([100, 99, 98, 1]), (24, 24))
     with pytest.raises(ValueError, match="outside"):
-        lift_to_p(n, 5, 1)
+        lift_to_p(n, (5,))
     # The 2D window of REMARK_VECTOR: x1 in [3/16, 2], x2 in [1/8, 15/8]
     # and -95/8 <= 16 x1 - 17 x2 <= 103/8.  (0, 0) misses the box; (2, 1)
     # is in the box, but 16*2 - 17*1 = 15 is above the band.
     with pytest.raises(ValueError, match="outside"):
-        lift_to_p(REMARK_VECTOR, (0, 0), 2)
+        lift_to_p(REMARK_VECTOR, (0, 0))
     with pytest.raises(ValueError, match="outside"):
-        lift_to_p(REMARK_VECTOR, (2, 1), 2)
+        lift_to_p(REMARK_VECTOR, (2, 1))
 
 
 @pytest.mark.parametrize("speeds", sorted(descending_subsets(8, min_size=3)))
@@ -317,7 +315,7 @@ def test_lift_soundness_from_q(speeds):
         return
     p = integer_point_in_q(n)
     if p is not None:
-        lifted = lift_to_p(n, p, 2)
+        lifted = lift_to_p(n, p)
         assert contains(n, lifted)
 
 
@@ -330,7 +328,7 @@ def test_lift_soundness_from_p1(speeds):
     c = math.ceil(lo)
     if c > math.floor(hi):
         return
-    assert contains(n, lift_to_p(n, c, 1))
+    assert contains(n, lift_to_p(n, (c,)))
 
 
 def test_translate_invariance_frozen_examples():
