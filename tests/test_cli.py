@@ -313,6 +313,113 @@ def test_enumerate_out_matches_library(tmp_path, capsys, coprime, with_oracle, w
         assert out == plain
 
 
+# Exact --out bytes at N = 4, frozen so that a change to the record
+# writer cannot pass by changing the library and the CLI together.  csv
+# rows end in \r\n, as csv.writer writes them.
+OUT_GOLDEN = {
+    "oracle-dyadic-csv": (
+        ("--with-oracle", "--with-dyadic", "--format", "csv"),
+        "speeds,k,coprime,thm1,thm2,slow_fast,any_rule,is_instance,earliest_time,dyadic_m\r\n"
+        "1,1,1,0,0,1,1,1,1/2,2\r\n"
+        "2,1,0,0,0,1,1,1,1/4,4\r\n"
+        "2;1,2,1,0,1,1,1,1,1/3,8\r\n"
+        "3,1,0,0,0,1,1,1,1/6,8\r\n"
+        "3;1,2,1,0,0,0,0,1,4/9,32\r\n"
+        "3;2,2,1,0,1,1,1,1,1/6,12\r\n"
+        "3;2;1,3,1,0,1,1,1,1,1/4,24\r\n"
+        "4,1,0,0,0,1,1,1,1/8,8\r\n"
+        "4;1,2,1,0,1,0,1,1,1/3,32\r\n"
+        "4;2,2,0,0,1,1,1,1,1/6,16\r\n"
+        "4;2;1,3,1,0,0,0,0,1,5/16,40\r\n"
+        "4;3,2,1,0,1,1,1,1,1/9,11\r\n"
+        "4;3;1,3,1,0,0,0,0,1,5/12,54\r\n"
+        "4;3;2,3,1,0,1,1,1,1,1/8,16\r\n"
+        "4;3;2;1,4,1,0,1,1,1,1,1/5,32\r\n",
+    ),
+    "oracle-dyadic-json": (
+        ("--with-oracle", "--with-dyadic", "--format", "json"),
+        '[{"speeds": [1], "k": 1, "coprime": true, "thm1": false, "thm2": false, "slow_fast": true, '
+        '"any_rule": true, "is_instance": true, "earliest_time": "1/2", "dyadic_m": 2},\n'
+        '{"speeds": [2], "k": 1, "coprime": false, "thm1": false, "thm2": false, "slow_fast": true, '
+        '"any_rule": true, "is_instance": true, "earliest_time": "1/4", "dyadic_m": 4},\n'
+        '{"speeds": [2, 1], "k": 2, "coprime": true, "thm1": false, "thm2": true, "slow_fast": true, '
+        '"any_rule": true, "is_instance": true, "earliest_time": "1/3", "dyadic_m": 8},\n'
+        '{"speeds": [3], "k": 1, "coprime": false, "thm1": false, "thm2": false, "slow_fast": true, '
+        '"any_rule": true, "is_instance": true, "earliest_time": "1/6", "dyadic_m": 8},\n'
+        '{"speeds": [3, 1], "k": 2, "coprime": true, "thm1": false, "thm2": false, "slow_fast": false, '
+        '"any_rule": false, "is_instance": true, "earliest_time": "4/9", "dyadic_m": 32},\n'
+        '{"speeds": [3, 2], "k": 2, "coprime": true, "thm1": false, "thm2": true, "slow_fast": true, '
+        '"any_rule": true, "is_instance": true, "earliest_time": "1/6", "dyadic_m": 12},\n'
+        '{"speeds": [3, 2, 1], "k": 3, "coprime": true, "thm1": false, "thm2": true, "slow_fast": true, '
+        '"any_rule": true, "is_instance": true, "earliest_time": "1/4", "dyadic_m": 24},\n'
+        '{"speeds": [4], "k": 1, "coprime": false, "thm1": false, "thm2": false, "slow_fast": true, '
+        '"any_rule": true, "is_instance": true, "earliest_time": "1/8", "dyadic_m": 8},\n'
+        '{"speeds": [4, 1], "k": 2, "coprime": true, "thm1": false, "thm2": true, "slow_fast": false, '
+        '"any_rule": true, "is_instance": true, "earliest_time": "1/3", "dyadic_m": 32},\n'
+        '{"speeds": [4, 2], "k": 2, "coprime": false, "thm1": false, "thm2": true, "slow_fast": true, '
+        '"any_rule": true, "is_instance": true, "earliest_time": "1/6", "dyadic_m": 16},\n'
+        '{"speeds": [4, 2, 1], "k": 3, "coprime": true, "thm1": false, "thm2": false, "slow_fast": false, '
+        '"any_rule": false, "is_instance": true, "earliest_time": "5/16", "dyadic_m": 40},\n'
+        '{"speeds": [4, 3], "k": 2, "coprime": true, "thm1": false, "thm2": true, "slow_fast": true, '
+        '"any_rule": true, "is_instance": true, "earliest_time": "1/9", "dyadic_m": 11},\n'
+        '{"speeds": [4, 3, 1], "k": 3, "coprime": true, "thm1": false, "thm2": false, "slow_fast": false, '
+        '"any_rule": false, "is_instance": true, "earliest_time": "5/12", "dyadic_m": 54},\n'
+        '{"speeds": [4, 3, 2], "k": 3, "coprime": true, "thm1": false, "thm2": true, "slow_fast": true, '
+        '"any_rule": true, "is_instance": true, "earliest_time": "1/8", "dyadic_m": 16},\n'
+        '{"speeds": [4, 3, 2, 1], "k": 4, "coprime": true, "thm1": false, "thm2": true, "slow_fast": true, '
+        '"any_rule": true, "is_instance": true, "earliest_time": "1/5", "dyadic_m": 32}]\n',
+    ),
+    "rules-coprime-csv": (
+        ("--require-coprime",),
+        "speeds,k,coprime,thm1,thm2,slow_fast,any_rule,is_instance,earliest_time,dyadic_m\r\n"
+        "1,1,1,0,0,1,1,,,\r\n"
+        "2;1,2,1,0,1,1,1,,,\r\n"
+        "3;1,2,1,0,0,0,0,,,\r\n"
+        "3;2,2,1,0,1,1,1,,,\r\n"
+        "3;2;1,3,1,0,1,1,1,,,\r\n"
+        "4;1,2,1,0,1,0,1,,,\r\n"
+        "4;2;1,3,1,0,0,0,0,,,\r\n"
+        "4;3,2,1,0,1,1,1,,,\r\n"
+        "4;3;1,3,1,0,0,0,0,,,\r\n"
+        "4;3;2,3,1,0,1,1,1,,,\r\n"
+        "4;3;2;1,4,1,0,1,1,1,,,\r\n",
+    ),
+    "rules-coprime-json": (
+        ("--require-coprime", "--format", "json"),
+        '[{"speeds": [1], "k": 1, "coprime": true, "thm1": false, "thm2": false, "slow_fast": true, '
+        '"any_rule": true, "is_instance": null, "earliest_time": null, "dyadic_m": null},\n'
+        '{"speeds": [2, 1], "k": 2, "coprime": true, "thm1": false, "thm2": true, "slow_fast": true, '
+        '"any_rule": true, "is_instance": null, "earliest_time": null, "dyadic_m": null},\n'
+        '{"speeds": [3, 1], "k": 2, "coprime": true, "thm1": false, "thm2": false, "slow_fast": false, '
+        '"any_rule": false, "is_instance": null, "earliest_time": null, "dyadic_m": null},\n'
+        '{"speeds": [3, 2], "k": 2, "coprime": true, "thm1": false, "thm2": true, "slow_fast": true, '
+        '"any_rule": true, "is_instance": null, "earliest_time": null, "dyadic_m": null},\n'
+        '{"speeds": [3, 2, 1], "k": 3, "coprime": true, "thm1": false, "thm2": true, "slow_fast": true, '
+        '"any_rule": true, "is_instance": null, "earliest_time": null, "dyadic_m": null},\n'
+        '{"speeds": [4, 1], "k": 2, "coprime": true, "thm1": false, "thm2": true, "slow_fast": false, '
+        '"any_rule": true, "is_instance": null, "earliest_time": null, "dyadic_m": null},\n'
+        '{"speeds": [4, 2, 1], "k": 3, "coprime": true, "thm1": false, "thm2": false, "slow_fast": false, '
+        '"any_rule": false, "is_instance": null, "earliest_time": null, "dyadic_m": null},\n'
+        '{"speeds": [4, 3], "k": 2, "coprime": true, "thm1": false, "thm2": true, "slow_fast": true, '
+        '"any_rule": true, "is_instance": null, "earliest_time": null, "dyadic_m": null},\n'
+        '{"speeds": [4, 3, 1], "k": 3, "coprime": true, "thm1": false, "thm2": false, "slow_fast": false, '
+        '"any_rule": false, "is_instance": null, "earliest_time": null, "dyadic_m": null},\n'
+        '{"speeds": [4, 3, 2], "k": 3, "coprime": true, "thm1": false, "thm2": true, "slow_fast": true, '
+        '"any_rule": true, "is_instance": null, "earliest_time": null, "dyadic_m": null},\n'
+        '{"speeds": [4, 3, 2, 1], "k": 4, "coprime": true, "thm1": false, "thm2": true, "slow_fast": true, '
+        '"any_rule": true, "is_instance": null, "earliest_time": null, "dyadic_m": null}]\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("flags,expected", OUT_GOLDEN.values(), ids=OUT_GOLDEN.keys())
+def test_enumerate_out_golden(tmp_path, capsys, flags, expected):
+    out_file = tmp_path / "records"
+    code, _, _ = run_cli(capsys, "enumerate", "4", *flags, "--out", str(out_file))
+    assert code == 0
+    assert out_file.read_bytes() == expected.encode()
+
+
 def test_count_coprime_text(capsys):
     code, out, _ = run_cli(capsys, "count-coprime", "32")
     assert code == 0
