@@ -79,7 +79,7 @@ def classify(n: SpeedVector, with_oracle: bool = False) -> ClassificationReport:
     Any reported witness time is suitable and its floor-rounding is an
     integer point of the runner polyhedron.
     """
-    thm1, thm2, slow_fast = evaluate_rules(n.speeds)
+    thm1, thm2, slow_fast = evaluate_rules(n)
     any_rule = thm1 or thm2 or slow_fast
     earliest = oracle.earliest_suitable_time(n) if with_oracle else None
     witness_time = Fraction(n.k, (n.k + 1) * n[0]) if slow_fast else earliest

@@ -99,8 +99,6 @@ def _plain(value: object) -> object:
     """``json.dumps`` default for the library values in an output dict."""
     if isinstance(value, Fraction):
         return format_rational(value)
-    if isinstance(value, SpeedVector):
-        return list(value.speeds)
     if is_dataclass(value):
         return vars(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -46,7 +46,7 @@ def find_dyadic_time(n: SpeedVector) -> int | None:
     The minimal m, when there is one, is at most ceil(D/2).
     """
     den = dyadic_denominator(n)
-    for lo_num, lo_den, hi_num, hi_den in oracle._leapfrog(n.speeds):
+    for lo_num, lo_den, hi_num, hi_den in oracle._leapfrog(n):
         # Smallest m with m/den >= lo; intervals lie inside (0, 1), so
         # 1 <= m_lo <= den.
         m_lo = -((-lo_num * den) // lo_den)

@@ -2,17 +2,18 @@
 
 Bitmask i (1 <= i < 2^N) encodes the subset whose bit j-1 means speed
 j; decoding a mask yields the descending speed tuple.  The per-vector
-loop runs once over the masks in ascending order, counts coprimality
-and the rule triple for each vector, and optionally runs the exact
-oracle or the dyadic grid search.  One loop serves the oracle and
-dyadic summaries and the record stream; a stream returns its summary
-when it ends, so :func:`export` hands back the summary of the pass
-that wrote the file.
+loop runs once over the masks in ascending order and counts the
+vectors that the exact oracle or the dyadic grid search decides; a
+record also carries the vector's coprimality and rule triple.  One
+loop serves the oracle and dyadic summaries and the record stream; a
+stream returns its summary when it ends, so :func:`export` hands back
+the summary of the pass that wrote the file.
 
-A rules-only summary visits no vector.  The rules read only the
-extremes (n_1, n_2, n_3, n_k) and k, so each pattern of extremes is
-counted once with the number of ways to choose the speeds between n_3
-and n_k.  The number of coprime subsets has a closed form by Mobius
+Every summary takes its total, coprime and rule counts from a closed
+form, and a rules-only summary visits no vector.  The rules read only
+the extremes (n_1, n_2, n_3, n_k) and k, so each pattern of extremes
+is counted once with the number of ways to choose the speeds between
+n_3 and n_k.  The number of coprime subsets has a closed form by Mobius
 inversion over the common divisor (subsets of {1..N} with gcd
 divisible by d are in bijection with subsets of {1..N/d}), which is
 what :func:`coprime_count_moebius` computes.  The rules are
@@ -26,7 +27,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import IO, Generator, Iterable, Iterator, NamedTuple
 
@@ -129,13 +130,6 @@ class VectorRecord(NamedTuple):
             "" if self.dyadic_m is None else str(self.dyadic_m),
         ]
 
-    def to_json_obj(self) -> dict:
-        obj = self._asdict()
-        obj["speeds"] = list(self.speeds)
-        if self.earliest_time is not None:
-            obj["earliest_time"] = format_rational(self.earliest_time)
-        return obj
-
 
 def _decode(mask: int) -> tuple[int, ...]:
     """Descending speed tuple of a subset bitmask (bit j-1 <-> speed j)."""
@@ -158,31 +152,19 @@ def _census(
 ) -> Generator[VectorRecord, None, EnumerationSummary]:
     """The one per-vector loop, over every mask in ascending order.
 
-    Counts every vector in local integers; yields a VectorRecord per
+    Counts oracle instances and dyadic hits; yields a VectorRecord per
     classified vector only when ``records`` is set.  Returns the
-    summary.
+    closed-form summary of :func:`_rule_census` with those two counts.
     """
     gcd = math.gcd
     earliest = dyadic_m = None  # reassigned per vector only when their pass is on
-    coprime_ct = thm1_ct = thm2_ct = slow_ct = any_ct = 0
     oracle_ct = 0 if with_oracle else None
     dyadic_ct = 0 if with_dyadic else None
     for mask in range(1, 1 << max_speed):
         speeds = _decode(mask)
         coprime = gcd(*speeds) == 1
-        if coprime:
-            coprime_ct += 1
-        elif require_coprime:
+        if require_coprime and not coprime:
             continue
-        thm1, thm2, slow_fast = evaluate_rules(speeds)
-        if thm1:
-            thm1_ct += 1
-        if thm2:
-            thm2_ct += 1
-        if slow_fast:
-            slow_ct += 1
-        if thm1 or thm2 or slow_fast:
-            any_ct += 1
         if with_oracle or with_dyadic:
             sv = SpeedVector(speeds)
             if with_oracle:
@@ -194,6 +176,7 @@ def _census(
                 if dyadic_m is not None:
                     dyadic_ct += 1
         if records:
+            thm1, thm2, slow_fast = evaluate_rules(speeds)
             yield VectorRecord(
                 speeds=speeds,
                 k=len(speeds),
@@ -206,8 +189,8 @@ def _census(
                 earliest_time=earliest,
                 dyadic_m=dyadic_m,
             )
-    counts = (coprime_ct, thm1_ct, thm2_ct, slow_ct, any_ct, oracle_ct, dyadic_ct)
-    return EnumerationSummary(max_speed, (1 << max_speed) - 1, *counts)
+    summary = _rule_census(max_speed, require_coprime)
+    return replace(summary, oracle_instance_count=oracle_ct, dyadic_verified_count=dyadic_ct)
 
 
 def _patterns(n1: int, binom: list[list[int]]) -> Iterator[tuple[int, int, int, int, int]]:
@@ -272,9 +255,9 @@ def sweep(
 
     ``require_coprime`` restricts classification (and the optional
     oracle and dyadic passes) to coprime vectors; total and coprime
-    counts always cover the whole range.  Without the oracle and the
-    dyadic pass the summary is counted in closed form and visits no
-    vector; with either, the per-vector loop counts every vector.
+    counts always cover the whole range.  Those and the rule counts
+    come from the closed form; only the oracle and dyadic counts visit
+    the vectors, in the per-vector loop.
     """
     _check_max_speed(max_speed)  # on either path, before any work
     if not (with_oracle or with_dyadic):
@@ -309,7 +292,7 @@ def _export_to(handle: IO[str], records: Iterable[VectorRecord], fmt: str) -> No
         for record in records:
             if not first:
                 handle.write(",\n")
-            json.dump(record.to_json_obj(), handle)
+            json.dump(record._asdict(), handle, default=format_rational)
             first = False
         handle.write("]\n")
     else:

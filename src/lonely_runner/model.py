@@ -1,7 +1,8 @@
 """Speed vectors: validated tuples of distinct positive integer speeds.
 
-A speed vector is stored sorted in strictly decreasing order, so
-``speeds[0]`` is the fastest runner and ``speeds[-1]`` the slowest.
+A speed vector is a tuple sorted in strictly decreasing order, so
+``n[0]`` is the fastest runner and ``n[-1]`` the slowest; it equals
+the plain tuple of its speeds and is written as a JSON list.
 Ties are rejected: two runners with equal speeds keep a constant gap,
 so duplicates would silently change the problem being decided.
 :func:`normalize` additionally collapses duplicates and divides out the
@@ -16,47 +17,38 @@ CLI and the export files print.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = ["SpeedVector", "new_speed_vector", "normalize", "format_rational"]
 
 
-@dataclass(frozen=True)
-class SpeedVector:
-    """Distinct positive integer speeds in strictly decreasing order."""
+class SpeedVector(tuple):
+    """Distinct positive integer speeds in strictly decreasing order, as a tuple."""
 
-    speeds: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.speeds) == 0:
+    def __new__(cls, speeds: Iterable[int]) -> SpeedVector:
+        self = super().__new__(cls, speeds)
+        if len(self) == 0:
             raise ValueError("speed vector must not be empty")
-        for s in self.speeds:
+        for s in self:
             if s < 1:
                 raise ValueError(f"speeds must be positive integers, got {s}")
-        for a, b in zip(self.speeds, self.speeds[1:]):
+        for a, b in zip(self, self[1:]):
             if a == b:
                 raise ValueError(f"duplicate speed {a}")
             if a < b:
                 raise ValueError("speeds must be strictly decreasing")
+        return self
 
     @property
     def k(self) -> int:
         """Number of runners besides the stationary one."""
-        return len(self.speeds)
-
-    def __len__(self) -> int:
-        return len(self.speeds)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.speeds)
-
-    def __getitem__(self, index: int) -> int:
-        return self.speeds[index]
+        return len(self)
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(s) for s in self.speeds) + ")"
+        return "(" + ",".join(str(s) for s in self) + ")"
 
 
 def new_speed_vector(values: Iterable[int]) -> SpeedVector:

@@ -101,21 +101,21 @@ def suitable_set(n: SpeedVector) -> list[tuple[Fraction, Fraction]]:
     The pairs are sorted and disjoint: 0 < lo <= hi < next lo, and the
     last hi < 1.
     """
-    if sum(n.speeds) > _MAX_SUITABLE_ARCS:
-        raise ValueError(f"{n} may have {sum(n.speeds)} suitable intervals, over the limit {_MAX_SUITABLE_ARCS}")
-    if n.k * sum(n.speeds) > _MAX_JOIN_STEPS:
-        raise ValueError(f"{n} may take {n.k * sum(n.speeds)} join steps, over the limit {_MAX_JOIN_STEPS}")
-    return [(Fraction(a, b), Fraction(c, d)) for a, b, c, d in _leapfrog(n.speeds)]
+    if sum(n) > _MAX_SUITABLE_ARCS:
+        raise ValueError(f"{n} may have {sum(n)} suitable intervals, over the limit {_MAX_SUITABLE_ARCS}")
+    if n.k * sum(n) > _MAX_JOIN_STEPS:
+        raise ValueError(f"{n} may take {n.k * sum(n)} join steps, over the limit {_MAX_JOIN_STEPS}")
+    return [(Fraction(a, b), Fraction(c, d)) for a, b, c, d in _leapfrog(n)]
 
 
 def is_instance(n: SpeedVector) -> bool:
     """True when some suitable time exists for n."""
-    return next(_leapfrog(n.speeds), None) is not None
+    return next(_leapfrog(n), None) is not None
 
 
 def earliest_suitable_time(n: SpeedVector) -> Fraction | None:
     """Smallest suitable time, or None when no suitable time exists."""
-    first = next(_leapfrog(n.speeds), None)
+    first = next(_leapfrog(n), None)
     return None if first is None else Fraction(first[0], first[1])
 
 

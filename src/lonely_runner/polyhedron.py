@@ -263,10 +263,9 @@ def lift_to_p(n: SpeedVector, p: Sequence[int]) -> tuple[int, ...]:
     """Zero-pad a point of the m-dimensional window into P(n), m = len(p).
 
     Valid for m in {1, 2} when n_{m+1} <= k * n_k (vacuous when m = k):
-    the padded coordinates then satisfy every constraint involving
-    them.  The membership of the result is checked exactly and a
-    failure raises, since it would mean the geometry and the algebra
-    disagree.
+    the padded point is then in P(n) exactly when p is in the window,
+    so one exact membership test of the padded point decides both, and
+    a point outside raises.
     """
     coords = tuple(p)
     m = len(coords)
@@ -277,18 +276,11 @@ def lift_to_p(n: SpeedVector, p: Sequence[int]) -> tuple[int, ...]:
     k = n.k
     if m < k and n[m] > k * n[k - 1]:
         raise ValueError(f"lift needs n_{m + 1} <= k*n_k, got {n[m]} > {k * n[k - 1]}")
-    if m == k:
-        inside = contains(n, coords)
-    elif m == 1:
-        lo, hi = p1_interval(n)
-        inside = lo <= coords[0] <= hi
-    else:
-        lo1, hi1, lo2, hi2, lo5, hi5 = _q_bounds(n)
-        x1, x2 = coords
-        inside = lo1 <= x1 <= hi1 and lo2 <= x2 <= hi2 and lo5 <= n[1] * x1 - n[0] * x2 <= hi5
-    if not inside:
-        raise ValueError(f"point {coords} is outside the {m}-dimensional window")
+    # Under the guard, the constraint of two padded coordinates i < j holds,
+    # as n_i <= n_{m+1} <= k n_k <= k n_j.  A window coordinate against the
+    # padded ones is bounded by the window's box (n_k sets the low end and
+    # n_{m+1} the high end), and for m = 2 the pair (1, 2) is the slant band.
     lifted = coords + (0,) * (k - m)
     if not contains(n, lifted):
-        raise RuntimeError(f"zero-padding {coords} left P{n}")
+        raise ValueError(f"point {coords} is outside the {m}-dimensional window")
     return lifted

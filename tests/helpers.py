@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import lonely_runner
+from lonely_runner.enumeration import EnumerationSummary, iter_vector_records
 from lonely_runner.model import SpeedVector
 from lonely_runner.oracle import is_suitable
 from lonely_runner.polyhedron import HalfPlane, contains
@@ -22,6 +23,7 @@ from lonely_runner.polyhedron import HalfPlane, contains
 __all__ = [
     "descending_subsets",
     "coprime_count_brute",
+    "record_tally",
     "grid_denominator",
     "scaled_suitable_set",
     "suitability_probe_points",
@@ -47,9 +49,26 @@ def coprime_count_brute(max_speed: int) -> int:
     return sum(1 for s in descending_subsets(max_speed) if math.gcd(*s) == 1)
 
 
+def record_tally(max_speed: int, require_coprime: bool = False) -> EnumerationSummary:
+    """The rules-only summary of a sweep, summed from the record columns vector by vector.
+
+    The library counts this summary in closed form; the records come
+    from the per-vector loop, which runs gcd and the rules on each mask.
+    """
+    coprime = thm1 = thm2 = slow_fast = any_rule = 0
+    for record in iter_vector_records(max_speed, require_coprime=require_coprime):
+        coprime += record.coprime
+        thm1 += record.thm1
+        thm2 += record.thm2
+        slow_fast += record.slow_fast
+        any_rule += record.any_rule
+    total = (1 << max_speed) - 1
+    return EnumerationSummary(max_speed, total, coprime, thm1, thm2, slow_fast, any_rule, None, None)
+
+
 def grid_denominator(n: SpeedVector) -> int:
     """Common denominator (k+1) * lcm(n) of all suitability endpoints."""
-    return (n.k + 1) * math.lcm(*n.speeds)
+    return (n.k + 1) * math.lcm(*n)
 
 
 def _intersect(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -76,13 +95,12 @@ def scaled_suitable_set(n: SpeedVector) -> tuple[int, list[tuple[int, int]]]:
     the k lists are intersected pairwise with a two-pointer sweep.
     Memory grows with sum(n), so keep speeds small.
     """
-    speeds = n.speeds
-    k = len(speeds)
-    big_l = math.lcm(*speeds)
+    k = n.k
+    big_l = math.lcm(*n)
     kp1 = k + 1
     denominator = kp1 * big_l
     result: list[tuple[int, int]] | None = None
-    for s in sorted(speeds):
+    for s in sorted(n):
         step = big_l // s
         arcs = [((m * kp1 + 1) * step, (m * kp1 + k) * step) for m in range(s)]
         result = arcs if result is None else _intersect(result, arcs)

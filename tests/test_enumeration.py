@@ -5,12 +5,11 @@ import json
 
 import pytest
 
-from helpers import coprime_count_brute, descending_subsets
+from helpers import coprime_count_brute, descending_subsets, record_tally
 from lonely_runner.classify import evaluate_rules
 from lonely_runner.enumeration import (
     EnumerationSummary,
     VectorRecord,
-    _census,
     coprime_count_moebius,
     export,
     iter_vector_records,
@@ -87,30 +86,19 @@ def test_sweep_domain_checks():
         sweep(33)
 
 
-def _mask_loop(max_speed, require_coprime=False):
-    """The summary of the per-vector loop over every mask, without records."""
-    census = _census(max_speed, require_coprime, False, False, records=False)
-    with pytest.raises(StopIteration) as done:
-        next(census)
-    return done.value.value
-
-
 @pytest.mark.parametrize("require_coprime", [False, True])
 @pytest.mark.parametrize("max_speed", range(1, 17))
 def test_closed_form_sweep_matches_mask_loop(max_speed, require_coprime):
-    assert _mask_loop(max_speed, require_coprime) == sweep(max_speed, require_coprime=require_coprime)
+    assert record_tally(max_speed, require_coprime) == sweep(max_speed, require_coprime=require_coprime)
 
 
-def test_closed_form_and_mask_loop_give_the_n20_coprime_census():
+def test_closed_form_gives_the_n20_coprime_census():
     # The census_rules workload of the benchmark prints these counts.
     closed = sweep(20, require_coprime=True)
-    masks = _mask_loop(20, require_coprime=True)
-    for summary in (closed, masks):
-        assert summary.total_vectors == 1048575
-        assert summary.coprime_vectors == 1047479
-        counts = (summary.thm1_count, summary.thm2_count, summary.slow_fast_count, summary.any_rule_count)
-        assert counts == (2686, 436220, 428275, 437288)
-    assert closed == masks
+    assert closed.total_vectors == 1048575
+    assert closed.coprime_vectors == 1047479
+    counts = (closed.thm1_count, closed.thm2_count, closed.slow_fast_count, closed.any_rule_count)
+    assert counts == (2686, 436220, 428275, 437288)
 
 
 def test_sweep_require_coprime_counts():
@@ -179,8 +167,9 @@ def test_vector_record_serialization():
         dyadic_m=None,
     )
     assert record.to_csv_row() == ["4;3;2", "3", "1", "0", "1", "1", "1", "", "", ""]
-    assert record.to_json_obj()["speeds"] == [4, 3, 2]
-    assert record.to_json_obj()["earliest_time"] is None
+    buffer = io.StringIO()
+    export([record], "json", buffer)
+    assert json.loads(buffer.getvalue())[0]["earliest_time"] is None
 
 
 def test_export_summary_json_roundtrip():

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lonely_runner import cli
 from lonely_runner.model import SpeedVector, format_rational, new_speed_vector, normalize
 
 
@@ -15,6 +17,9 @@ def test_speed_vector_basics():
     assert list(n) == [4, 3, 2]
     assert n[0] == 4 and n[2] == 2
     assert str(n) == "(4,3,2)"
+    assert isinstance(n, tuple)
+    assert json.dumps(n) == "[4, 3, 2]"
+    assert cli._text(n) == str(n)
 
 
 def test_speed_vector_rejects_empty():
@@ -39,7 +44,7 @@ def test_speed_vector_rejects_increasing():
 
 
 def test_new_speed_vector_sorts():
-    assert new_speed_vector([2, 16, 17, 7, 6, 5, 4]).speeds == (17, 16, 7, 6, 5, 4, 2)
+    assert new_speed_vector([2, 16, 17, 7, 6, 5, 4]) == (17, 16, 7, 6, 5, 4, 2)
 
 
 def test_new_speed_vector_still_rejects_duplicates():
@@ -48,10 +53,10 @@ def test_new_speed_vector_still_rejects_duplicates():
 
 
 def test_normalize_dedupes_and_divides_gcd():
-    assert normalize([6, 6, 3]).speeds == (2, 1)
-    assert normalize([4, 2]).speeds == (2, 1)
-    assert normalize([6, 0, -2, 3]).speeds == (2, 1)
-    assert normalize([5]).speeds == (1,)
+    assert normalize([6, 6, 3]) == (2, 1)
+    assert normalize([4, 2]) == (2, 1)
+    assert normalize([6, 0, -2, 3]) == (2, 1)
+    assert normalize([5]) == (1,)
 
 
 def test_normalize_needs_a_positive_value():
@@ -62,11 +67,11 @@ def test_normalize_needs_a_positive_value():
 @given(st.lists(st.integers(min_value=-5, max_value=60), min_size=1).filter(lambda v: any(x >= 1 for x in v)))
 def test_normalize_is_canonical(values):
     n = normalize(values)
-    assert math.gcd(*n.speeds) == 1
-    assert all(a > b for a, b in zip(n.speeds, n.speeds[1:]))
+    assert math.gcd(*n) == 1
+    assert all(a > b for a, b in zip(n, n[1:]))
     assert all(s >= 1 for s in n)
     # Idempotent: normalizing a normalized vector changes nothing.
-    assert normalize(n.speeds).speeds == n.speeds
+    assert normalize(n) == n
 
 
 def test_format_rational_always_has_denominator():

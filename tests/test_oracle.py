@@ -95,7 +95,7 @@ def test_leapfrog_matches_arc_lists_at_larger_speeds(k, tier):
 def test_leapfrog_intervals_at_huge_speeds(speeds):
     # The arc lists cannot run at these speeds; the definitional test can.
     n = new_speed_vector(speeds)
-    raw = list(itertools.islice(oracle._leapfrog(n.speeds), 50))
+    raw = list(itertools.islice(oracle._leapfrog(n), 50))
     dens = {(n.k + 1) * s for s in n}
     assert all(lo_den in dens and hi_den in dens for _, lo_den, _, hi_den in raw)
     intervals = [(F(lo_num, lo_den), F(hi_num, hi_den)) for lo_num, lo_den, hi_num, hi_den in raw]

@@ -308,8 +308,9 @@ def test_lift_domain_errors():
 @pytest.mark.parametrize("speeds", sorted(descending_subsets(8, min_size=3)))
 def test_lift_soundness_from_q(speeds):
     # Any integer point of the planar cell zero-pads into P(n) when
-    # n_3 <= k * n_k; lift_to_p re-checks membership internally and
-    # raises on disagreement, so the call itself is the assertion.
+    # n_3 <= k * n_k.  The scan of integer_point_in_q reads Q's bounds,
+    # and lift_to_p tests only the padded point against P(n), so the two
+    # agree on every point the scan returns.
     n = SpeedVector(speeds)
     if n[2] > n.k * n[n.k - 1]:
         return
@@ -329,6 +330,53 @@ def test_lift_soundness_from_p1(speeds):
     if c > math.floor(hi):
         return
     assert contains(n, lift_to_p(n, (c,)))
+
+
+def _half_steps(lo, hi):
+    """Multiples of 1/2 in [lo, hi] widened by 1 on each side (either order)."""
+    lo, hi = min(lo, hi) - 1, max(lo, hi) + 1
+    return [F(j, 2) for j in range(math.ceil(2 * lo), math.floor(2 * hi) + 1)]
+
+
+def _check_window_point(n, point, inside, seen):
+    """The window's own verdict on point against P(n) at the padded point, and lift_to_p."""
+    padded = point + (0,) * (n.k - len(point))
+    assert contains(n, padded) == inside, (n, point)
+    if all(x.denominator == 1 for x in point):
+        seen[inside] += 1
+        integer = tuple(int(x) for x in point)
+        if inside:
+            assert lift_to_p(n, integer) == padded
+        else:
+            with pytest.raises(ValueError, match="outside"):
+                lift_to_p(n, integer)
+
+
+def test_p1_window_is_membership_of_the_padded_point():
+    seen = {True: 0, False: 0}
+    for speeds in descending_subsets(8, min_size=2):
+        n = SpeedVector(speeds)
+        if n[1] > n.k * n[-1]:
+            continue
+        lo, hi = p1_interval(n)
+        for x in _half_steps(lo, hi):
+            _check_window_point(n, (x,), lo <= x <= hi, seen)
+    assert seen[True] and seen[False]
+
+
+def test_q_window_is_membership_of_the_padded_point():
+    seen = {True: 0, False: 0}
+    for speeds in descending_subsets(8, min_size=3):
+        n = SpeedVector(speeds)
+        if n[2] > n.k * n[-1]:
+            continue
+        halfplanes = q_geometry(n).halfplanes
+        lo1, hi1, lo2, hi2 = -halfplanes[0].b, halfplanes[1].b, -halfplanes[2].b, halfplanes[3].b
+        for x1 in _half_steps(lo1, hi1):
+            for x2 in _half_steps(lo2, hi2):
+                inside = all(halfplane_lhs(h, x1, x2) <= h.b for h in halfplanes)
+                _check_window_point(n, (x1, x2), inside, seen)
+    assert seen[True] and seen[False]
 
 
 def test_translate_invariance_frozen_examples():
