@@ -308,9 +308,9 @@ def test_lift_domain_errors():
 @pytest.mark.parametrize("speeds", sorted(descending_subsets(8, min_size=3)))
 def test_lift_soundness_from_q(speeds):
     # Any integer point of the planar cell zero-pads into P(n) when
-    # n_3 <= k * n_k.  The scan of integer_point_in_q reads Q's bounds,
-    # and lift_to_p tests only the padded point against P(n), so the two
-    # agree on every point the scan returns.
+    # n_3 <= k * n_k.  integer_point_in_q finds the point from Q's bounds
+    # and lift_to_p tests only the padded point against P(n), so the call
+    # raises if the two disagree.
     n = SpeedVector(speeds)
     if n[2] > n.k * n[n.k - 1]:
         return
@@ -339,7 +339,7 @@ def _half_steps(lo, hi):
 
 
 def _check_window_point(n, point, inside, seen):
-    """The window's own verdict on point against P(n) at the padded point, and lift_to_p."""
+    """Check the window's verdict ``inside`` against P(n) at the padded point, and lift_to_p at integer points."""
     padded = point + (0,) * (n.k - len(point))
     assert contains(n, padded) == inside, (n, point)
     if all(x.denominator == 1 for x in point):
