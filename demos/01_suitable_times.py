@@ -11,14 +11,14 @@ exactly for (4, 3, 2).
 from fractions import Fraction
 
 from lonely_runner import (
+    SpeedVector,
     earliest_suitable_time,
     is_suitable,
     lattice_witness_from_time,
-    new_speed_vector,
     suitable_set,
 )
 
-n = new_speed_vector([2, 3, 4])  # any order goes in, storage is descending
+n = SpeedVector([2, 3, 4])  # any order goes in, storage is descending
 print(f"vector {n} with k = {n.k} runners")
 
 # Each runner alone is clear of the start on `speed` arcs per period,

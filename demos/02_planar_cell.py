@@ -10,15 +10,15 @@ integer point of P(n) whenever n_3 <= k * n_k.
 """
 
 from lonely_runner import (
+    SpeedVector,
     contains,
     integer_point_in_q,
     lift_to_p,
-    new_speed_vector,
     p1_interval,
     q_geometry,
 )
 
-n = new_speed_vector([17, 16, 7, 6, 5, 4, 2])
+n = SpeedVector([17, 16, 7, 6, 5, 4, 2])
 print(f"vector {n}")
 
 # Membership in P(n) is a pairwise test on n_j x_i - n_i x_j.
@@ -49,7 +49,7 @@ lifted = lift_to_p(n, p)
 print("zero-padded lift:", lifted, "in P(n):", contains(n, lifted))
 
 # The 1D window works the same way when n_2 <= k * n_k.
-m = new_speed_vector([20, 14, 8, 6, 5, 4, 2])
+m = SpeedVector([20, 14, 8, 6, 5, 4, 2])
 lo, hi = p1_interval(m)
 print(f"\nvector {m}: 1D window [{lo}, {hi}] contains the integer 1")
 print("lift of 1:", lift_to_p(m, (1,)))

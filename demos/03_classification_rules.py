@@ -9,7 +9,7 @@ the slow-fast spread condition n_1 <= k n_k with an explicit witness
 time.  The oracle then confirms every positive call.
 """
 
-from lonely_runner import classify, new_speed_vector
+from lonely_runner import SpeedVector, classify
 
 # Vectors engineered to fire exactly one of the first two rules.
 THM1_EXAMPLES = [
@@ -24,7 +24,7 @@ THM2_EXAMPLES = [
 ]
 
 for speeds in THM1_EXAMPLES + THM2_EXAMPLES:
-    n = new_speed_vector(speeds)
+    n = SpeedVector(speeds)
     report = classify(n, with_oracle=True)
     fired = [
         name
@@ -36,6 +36,6 @@ for speeds in THM1_EXAMPLES + THM2_EXAMPLES:
 
 # The slow-fast rule is special: its witness k/((k+1) n_1) is suitable
 # if and only if the condition holds, so no oracle call is needed.
-n = new_speed_vector([4, 3, 2])
+n = SpeedVector([4, 3, 2])
 report = classify(n)
 print(f"\n{n}: slow_fast={report.slow_fast}, free witness t={report.witness_time}, point={report.witness_point}")

@@ -12,15 +12,15 @@ bound.
 from fractions import Fraction
 
 from lonely_runner import (
+    SpeedVector,
     dyadic_denominator,
     dyadic_exponent,
     find_dyadic_time,
-    new_speed_vector,
 )
 from lonely_runner.enumeration import iter_vector_records
 
 for speeds in ([4, 3, 2], [5, 1], [17, 16, 7, 6, 5, 4, 2]):
-    n = new_speed_vector(speeds)
+    n = SpeedVector(speeds)
     e = dyadic_exponent(n)
     den = dyadic_denominator(n)
     m = find_dyadic_time(n)

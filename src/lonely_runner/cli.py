@@ -87,7 +87,7 @@ _SPEED_LIMIT = 10**_MAX_SPEED_DIGITS
 def _vector_from_args(args: argparse.Namespace) -> SpeedVector:
     # Canonical input form: descending, duplicates collapsed; the gcd is
     # divided out only under --normalize, after the speeds are validated.
-    n = model.new_speed_vector(set(args.speeds))
+    n = SpeedVector(set(args.speeds))
     if args.normalize:
         n = model.normalize(n)
     if n[0] >= _SPEED_LIMIT:
@@ -137,11 +137,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     n = _vector_from_args(args)
     times = oracle.suitable_set(n)
     earliest = times[0][0] if times else None
+    if earliest is not None and earliest > Fraction(1, 2):
+        # A nonempty symmetric closed set cannot start after 1/2.
+        raise RuntimeError(f"suitable set of {n} lost reflection symmetry")
     obj = {
         "vector": n,
         "instance": bool(times),
         "earliest_time": earliest,
-        "half_period_witness": oracle._checked_half_period(n, earliest),
+        "half_period_witness": earliest,
         "lattice_witness": None if earliest is None else oracle.lattice_witness_from_time(n, earliest),
         "suitable_set": times,
     }

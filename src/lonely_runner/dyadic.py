@@ -20,27 +20,30 @@ grid is symmetric (D - m is a grid numerator), contradicting
 minimality.
 
 The search returns m alone; the grid time is m / dyadic_denominator(n).
+Each function reads n as a descending tuple of distinct positive speeds:
+a SpeedVector, or the tuple the census decodes from a mask.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from . import oracle
-from .model import SpeedVector
 
 __all__ = ["dyadic_exponent", "dyadic_denominator", "find_dyadic_time"]
 
 
-def dyadic_exponent(n: SpeedVector) -> int:
+def dyadic_exponent(n: Sequence[int]) -> int:
     """Smallest e with 2^(e-1) >= n_1."""
     return (n[0] - 1).bit_length() + 1
 
 
-def dyadic_denominator(n: SpeedVector) -> int:
+def dyadic_denominator(n: Sequence[int]) -> int:
     """Grid denominator 2^e (k+1) n_1 with e = dyadic_exponent(n)."""
-    return (1 << dyadic_exponent(n)) * (n.k + 1) * n[0]
+    return (1 << dyadic_exponent(n)) * (len(n) + 1) * n[0]
 
 
-def find_dyadic_time(n: SpeedVector) -> int | None:
+def find_dyadic_time(n: Sequence[int]) -> int | None:
     """Minimal m in [1, D] with m/D suitable, or None when no grid time is.
 
     The minimal m, when there is one, is at most ceil(D/2).

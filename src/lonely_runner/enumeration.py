@@ -1,13 +1,14 @@
 """Census sweep over all speed subsets of {1..N}.
 
 Bitmask i (1 <= i < 2^N) encodes the subset whose bit j-1 means speed
-j; decoding a mask yields the descending speed tuple.  The per-vector
-loop runs once over the masks in ascending order and counts the
-vectors that the exact oracle or the dyadic grid search decides; a
-record also carries the vector's coprimality and rule triple.  One
-loop serves the oracle and dyadic summaries and the record stream; a
-stream returns its summary when it ends, so :func:`export` hands back
-the summary of the pass that wrote the file.
+j; decoding a mask yields the descending speed tuple, which the oracle
+and the dyadic search take as it is.  The per-vector loop runs once
+over the masks in ascending order and counts the vectors that the
+exact oracle or the dyadic grid search decides; a record also carries
+the vector's coprimality and rule triple.  One loop serves the oracle
+and dyadic summaries and the record stream; a stream returns its
+summary when it ends, so :func:`export` hands back the summary of the
+pass that wrote the file.
 
 Every summary takes its total, coprime and rule counts from a closed
 form, and a rules-only summary visits no vector.  The rules read only
@@ -17,8 +18,8 @@ n_3 and n_k.  The number of coprime subsets has a closed form by Mobius
 inversion over the common divisor (subsets of {1..N} with gcd
 divisible by d are in bijection with subsets of {1..N/d}), which is
 what :func:`coprime_count_moebius` computes.  The rules are
-homogeneous in the speeds, so their coprime counts invert the same
-way.
+homogeneous in the speeds, so their coprime counts go through the same
+inversion.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ import math
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import IO, Generator, Iterable, Iterator, NamedTuple
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple
 
 from . import dyadic, oracle
 from .classify import _rules, evaluate_rules
-from .model import SpeedVector, format_rational
+from .model import format_rational
 
 __all__ = [
     "EnumerationSummary",
@@ -48,25 +49,17 @@ _MAX_SWEEP = 32
 _MAX_MOEBIUS = 62  # 2^62 subsets still fit comfortably in a machine word
 
 
-def _mobius_upto(limit: int) -> list[int]:
-    """Mobius function mu(1..limit) by a linear sieve."""
-    mu = [0] * (limit + 1)
-    mu[1] = 1
-    primes: list[int] = []
-    composite = [False] * (limit + 1)
-    for i in range(2, limit + 1):
-        if not composite[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > limit:
-                break
-            composite[i * p] = True
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
-    return mu
+def _moebius(count: Callable[[int], int], limit: int) -> int:
+    """Mobius inversion sum_d mu(d) count(limit // d) over d = 1..limit.
+
+    mu comes from its defining sum: mu(d) over the divisors d of j adds
+    up to 1 for j = 1 and to 0 for every j > 1.
+    """
+    mu = [0, 1] + [0] * (limit - 1)
+    for d in range(1, limit + 1):
+        for multiple in range(2 * d, limit + 1, d):
+            mu[multiple] -= mu[d]
+    return sum(mu[d] * count(limit // d) for d in range(1, limit + 1))
 
 
 def coprime_count_moebius(max_speed: int) -> int:
@@ -76,8 +69,7 @@ def coprime_count_moebius(max_speed: int) -> int:
     """
     if not 1 <= max_speed <= _MAX_MOEBIUS:
         raise ValueError(f"max_speed must be in [1, {_MAX_MOEBIUS}], got {max_speed}")
-    mu = _mobius_upto(max_speed)
-    return sum(mu[d] * ((1 << (max_speed // d)) - 1) for d in range(1, max_speed + 1))
+    return _moebius(lambda m: (1 << m) - 1, max_speed)
 
 
 @dataclass(frozen=True)
@@ -165,16 +157,14 @@ def _census(
         coprime = gcd(*speeds) == 1
         if require_coprime and not coprime:
             continue
-        if with_oracle or with_dyadic:
-            sv = SpeedVector(speeds)
-            if with_oracle:
-                earliest = oracle.earliest_suitable_time(sv)
-                if earliest is not None:
-                    oracle_ct += 1
-            if with_dyadic:
-                dyadic_m = dyadic.find_dyadic_time(sv)
-                if dyadic_m is not None:
-                    dyadic_ct += 1
+        if with_oracle:
+            earliest = oracle.earliest_suitable_time(speeds)
+            if earliest is not None:
+                oracle_ct += 1
+        if with_dyadic:
+            dyadic_m = dyadic.find_dyadic_time(speeds)
+            if dyadic_m is not None:
+                dyadic_ct += 1
         if records:
             thm1, thm2, slow_fast = evaluate_rules(speeds)
             yield VectorRecord(
@@ -238,8 +228,7 @@ def _rule_census(max_speed: int, require_coprime: bool) -> EnumerationSummary:
         prefix.append((thm1_ct, thm2_ct, slow_ct, any_ct))
     counts = prefix[max_speed]
     if require_coprime:
-        mu = _mobius_upto(max_speed)
-        counts = [sum(mu[d] * prefix[max_speed // d][i] for d in range(1, max_speed + 1)) for i in range(4)]
+        counts = [_moebius(column.__getitem__, max_speed) for column in zip(*prefix)]
     total, coprime = (1 << max_speed) - 1, coprime_count_moebius(max_speed)
     return EnumerationSummary(max_speed, total, coprime, *counts, None, None)
 
@@ -285,31 +274,12 @@ def iter_vector_records(
     return _census(max_speed, require_coprime, with_oracle, with_dyadic, records=True)
 
 
-def _export_to(handle: IO[str], records: Iterable[VectorRecord], fmt: str) -> None:
-    if fmt == "json":
-        handle.write("[")
-        first = True
-        for record in records:
-            if not first:
-                handle.write(",\n")
-            json.dump(record._asdict(), handle, default=format_rational)
-            first = False
-        handle.write("]\n")
-    else:
-        writer = csv.writer(handle)
-        writer.writerow(VectorRecord._fields)
-        for record in records:
-            writer.writerow(record.to_csv_row())
-
-
-def export(
-    records: Iterable[VectorRecord], fmt: str, destination: str | os.PathLike | IO[str]
-) -> EnumerationSummary | None:
-    """Write a record stream to a file or file-like as csv or json.
+def export(records: Iterable[VectorRecord], fmt: str, path: str | os.PathLike) -> EnumerationSummary | None:
+    """Write a record stream to the file at path as csv or json.
 
     Returns what the stream returns when it ends: the summary of its
     pass for :func:`iter_vector_records`, ``None`` for a list.  The
-    format is checked before the destination is opened.
+    format is checked before the file is opened.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -318,12 +288,20 @@ def export(
     def stream() -> Iterator[VectorRecord]:
         ended.append((yield from records))
 
-    if isinstance(destination, (str, os.PathLike)):
-        try:
-            with open(destination, "w", newline="") as handle:
-                _export_to(handle, stream(), fmt)
-        except OSError as exc:
-            raise OSError(f"cannot write {destination}: {exc}") from exc
-    else:
-        _export_to(destination, stream(), fmt)
+    try:
+        with open(path, "w", newline="") as handle:
+            if fmt == "json":
+                handle.write("[")
+                for i, record in enumerate(stream()):
+                    if i:
+                        handle.write(",\n")
+                    json.dump(record._asdict(), handle, default=format_rational)
+                handle.write("]\n")
+            else:
+                writer = csv.writer(handle)
+                writer.writerow(VectorRecord._fields)
+                for record in stream():
+                    writer.writerow(record.to_csv_row())
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
     return ended[0]

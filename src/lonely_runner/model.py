@@ -1,12 +1,12 @@
 """Speed vectors: validated tuples of distinct positive integer speeds.
 
-A speed vector is a tuple sorted in strictly decreasing order, so
-``n[0]`` is the fastest runner and ``n[-1]`` the slowest; it equals
-the plain tuple of its speeds and is written as a JSON list.
-Ties are rejected: two runners with equal speeds keep a constant gap,
-so duplicates would silently change the problem being decided.
-:func:`normalize` additionally collapses duplicates and divides out the
-common factor, which yields the canonical representative of the
+A speed vector takes its speeds in any order and stores them sorted
+in strictly decreasing order, so ``n[0]`` is the fastest runner and
+``n[-1]`` the slowest; it equals the plain tuple of its speeds and is
+written as a JSON list.  Ties are rejected: two runners with equal
+speeds keep a constant gap, so duplicates would silently change the
+problem being decided.  :func:`normalize` divides out the common
+factor, which yields the canonical representative of the
 scale-invariance class (speeds c*n and n have the same suitable times
 up to the substitution t -> t/c).
 
@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-__all__ = ["SpeedVector", "new_speed_vector", "normalize", "format_rational"]
+__all__ = ["SpeedVector", "normalize", "format_rational"]
 
 
 class SpeedVector(tuple):
@@ -29,7 +29,7 @@ class SpeedVector(tuple):
     __slots__ = ()
 
     def __new__(cls, speeds: Iterable[int]) -> SpeedVector:
-        self = super().__new__(cls, speeds)
+        self = super().__new__(cls, sorted(speeds, reverse=True))
         if len(self) == 0:
             raise ValueError("speed vector must not be empty")
         for s in self:
@@ -38,8 +38,6 @@ class SpeedVector(tuple):
         for a, b in zip(self, self[1:]):
             if a == b:
                 raise ValueError(f"duplicate speed {a}")
-            if a < b:
-                raise ValueError("speeds must be strictly decreasing")
         return self
 
     @property
@@ -51,26 +49,10 @@ class SpeedVector(tuple):
         return "(" + ",".join(str(s) for s in self) + ")"
 
 
-def new_speed_vector(values: Iterable[int]) -> SpeedVector:
-    """Sort descending and validate.
-
-    Accepts speeds in any order; rejects empty input, non-positive
-    entries, and duplicates with distinct messages.
-    """
-    return SpeedVector(tuple(sorted(values, reverse=True)))
-
-
-def normalize(values: Iterable[int]) -> SpeedVector:
-    """Canonical representative: positive entries, deduped, gcd divided out.
-
-    Non-positive entries are dropped; at least one positive value must
-    remain.  The result always has gcd 1.
-    """
-    kept = sorted({v for v in values if v >= 1}, reverse=True)
-    if not kept:
-        raise ValueError("normalize needs at least one positive value")
-    g = math.gcd(*kept)
-    return SpeedVector(tuple(v // g for v in kept))
+def normalize(n: SpeedVector) -> SpeedVector:
+    """The speeds of n divided by their gcd, so the result has gcd 1."""
+    g = math.gcd(*n)
+    return SpeedVector(s // g for s in n)
 
 
 def format_rational(q: Fraction | int) -> str:

@@ -42,8 +42,6 @@ __all__ = [
     "lattice_witness_from_time",
 ]
 
-_HALF = Fraction(1, 2)
-
 # suitable_set holds the whole set, about 300 bytes per interval.  Distinct
 # intervals end at distinct arc ends, so there are at most sum(n) of them;
 # a larger sum is refused before any work instead of filling memory.
@@ -113,8 +111,8 @@ def is_instance(n: SpeedVector) -> bool:
     return next(_leapfrog(n), None) is not None
 
 
-def earliest_suitable_time(n: SpeedVector) -> Fraction | None:
-    """Smallest suitable time, or None when no suitable time exists."""
+def earliest_suitable_time(n: Sequence[int]) -> Fraction | None:
+    """Smallest suitable time for the distinct speeds n, in any order; None when none exists."""
     first = next(_leapfrog(n), None)
     return None if first is None else Fraction(first[0], first[1])
 
@@ -132,14 +130,6 @@ def is_suitable(n: SpeedVector, t: Fraction | int) -> bool:
     lo = Fraction(1, k + 1)
     hi = Fraction(k, k + 1)
     return all(lo <= s * t % 1 <= hi for s in n)
-
-
-def _checked_half_period(n: SpeedVector, earliest: Fraction | None) -> Fraction | None:
-    """The earliest suitable time of n, checked to be at most 1/2."""
-    if earliest is not None and earliest > _HALF:
-        # A nonempty symmetric closed set cannot start after 1/2.
-        raise RuntimeError(f"suitable set of {n} lost reflection symmetry")
-    return earliest
 
 
 def lattice_witness_from_time(n: SpeedVector, t: Fraction | int) -> tuple[int, ...]:

@@ -15,13 +15,17 @@ true coordinate projections are unbounded too.  Instead of projections
 we work with bounded low-dimensional windows into P(n): a closed
 interval for one coordinate, and for two coordinates the hexagonal
 cell Q cut out by six half-planes (box bounds on x_1 and x_2 plus a
-slant band on n_2 x_1 - n_1 x_2).  The windows are useful one way
-round: any integer point found inside them zero-pads to an integer
-point of P(n) whenever n_{m+1} <= k n_k, which is how instance
-witnesses are produced here.  Everything is computed in exact rational
-arithmetic: Q is the box clipped by the two sides of the band, one
-Sutherland-Hodgman pass each (Sutherland and Hodgman, *CACM* 17,
-1974).  Its x_2 range and emptiness are read from the box (see _clip).
+slant band on n_2 x_1 - n_1 x_2).  Both are P(n)'s pair constraints
+with the padded coordinates set to zero: a window coordinate against
+a padded one gives its box bound (see _box), and the pair (1, 2) gives
+the band.  The windows are useful one way round: any integer point
+found inside them zero-pads to an integer point of P(n) whenever
+n_{m+1} <= k n_k, which is how instance witnesses are produced here.
+Everything is computed in exact rational arithmetic: Q is the box
+clipped by the two sides of the band, one Sutherland-Hodgman pass each
+(Sutherland and Hodgman, *CACM* 17, 1974).  Its x_2 range and
+emptiness are read from the box (see _clip), and its landmarks and
+lemma widths are offsets and differences of the box bounds.
 """
 
 from __future__ import annotations
@@ -62,10 +66,11 @@ class QLandmarks:
     """Distinguished x_2 levels (and one x_1 level, kappa) of Q.
 
     alpha is one unit above the bottom bound, so integer x_2 slices
-    exist between them; beta and gamma bound the slab whose every x_2
-    level still spans more than one unit of x_1 when the cell is
-    wide; delta and zeta sit (k-1)/(k+1) inside the bottom and top
-    bounds; kappa is one unit above the left x_1 bound.
+    exist between them; beta and gamma sit 2 n_2/((k+1) n_1) inside the
+    bottom and top bounds and bound the slab whose every x_2 level
+    still spans more than one unit of x_1 when the cell is wide; delta
+    and zeta sit (k-1)/(k+1) inside the bottom and top bounds; kappa is
+    one unit above the left x_1 bound.
     """
 
     alpha: Fraction
@@ -78,12 +83,13 @@ class QLandmarks:
 
 @dataclass(frozen=True)
 class LemmaWidths:
-    """Closed-form widths of Q and two subregions; None when empty.
+    """Widths of Q and two subregions, read from the box bounds; None when empty.
 
-    wq2_e2 is the x_2 width of Q cut to x_2 >= alpha; wq5_e2 is the
-    x_2 width of Q cut to beta <= x_2 <= gamma.  The closed forms match
-    the true (vertex-derived) widths whenever the box bounds of Q are
-    facets, which holds under n_2 (k/n_3 - 1/n_k) >= k + 1.
+    wq_e1 and wq_e2 are the widths of the box on x_1 and x_2; wq2_e2 is
+    the x_2 width of Q cut to x_2 >= alpha; wq5_e2 is the x_2 width of
+    Q cut to beta <= x_2 <= gamma.  They match the true (vertex-derived)
+    widths whenever the box bounds of Q are facets, which holds under
+    n_2 (k/n_3 - 1/n_k) >= k + 1.
     """
 
     wq_e1: Fraction | None
@@ -116,6 +122,18 @@ def contains(n: SpeedVector, x: Sequence[Fraction | int]) -> bool:
     return True
 
 
+def _box(n: SpeedVector, i: int, m: int) -> tuple[Fraction, Fraction]:
+    """Bounds (lo, hi) on x_i in the m-dimensional window of P(n), for i <= m < k.
+
+    They are P(n)'s constraint on the pair (i, j) with the padded x_j = 0,
+    (n_i - k n_j)/(k+1) <= n_j x_i <= (k n_i - n_j)/(k+1) for every
+    j > m, which is tightest at j = k below and at j = m+1 above.
+    """
+    k = n.k
+    ni, nk, nm1 = n[i - 1], n[k - 1], n[m]
+    return Fraction(ni - k * nk, (k + 1) * nk), Fraction(k * ni - nm1, (k + 1) * nm1)
+
+
 def p1_interval(n: SpeedVector) -> tuple[Fraction, Fraction]:
     """One-dimensional window into P(n) on the first coordinate, as (lo, hi).
 
@@ -124,39 +142,26 @@ def p1_interval(n: SpeedVector) -> tuple[Fraction, Fraction]:
     empty (lo > hi) for vectors with a very dominant n_1; callers must
     check.
     """
-    k = n.k
-    if k < 2:
+    if n.k < 2:
         raise ValueError("p1_interval needs k >= 2")
-    lo = Fraction(n[0], (k + 1) * n[k - 1]) - Fraction(k, k + 1)
-    hi = Fraction(k * n[0], (k + 1) * n[1]) - Fraction(1, k + 1)
-    return lo, hi
+    return _box(n, 1, 1)
 
 
 def _q_bounds(n: SpeedVector) -> tuple[Fraction, ...]:
     """Box bounds (lo1, hi1, lo2, hi2) on x_1, x_2, band bounds (lo5, hi5) on n_2 x_1 - n_1 x_2."""
     if n.k < 3:
         raise ValueError("the 2D cell needs k >= 3")
-    k = n.k
-    n1, n2, n3, nk = n[0], n[1], n[2], n[k - 1]
-    lo1 = Fraction(n1, (k + 1) * nk) - Fraction(k, k + 1)
-    hi1 = Fraction(k * n1, (k + 1) * n3) - Fraction(1, k + 1)
-    lo2 = Fraction(n2, (k + 1) * nk) - Fraction(k, k + 1)
-    hi2 = Fraction(k * n2, (k + 1) * n3) - Fraction(1, k + 1)
-    lo5 = Fraction(n1 - k * n2, k + 1)
-    hi5 = Fraction(k * n1 - n2, k + 1)
-    return lo1, hi1, lo2, hi2, lo5, hi5
+    k, n1, n2 = n.k, n[0], n[1]
+    return (*_box(n, 1, 2), *_box(n, 2, 2), Fraction(n1 - k * n2, k + 1), Fraction(k * n1 - n2, k + 1))
 
 
-def _landmarks(n: SpeedVector) -> QLandmarks:
+def _landmarks(n: SpeedVector, bounds: tuple[Fraction, ...]) -> QLandmarks:
+    """The landmarks of Q as offsets of its box bounds, the _q_bounds of n."""
+    lo1, _, lo2, hi2 = bounds[:4]
     k = n.k
-    n1, n2, n3, nk = n[0], n[1], n[2], n[k - 1]
-    alpha = Fraction(n2, (k + 1) * nk) + Fraction(1, k + 1)
-    beta = Fraction(n2, (k + 1) * nk) + Fraction(2 * n2, (k + 1) * n1) - Fraction(k, k + 1)
-    gamma = Fraction(k * n2, (k + 1) * n3) - Fraction(2 * n2, (k + 1) * n1) - Fraction(1, k + 1)
-    delta = Fraction(n2 - nk, (k + 1) * nk)
-    zeta = Fraction(k * (n2 - n3), (k + 1) * n3)
-    kappa = Fraction(n1, (k + 1) * nk) + Fraction(1, k + 1)
-    return QLandmarks(alpha, beta, gamma, delta, zeta, kappa)
+    inset = Fraction(k - 1, k + 1)
+    slab = Fraction(2 * n[1], (k + 1) * n[0])
+    return QLandmarks(lo2 + 1, lo2 + slab, hi2 - slab, lo2 + inset, hi2 - inset, lo1 + 1)
 
 
 def _clip(n: SpeedVector, bounds: tuple[Fraction, ...]) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -212,10 +217,9 @@ def q_geometry(n: SpeedVector) -> QGeometry:
     """
     bounds = _q_bounds(n)
     lo1, hi1, lo2, hi2, lo5, hi5 = bounds
-    lm = _landmarks(n)
+    lm = _landmarks(n, bounds)
     vertices = _clip(n, bounds)
-    k = n.k
-    n1, n2, n3, nk = n[0], n[1], n[2], n[k - 1]
+    n1, n2 = n[0], n[1]
     one = Fraction(1)
     halfplanes = (
         HalfPlane(-one, _ZERO, -lo1),
@@ -227,11 +231,10 @@ def q_geometry(n: SpeedVector) -> QGeometry:
     )
     widths = LemmaWidths(None, None, None, None)
     if vertices:
-        spread = Fraction(k, n3) - Fraction(1, nk)
         widths = LemmaWidths(
-            Fraction(n1, k + 1) * spread + Fraction(k - 1, k + 1),
-            Fraction(n2, k + 1) * spread + Fraction(k - 1, k + 1),
-            Fraction(n2, k + 1) * spread - Fraction(2, k + 1) if lm.alpha <= hi2 else None,
+            hi1 - lo1,
+            hi2 - lo2,
+            hi2 - lm.alpha if lm.alpha <= hi2 else None,
             lm.gamma - lm.beta if max(lm.beta, lo2) <= min(lm.gamma, hi2) else None,
         )
     return QGeometry(halfplanes, vertices, lm, widths)
@@ -278,8 +281,8 @@ def lift_to_p(n: SpeedVector, p: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(f"lift needs n_{m + 1} <= k*n_k, got {n[m]} > {k * n[k - 1]}")
     # Under the guard, the constraint of two padded coordinates i < j holds,
     # as n_i <= n_{m+1} <= k n_k <= k n_j.  A window coordinate against the
-    # padded ones is bounded by the window's box (n_k sets the low end and
-    # n_{m+1} the high end), and for m = 2 the pair (1, 2) is the slant band.
+    # padded ones is the window's box (see _box), and for m = 2 the pair
+    # (1, 2) is the slant band.
     lifted = coords + (0,) * (k - m)
     if not contains(n, lifted):
         raise ValueError(f"point {coords} is outside the {m}-dimensional window")

@@ -58,3 +58,29 @@ def test_readme_library_use_matches_its_comments():
         else:
             exec(code, namespace)
     assert checked >= 5
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_only_named_private_names_cross_modules():
+    # A module may reach into another's private names only where this
+    # list says so; each entry is (user, "module._name").
+    allowed = {("dyadic", "oracle._leapfrog"), ("enumeration", "classify._rules")}
+    found = set()
+    for path in sorted(Path(lonely_runner.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> library module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    elif _private(alias.name):
+                        found.add((path.stem, f"{node.module}.{alias.name}"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and _private(node.attr):
+                if node.value.id in modules:
+                    found.add((path.stem, f"{modules[node.value.id]}.{node.attr}"))
+    assert found == allowed

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import descending_subsets
 from lonely_runner.classify import classify, evaluate_rules
 from lonely_runner.cli import main
-from lonely_runner.model import SpeedVector, new_speed_vector
+from lonely_runner.model import SpeedVector
 from lonely_runner.oracle import earliest_suitable_time, is_instance, is_suitable
 from lonely_runner.polyhedron import contains, integer_point_in_q, lift_to_p, p1_interval
 
@@ -33,7 +33,7 @@ def test_rule_thm2_frozen():
 
 def test_rule_slow_fast_frozen():
     assert evaluate_rules((4, 3, 2))[2]
-    assert classify(new_speed_vector([4, 3, 2])).witness_time == F(3, 16)
+    assert classify(SpeedVector([4, 3, 2])).witness_time == F(3, 16)
     assert not evaluate_rules((17, 16, 7, 6, 5, 4, 2))[2]
 
 
@@ -47,7 +47,7 @@ def test_slow_fast_witness_is_exact(speeds):
 
 
 def test_classify_without_oracle():
-    report = classify(new_speed_vector([17, 16, 7, 6, 5, 4, 2]))
+    report = classify(SpeedVector([17, 16, 7, 6, 5, 4, 2]))
     assert report.thm1 and not report.thm2 and not report.slow_fast
     assert report.any_rule
     assert report.witness_time is None
@@ -56,14 +56,14 @@ def test_classify_without_oracle():
 
 
 def test_classify_with_oracle():
-    report = classify(new_speed_vector([17, 16, 7, 6, 5, 4, 2]), with_oracle=True)
+    report = classify(SpeedVector([17, 16, 7, 6, 5, 4, 2]), with_oracle=True)
     assert report.witness_time == F(9, 128)
     assert report.witness_point == (1, 1, 0, 0, 0, 0, 0)
     assert report.oracle_verdict is True
 
 
 def test_classify_slow_fast_witness_is_free():
-    report = classify(new_speed_vector([4, 3, 2]))
+    report = classify(SpeedVector([4, 3, 2]))
     assert report.slow_fast
     assert report.witness_time == F(3, 16)
     assert report.witness_point == (0, 0, 0)

@@ -5,7 +5,7 @@ import pytest
 from helpers import brute_dyadic_m, descending_subsets
 from lonely_runner import dyadic, oracle
 from lonely_runner.dyadic import dyadic_denominator, dyadic_exponent, find_dyadic_time
-from lonely_runner.model import SpeedVector, new_speed_vector
+from lonely_runner.model import SpeedVector
 from lonely_runner.oracle import is_suitable
 
 F = Fraction
@@ -25,15 +25,15 @@ def test_dyadic_exponent(n1, expected):
 
 
 def test_dyadic_denominator_frozen():
-    assert dyadic_denominator(new_speed_vector([4, 3, 2])) == 128
-    assert dyadic_denominator(new_speed_vector([1])) == 4
-    assert dyadic_denominator(new_speed_vector([5, 1])) == 240
+    assert dyadic_denominator(SpeedVector([4, 3, 2])) == 128
+    assert dyadic_denominator(SpeedVector([1])) == 4
+    assert dyadic_denominator(SpeedVector([5, 1])) == 240
 
 
 def test_find_dyadic_frozen():
-    assert find_dyadic_time(new_speed_vector([4, 3, 2])) == 16  # 16/128 = 1/8
-    assert find_dyadic_time(new_speed_vector([1])) == 2  # 2/4 = 1/2
-    assert find_dyadic_time(new_speed_vector([5, 1])) == 80  # 80/240 = 1/3
+    assert find_dyadic_time(SpeedVector([4, 3, 2])) == 16  # 16/128 = 1/8
+    assert find_dyadic_time(SpeedVector([1])) == 2  # 2/4 = 1/2
+    assert find_dyadic_time(SpeedVector([5, 1])) == 80  # 80/240 = 1/3
 
 
 @pytest.mark.parametrize("speeds", sorted(descending_subsets(7)) + [(9, 5, 2), (11, 7, 3, 2)])
@@ -61,7 +61,7 @@ def test_none_when_no_arc_reaches_the_grid(monkeypatch):
     # Real non-instances do not exist at this scale, so the None branch
     # is driven synthetically: an empty suitable set, then a set whose
     # only arc sits in the upper half of the grid.
-    n = new_speed_vector([4, 3, 2])
+    n = SpeedVector([4, 3, 2])
     monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: iter([]))
     assert dyadic.find_dyadic_time(n) is None
     monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: iter([(40, 48, 41, 48)]))

@@ -1,5 +1,4 @@
 import csv
-import io
 import itertools
 import json
 
@@ -30,6 +29,25 @@ def test_moebius_count_desk_scale():
 @pytest.mark.parametrize("max_speed", range(1, 11))
 def test_moebius_count_matches_brute(max_speed):
     assert coprime_count_moebius(max_speed) == coprime_count_brute(max_speed)
+
+
+def test_moebius_count_sums_to_all_subsets():
+    # A nonempty subset of {1..N} with gcd d is d times a coprime subset
+    # of {1..N // d}, so the coprime counts sum back to every subset.
+    for max_speed in range(1, 63):
+        total = sum(coprime_count_moebius(max_speed // d) for d in range(1, max_speed + 1))
+        assert total == (1 << max_speed) - 1, max_speed
+
+
+def test_coprime_rule_counts_sum_to_all_rule_counts():
+    # The rules are homogeneous in the speeds, so each rule count over all
+    # subsets of {1..N} sums the coprime counts at N // d over every d.
+    columns = ("thm1_count", "thm2_count", "slow_fast_count", "any_rule_count")
+    for max_speed in range(1, 25):
+        coprime = [sweep(max_speed // d, require_coprime=True) for d in range(1, max_speed + 1)]
+        everything = sweep(max_speed)
+        for column in columns:
+            assert getattr(everything, column) == sum(getattr(c, column) for c in coprime), (max_speed, column)
 
 
 def test_moebius_count_domain():
@@ -153,7 +171,7 @@ def test_iter_vector_records_with_oracle_and_dyadic():
     assert by_speeds[(4, 3, 2)].dyadic_m == 16
 
 
-def test_vector_record_serialization():
+def test_vector_record_serialization(tmp_path):
     record = VectorRecord(
         speeds=(4, 3, 2),
         k=3,
@@ -167,9 +185,9 @@ def test_vector_record_serialization():
         dyadic_m=None,
     )
     assert record.to_csv_row() == ["4;3;2", "3", "1", "0", "1", "1", "1", "", "", ""]
-    buffer = io.StringIO()
-    export([record], "json", buffer)
-    assert json.loads(buffer.getvalue())[0]["earliest_time"] is None
+    path = tmp_path / "records.json"
+    export([record], "json", path)
+    assert json.loads(path.read_text())[0]["earliest_time"] is None
 
 
 def test_export_summary_json_roundtrip():
@@ -185,10 +203,10 @@ def test_export_records_csv(tmp_path):
     assert len(lines) == 1 + 15
 
 
-def test_export_records_json_stream():
-    buffer = io.StringIO()
-    export(iter_vector_records(3), "json", buffer)
-    data = json.loads(buffer.getvalue())
+def test_export_records_json_stream(tmp_path):
+    path = tmp_path / "records.json"
+    export(iter_vector_records(3), "json", path)
+    data = json.loads(path.read_text())
     assert len(data) == 7
     assert data[0]["speeds"] == [1]
 
@@ -209,15 +227,16 @@ COLUMN_COUNTS = {
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("flags", FLAG_SETS, ids=lambda flags: "-".join(k for k, on in flags.items() if on) or "rules")
-def test_export_returns_the_summary_of_its_pass(fmt, flags):
-    buffer = io.StringIO()
-    summary = export(iter_vector_records(6, **flags), fmt, buffer)
+def test_export_returns_the_summary_of_its_pass(tmp_path, fmt, flags):
+    path = tmp_path / f"records.{fmt}"
+    summary = export(iter_vector_records(6, **flags), fmt, path)
     assert summary == sweep(6, **flags)
     if fmt == "csv":
-        rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
         on, found = (lambda value: value == "1"), (lambda value: value != "")
     else:
-        rows = json.loads(buffer.getvalue())
+        rows = json.loads(path.read_text())
         on, found = (lambda value: value is True), (lambda value: value is not None)
     assert len(rows) == (summary.coprime_vectors if flags["require_coprime"] else summary.total_vectors)
     for column, key in COLUMN_COUNTS.items():
@@ -225,13 +244,15 @@ def test_export_returns_the_summary_of_its_pass(fmt, flags):
     assert sum(found(row["dyadic_m"]) for row in rows) == (summary.dyadic_verified_count or 0)
 
 
-def test_export_of_a_list_returns_none():
-    assert export(list(iter_vector_records(3)), "csv", io.StringIO()) is None
+def test_export_of_a_list_returns_none(tmp_path):
+    assert export(list(iter_vector_records(3)), "csv", tmp_path / "records.csv") is None
 
 
-def test_export_rejects_bad_format():
+def test_export_rejects_bad_format(tmp_path):
+    path = tmp_path / "records.xml"
     with pytest.raises(ValueError, match="format"):
-        export(iter_vector_records(3), "xml", io.StringIO())
+        export(iter_vector_records(3), "xml", path)
+    assert not path.exists()
 
 
 def test_export_wraps_os_errors(tmp_path):

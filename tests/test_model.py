@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lonely_runner import cli
-from lonely_runner.model import SpeedVector, format_rational, new_speed_vector, normalize
+from lonely_runner.model import SpeedVector, format_rational, normalize
 
 
 def test_speed_vector_basics():
@@ -22,6 +22,13 @@ def test_speed_vector_basics():
     assert cli._text(n) == str(n)
 
 
+def test_speed_vector_accepts_any_order():
+    assert SpeedVector([2, 16, 17, 7, 6, 5, 4]) == (17, 16, 7, 6, 5, 4, 2)
+    assert SpeedVector({1, 3, 2}) == (3, 2, 1)
+    assert SpeedVector(s for s in (1, 2)) == (2, 1)
+    assert SpeedVector((4, 3, 2)) == (4, 3, 2)
+
+
 def test_speed_vector_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
         SpeedVector(())
@@ -29,49 +36,41 @@ def test_speed_vector_rejects_empty():
 
 @pytest.mark.parametrize("bad", [0, -3])
 def test_speed_vector_rejects_nonpositive(bad):
-    with pytest.raises(ValueError, match="positive"):
-        SpeedVector((5, bad))
+    for speeds in ((5, bad), (bad, 5)):
+        with pytest.raises(ValueError, match=f"positive integers, got {bad}$"):
+            SpeedVector(speeds)
+
+
+def test_speed_vector_names_the_largest_nonpositive_speed():
+    # The speeds are sorted before they are checked, in any input order.
+    for speeds in ((5, 0, -3), (-3, 5, 0), (0, -3, 5)):
+        with pytest.raises(ValueError, match="got 0$"):
+            SpeedVector(speeds)
 
 
 def test_speed_vector_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate speed 3"):
         SpeedVector((3, 3, 1))
+    with pytest.raises(ValueError, match="duplicate speed 3"):
+        SpeedVector([3, 1, 3])
 
 
-def test_speed_vector_rejects_increasing():
-    with pytest.raises(ValueError, match="strictly decreasing"):
-        SpeedVector((2, 3))
+def test_normalize_divides_gcd():
+    assert normalize(SpeedVector([4, 2])) == (2, 1)
+    assert normalize(SpeedVector([12, 8, 4])) == (3, 2, 1)
+    assert normalize(SpeedVector([5])) == (1,)
+    assert normalize(SpeedVector([3, 2])) == (3, 2)
 
 
-def test_new_speed_vector_sorts():
-    assert new_speed_vector([2, 16, 17, 7, 6, 5, 4]) == (17, 16, 7, 6, 5, 4, 2)
-
-
-def test_new_speed_vector_still_rejects_duplicates():
-    with pytest.raises(ValueError, match="duplicate"):
-        new_speed_vector([3, 1, 3])
-
-
-def test_normalize_dedupes_and_divides_gcd():
-    assert normalize([6, 6, 3]) == (2, 1)
-    assert normalize([4, 2]) == (2, 1)
-    assert normalize([6, 0, -2, 3]) == (2, 1)
-    assert normalize([5]) == (1,)
-
-
-def test_normalize_needs_a_positive_value():
-    with pytest.raises(ValueError, match="positive"):
-        normalize([0, -1])
-
-
-@given(st.lists(st.integers(min_value=-5, max_value=60), min_size=1).filter(lambda v: any(x >= 1 for x in v)))
-def test_normalize_is_canonical(values):
-    n = normalize(values)
+@given(st.sets(st.integers(min_value=1, max_value=60), min_size=1), st.integers(min_value=1, max_value=50))
+def test_normalize_is_canonical(speeds, c):
+    n = normalize(SpeedVector(speeds))
     assert math.gcd(*n) == 1
-    assert all(a > b for a, b in zip(n, n[1:]))
-    assert all(s >= 1 for s in n)
+    assert isinstance(n, SpeedVector)
     # Idempotent: normalizing a normalized vector changes nothing.
     assert normalize(n) == n
+    # Scale-invariant: c * n normalizes to the same vector.
+    assert normalize(SpeedVector(c * s for s in speeds)) == n
 
 
 def test_format_rational_always_has_denominator():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import descending_subsets, grid_denominator, scaled_suitable_set, suitability_probe_points
 from lonely_runner import oracle, polyhedron
-from lonely_runner.model import SpeedVector, new_speed_vector
+from lonely_runner.model import SpeedVector
 from lonely_runner.oracle import (
     earliest_suitable_time,
     is_instance,
@@ -21,20 +21,20 @@ F = Fraction
 
 
 def test_suitable_set_frozen_values():
-    assert suitable_set(new_speed_vector([2, 1])) == [(F(1, 3), F(1, 3)), (F(2, 3), F(2, 3))]
-    assert suitable_set(new_speed_vector([1])) == [(F(1, 2), F(1, 2))]
-    assert suitable_set(new_speed_vector([4, 3, 2])) == [(F(1, 8), F(3, 16)), (F(13, 16), F(7, 8))]
-    assert suitable_set(new_speed_vector([3, 2, 1])) == [(F(1, 4), F(1, 4)), (F(3, 4), F(3, 4))]
+    assert suitable_set(SpeedVector([2, 1])) == [(F(1, 3), F(1, 3)), (F(2, 3), F(2, 3))]
+    assert suitable_set(SpeedVector([1])) == [(F(1, 2), F(1, 2))]
+    assert suitable_set(SpeedVector([4, 3, 2])) == [(F(1, 8), F(3, 16)), (F(13, 16), F(7, 8))]
+    assert suitable_set(SpeedVector([3, 2, 1])) == [(F(1, 4), F(1, 4)), (F(3, 4), F(3, 4))]
 
 
 def test_earliest_frozen_values():
-    assert earliest_suitable_time(new_speed_vector([4, 3, 2])) == F(1, 8)
-    assert earliest_suitable_time(new_speed_vector([3, 2, 1])) == F(1, 4)
-    assert earliest_suitable_time(new_speed_vector([5, 4, 3, 2, 1])) == F(1, 6)
+    assert earliest_suitable_time(SpeedVector([4, 3, 2])) == F(1, 8)
+    assert earliest_suitable_time(SpeedVector([3, 2, 1])) == F(1, 4)
+    assert earliest_suitable_time(SpeedVector([5, 4, 3, 2, 1])) == F(1, 6)
 
 
 def test_is_suitable_definitional():
-    n = new_speed_vector([4, 3, 2])
+    n = SpeedVector([4, 3, 2])
     assert is_suitable(n, F(1, 8))
     assert is_suitable(n, F(3, 16))
     assert not is_suitable(n, F(1, 10))
@@ -44,7 +44,7 @@ def test_is_suitable_definitional():
 
 
 def test_scaled_set_structure():
-    n = new_speed_vector([4, 3, 2])
+    n = SpeedVector([4, 3, 2])
     den, arcs = scaled_suitable_set(n)
     assert den == grid_denominator(n) == 48
     assert arcs == [(6, 9), (39, 42)]
@@ -84,7 +84,7 @@ def test_leapfrog_matches_arc_lists_on_small_subsets():
 def test_leapfrog_matches_arc_lists_at_larger_speeds(k, tier):
     rng = random.Random(tier + k)
     for _ in range(2):
-        n = new_speed_vector(rng.sample(range(tier - tier // 10, tier + 1), k))
+        n = SpeedVector(rng.sample(range(tier - tier // 10, tier + 1), k))
         times = suitable_set(n)
         assert times == arc_list_intervals(n)
         assert_sorted_disjoint(times)
@@ -94,7 +94,7 @@ def test_leapfrog_matches_arc_lists_at_larger_speeds(k, tier):
 @given(st.lists(st.integers(1, 10**9), min_size=1, max_size=7, unique=True))
 def test_leapfrog_intervals_at_huge_speeds(speeds):
     # The arc lists cannot run at these speeds; the definitional test can.
-    n = new_speed_vector(speeds)
+    n = SpeedVector(speeds)
     raw = list(itertools.islice(oracle._leapfrog(n), 50))
     dens = {(n.k + 1) * s for s in n}
     assert all(lo_den in dens and hi_den in dens for _, lo_den, _, hi_den in raw)
@@ -110,19 +110,19 @@ def test_leapfrog_intervals_at_huge_speeds(speeds):
 
 def test_suitable_set_refuses_more_arcs_than_the_limit(monkeypatch):
     monkeypatch.setattr(oracle, "_MAX_SUITABLE_ARCS", 9)
-    assert len(suitable_set(new_speed_vector([4, 3, 2]))) == 2
+    assert len(suitable_set(SpeedVector([4, 3, 2]))) == 2
     monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: pytest.fail("the limit is checked first"))
     with pytest.raises(ValueError, match="limit 9"):
-        suitable_set(new_speed_vector([5, 3, 2]))
+        suitable_set(SpeedVector([5, 3, 2]))
 
 
 def test_suitable_set_refuses_more_join_steps_than_the_limit(monkeypatch):
     # k * sum(n) is 27 for (4, 3, 2) and 30 for (5, 3, 2).
     monkeypatch.setattr(oracle, "_MAX_JOIN_STEPS", 27)
-    assert len(suitable_set(new_speed_vector([4, 3, 2]))) == 2
+    assert len(suitable_set(SpeedVector([4, 3, 2]))) == 2
     monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: pytest.fail("the limit is checked first"))
     with pytest.raises(ValueError, match="limit 27"):
-        suitable_set(new_speed_vector([5, 3, 2]))
+        suitable_set(SpeedVector([5, 3, 2]))
 
 
 @pytest.mark.parametrize(
@@ -156,13 +156,13 @@ def test_half_period_witness_on_instances():
 
 
 def test_lattice_witness_frozen():
-    assert lattice_witness_from_time(new_speed_vector([2, 1]), F(1, 3)) == (0, 0)
-    assert lattice_witness_from_time(new_speed_vector([4, 3, 2]), F(1, 8)) == (0, 0, 0)
+    assert lattice_witness_from_time(SpeedVector([2, 1]), F(1, 3)) == (0, 0)
+    assert lattice_witness_from_time(SpeedVector([4, 3, 2]), F(1, 8)) == (0, 0, 0)
 
 
 def test_lattice_witness_rejects_unsuitable():
     with pytest.raises(ValueError, match="not a suitable time"):
-        lattice_witness_from_time(new_speed_vector([4, 3, 2]), F(1, 10))
+        lattice_witness_from_time(SpeedVector([4, 3, 2]), F(1, 10))
 
 
 @pytest.mark.parametrize("speeds", sorted(descending_subsets(7)))

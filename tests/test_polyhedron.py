@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,10 @@ from helpers import (
     translate_invariance_check,
     width,
 )
-from lonely_runner.model import SpeedVector, new_speed_vector
+from lonely_runner.model import SpeedVector
 from lonely_runner.polyhedron import (
     HalfPlane,
+    QLandmarks,
     contains,
     integer_point_in_q,
     lift_to_p,
@@ -26,18 +28,26 @@ from lonely_runner.polyhedron import (
 
 F = Fraction
 
-REMARK_VECTOR = new_speed_vector([17, 16, 7, 6, 5, 4, 2])
+REMARK_VECTOR = SpeedVector([17, 16, 7, 6, 5, 4, 2])
+
+
+def _seeded_vectors(count, ks, top, seed):
+    rng = random.Random(seed)
+    return [tuple(sorted(rng.sample(range(1, top + 1), rng.choice(ks)), reverse=True)) for _ in range(count)]
+
+
+SEEDED_LARGE = _seeded_vectors(12, (3, 7), 10**9, seed=6)
 
 
 def test_contains_frozen_examples():
-    assert contains(new_speed_vector([4, 3, 2]), (0, 0, 0))
-    assert not contains(new_speed_vector([5, 1]), (0, 0))
-    assert contains(new_speed_vector([2, 1]), (0, 0))
+    assert contains(SpeedVector([4, 3, 2]), (0, 0, 0))
+    assert not contains(SpeedVector([5, 1]), (0, 0))
+    assert contains(SpeedVector([2, 1]), (0, 0))
 
 
 def test_contains_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
-        contains(new_speed_vector([4, 3, 2]), (0, 0))
+        contains(SpeedVector([4, 3, 2]), (0, 0))
 
 
 @pytest.mark.parametrize("speeds", [(4, 3, 2), (9, 7, 2), (5, 4, 3, 2, 1)])
@@ -52,15 +62,15 @@ def test_contains_invariant_along_speed_direction(speeds):
 
 
 def test_p1_interval_frozen():
-    assert p1_interval(new_speed_vector([20, 14, 8, 6, 5, 4, 2])) == (F(3, 8), F(9, 8))
-    assert p1_interval(new_speed_vector([2, 1])) == (F(0), F(1))
-    lo, hi = p1_interval(new_speed_vector([20, 14, 8, 6, 5, 4, 2]))
+    assert p1_interval(SpeedVector([20, 14, 8, 6, 5, 4, 2])) == (F(3, 8), F(9, 8))
+    assert p1_interval(SpeedVector([2, 1])) == (F(0), F(1))
+    lo, hi = p1_interval(SpeedVector([20, 14, 8, 6, 5, 4, 2]))
     assert lo <= 1 <= hi
 
 
 def test_p1_interval_needs_k2():
     with pytest.raises(ValueError, match="k >= 2"):
-        p1_interval(new_speed_vector([3]))
+        p1_interval(SpeedVector([3]))
 
 
 def test_p1_interval_length_bound():
@@ -76,7 +86,7 @@ def test_p1_interval_length_bound():
 
 def test_q_halfplanes_needs_k3():
     with pytest.raises(ValueError, match="k >= 3"):
-        q_geometry(new_speed_vector([2, 1])).halfplanes
+        q_geometry(SpeedVector([2, 1])).halfplanes
 
 
 def test_q_halfplanes_frozen():
@@ -102,8 +112,8 @@ def test_q_geometry_vertices_frozen():
         (F(3, 16), F(7, 8)),
     )
     # A box of zero width leaves a segment, and an empty box an empty cell.
-    assert q_geometry(new_speed_vector([9, 8, 6, 1])).vertices == ((F(1), F(4, 5)), (F(1), F(13, 15)))
-    assert q_geometry(new_speed_vector([13, 12, 11, 1])).vertices == ()
+    assert q_geometry(SpeedVector([9, 8, 6, 1])).vertices == ((F(1), F(4, 5)), (F(1), F(13, 15)))
+    assert q_geometry(SpeedVector([13, 12, 11, 1])).vertices == ()
 
 
 def test_q_landmarks_frozen():
@@ -116,21 +126,49 @@ def test_q_landmarks_frozen():
     assert lm.kappa == F(19, 16)
 
 
-@pytest.mark.parametrize("speeds", [(17, 16, 7, 6, 5, 4, 2), (10, 4, 3, 1), (9, 8, 7), (12, 11, 5, 3)])
-def test_landmark_relations_to_bounds(speeds):
-    # alpha and kappa sit one unit above the lower bounds; delta and
-    # zeta sit (k-1)/(k+1) inside the x2 bounds.  Computed along two
-    # separate code paths, so agreement is informative.
-    n = SpeedVector(speeds)
+def _closed_forms(n):
+    """Landmarks and lemma widths of Q as the paper writes them, from n alone."""
     k = n.k
-    geom = q_geometry(n)
-    hps = geom.halfplanes
-    lo1, hi2, lo2 = -hps[0].b, hps[3].b, -hps[2].b
-    lm = geom.landmarks
-    assert lm.alpha == lo2 + 1
-    assert lm.kappa == lo1 + 1
-    assert lm.delta == lo2 + F(k - 1, k + 1)
-    assert lm.zeta == hi2 - F(k - 1, k + 1)
+    n1, n2, n3, nk = n[0], n[1], n[2], n[-1]
+    landmarks = QLandmarks(
+        alpha=F(n2, (k + 1) * nk) + F(1, k + 1),
+        beta=F(n2, (k + 1) * nk) + F(2 * n2, (k + 1) * n1) - F(k, k + 1),
+        gamma=F(k * n2, (k + 1) * n3) - F(2 * n2, (k + 1) * n1) - F(1, k + 1),
+        delta=F(n2 - nk, (k + 1) * nk),
+        zeta=F(k * (n2 - n3), (k + 1) * n3),
+        kappa=F(n1, (k + 1) * nk) + F(1, k + 1),
+    )
+    spread = F(k, n3) - F(1, nk)
+    widths = (
+        F(n1, k + 1) * spread + F(k - 1, k + 1),
+        F(n2, k + 1) * spread + F(k - 1, k + 1),
+        F(n2, k + 1) * spread - F(2, k + 1),
+        landmarks.gamma - landmarks.beta,
+    )
+    return landmarks, widths
+
+
+def test_landmarks_and_widths_match_closed_forms():
+    # The library reads the landmarks and widths off the box bounds of Q;
+    # here they come from the paper's closed forms.  Q is empty when a box
+    # width is negative, and a subregion when its own width is negative.
+    extra = [(17, 16, 7, 6, 5, 4, 2), (12, 11, 5, 3), (13, 12, 11, 1), (100, 99, 98, 1)]
+    vectors = list(descending_subsets(10, min_size=3)) + SEEDED_LARGE + extra
+    nones = [0] * 4
+    for speeds in vectors:
+        n = SpeedVector(speeds)
+        geom = q_geometry(n)
+        landmarks, widths = _closed_forms(n)
+        assert geom.landmarks == landmarks, speeds
+        if min(widths[:2]) < 0:
+            expected = (None,) * 4
+        else:
+            expected = tuple(w if w >= 0 else None for w in widths)
+        assert astuple(geom.lemma_widths) == expected, speeds
+        for i, w in enumerate(expected):
+            nones[i] += w is None
+    # Empty cells, and nonempty cells with each subregion empty, all occur.
+    assert nones[0] and nones[2] > nones[0] and nones[3] > nones[0]
 
 
 @pytest.mark.parametrize("speeds", sorted(descending_subsets(8, min_size=3)))
@@ -174,15 +212,8 @@ def test_width_empty_and_unbounded_errors():
     assert width(half_strip, (0, 1)) == 1
 
 
-def _seeded_vectors(count, ks, top, seed):
-    rng = random.Random(seed)
-    return [tuple(sorted(rng.sample(range(1, top + 1), rng.choice(ks)), reverse=True)) for _ in range(count)]
-
-
 @pytest.mark.parametrize(
-    "speeds",
-    [(17, 16, 7, 6, 5, 4, 2), (9, 8, 7), (12, 9, 7, 5), (11, 10, 9, 8, 2), (9, 8, 6, 1)]
-    + _seeded_vectors(12, (3, 7), 10**9, seed=6),
+    "speeds", [(17, 16, 7, 6, 5, 4, 2), (9, 8, 7), (12, 9, 7, 5), (11, 10, 9, 8, 2), (9, 8, 6, 1)] + SEEDED_LARGE
 )
 def test_width_agrees_with_vertex_extremes(speeds):
     # Fourier-Motzkin over the six half-planes against the clipped vertices.
@@ -198,9 +229,9 @@ def test_width_agrees_with_vertex_extremes(speeds):
 def test_lemma_widths_frozen():
     w = q_geometry(REMARK_VECTOR).lemma_widths
     assert (w.wq_e1, w.wq_e2, w.wq2_e2, w.wq5_e2) == (F(29, 16), F(7, 4), F(3, 4), F(87, 68))
-    w = q_geometry(new_speed_vector([10, 4, 3, 1])).lemma_widths
+    w = q_geometry(SpeedVector([10, 4, 3, 1])).lemma_widths
     assert (w.wq_e1, w.wq_e2, w.wq2_e2, w.wq5_e2) == (F(19, 15), F(13, 15), None, F(41, 75))
-    w = q_geometry(new_speed_vector([100, 99, 98, 1])).lemma_widths
+    w = q_geometry(SpeedVector([100, 99, 98, 1])).lemma_widths
     assert (w.wq_e1, w.wq_e2, w.wq2_e2, w.wq5_e2) == (None, None, None, None)
 
 
@@ -222,7 +253,7 @@ def test_lemma_widths_emptiness_matches_projection():
 
 def test_lemma_widths_needs_k3():
     with pytest.raises(ValueError, match="k >= 3"):
-        q_geometry(new_speed_vector([2, 1])).lemma_widths
+        q_geometry(SpeedVector([2, 1])).lemma_widths
 
 
 def test_lemma_suite_small_sweep():
@@ -247,8 +278,8 @@ def test_lemma_suite_small_sweep():
 
 def test_integer_point_frozen():
     assert integer_point_in_q(REMARK_VECTOR) == (1, 1)
-    assert integer_point_in_q(new_speed_vector([4, 3, 2])) == (0, 0)
-    assert integer_point_in_q(new_speed_vector([100, 99, 98, 1])) is None
+    assert integer_point_in_q(SpeedVector([4, 3, 2])) == (0, 0)
+    assert integer_point_in_q(SpeedVector([100, 99, 98, 1])) is None
 
 
 @pytest.mark.parametrize("speeds", sorted(descending_subsets(8, min_size=3)))
@@ -274,8 +305,8 @@ def test_integer_point_matches_brute_scan(speeds):
 
 
 def test_lift_frozen_examples():
-    assert lift_to_p(new_speed_vector([20, 14, 8, 6, 5, 4, 2]), (1,)) == (1, 0, 0, 0, 0, 0, 0)
-    assert lift_to_p(new_speed_vector([4, 3, 2]), (0, 0)) == (0, 0, 0)
+    assert lift_to_p(SpeedVector([20, 14, 8, 6, 5, 4, 2]), (1,)) == (1, 0, 0, 0, 0, 0, 0)
+    assert lift_to_p(SpeedVector([4, 3, 2]), (0, 0)) == (0, 0, 0)
     p = integer_point_in_q(REMARK_VECTOR)
     lifted = lift_to_p(REMARK_VECTOR, p)
     assert lifted == (1, 1, 0, 0, 0, 0, 0)
@@ -283,17 +314,17 @@ def test_lift_frozen_examples():
 
 
 def test_lift_identity_when_m_equals_k():
-    assert lift_to_p(new_speed_vector([2, 1]), (0, 0)) == (0, 0)
+    assert lift_to_p(SpeedVector([2, 1]), (0, 0)) == (0, 0)
 
 
 def test_lift_domain_errors():
-    n = new_speed_vector([20, 14, 8, 6, 5, 4, 2])
+    n = SpeedVector([20, 14, 8, 6, 5, 4, 2])
     with pytest.raises(ValueError, match="1 or 2 coordinates"):
         lift_to_p(n, (1, 0, 0))
     with pytest.raises(ValueError, match="exceeds k"):
-        lift_to_p(new_speed_vector([3]), (0, 0))
+        lift_to_p(SpeedVector([3]), (0, 0))
     with pytest.raises(ValueError, match="lift needs"):
-        lift_to_p(new_speed_vector([100, 99, 98, 1]), (24, 24))
+        lift_to_p(SpeedVector([100, 99, 98, 1]), (24, 24))
     with pytest.raises(ValueError, match="outside"):
         lift_to_p(n, (5,))
     # The 2D window of REMARK_VECTOR: x1 in [3/16, 2], x2 in [1/8, 15/8]
@@ -380,6 +411,6 @@ def test_q_window_is_membership_of_the_padded_point():
 
 
 def test_translate_invariance_frozen_examples():
-    assert translate_invariance_check(new_speed_vector([2, 1]), (1, 1), 2)
-    assert translate_invariance_check(new_speed_vector([3, 2, 1]), (0, 1, 0), 2)
-    assert translate_invariance_check(new_speed_vector([4, 3, 2]), (-1, 0, 2), 2)
+    assert translate_invariance_check(SpeedVector([2, 1]), (1, 1), 2)
+    assert translate_invariance_check(SpeedVector([3, 2, 1]), (0, 1, 0), 2)
+    assert translate_invariance_check(SpeedVector([4, 3, 2]), (-1, 0, 2), 2)
