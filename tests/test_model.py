@@ -51,6 +51,10 @@ def test_speed_vector_names_the_largest_nonpositive_speed():
 def test_speed_vector_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate speed 3"):
         SpeedVector((3, 3, 1))
+
+
+def test_new_speed_vector_still_rejects_duplicates():
+    # Sorting the input first must not hide a repeated speed.
     with pytest.raises(ValueError, match="duplicate speed 3"):
         SpeedVector([3, 1, 3])
 

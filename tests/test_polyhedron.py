@@ -126,6 +126,23 @@ def test_q_landmarks_frozen():
     assert lm.kappa == F(19, 16)
 
 
+@pytest.mark.parametrize("speeds", [(17, 16, 7, 6, 5, 4, 2), (10, 4, 3, 1), (9, 8, 7), (12, 11, 5, 3)])
+def test_landmark_relations_to_bounds(speeds):
+    # alpha and kappa sit one unit above the lower bounds; delta and
+    # zeta sit (k-1)/(k+1) inside the x2 bounds, as read off the
+    # half-planes of Q.
+    n = SpeedVector(speeds)
+    k = n.k
+    geom = q_geometry(n)
+    hps = geom.halfplanes
+    lo1, hi2, lo2 = -hps[0].b, hps[3].b, -hps[2].b
+    lm = geom.landmarks
+    assert lm.alpha == lo2 + 1
+    assert lm.kappa == lo1 + 1
+    assert lm.delta == lo2 + F(k - 1, k + 1)
+    assert lm.zeta == hi2 - F(k - 1, k + 1)
+
+
 def _closed_forms(n):
     """Landmarks and lemma widths of Q as the paper writes them, from n alone."""
     k = n.k
