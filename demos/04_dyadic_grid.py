@@ -16,8 +16,8 @@ from lonely_runner import (
     dyadic_denominator,
     dyadic_exponent,
     find_dyadic_time,
+    sweep,
 )
-from lonely_runner.enumeration import iter_vector_records
 
 for speeds in ([4, 3, 2], [5, 1], [17, 16, 7, 6, 5, 4, 2]):
     n = SpeedVector(speeds)
@@ -30,13 +30,12 @@ for speeds in ([4, 3, 2], [5, 1], [17, 16, 7, 6, 5, 4, 2]):
     assert m <= (den + 1) // 2
 
 # Measure: every coprime vector with n_1 <= 10 is an instance with a
-# dyadic witness.  The record stream carries both verdicts.
+# dyadic witness.  One sweep counts both verdicts.
 max_speed = 10
-searched = instances = witnessed = 0
-for record in iter_vector_records(max_speed, require_coprime=True, with_oracle=True, with_dyadic=True):
-    searched += 1
-    instances += bool(record.is_instance)
-    witnessed += record.dyadic_m is not None
+summary = sweep(max_speed, require_coprime=True, with_oracle=True, with_dyadic=True)
+searched = summary.coprime_vectors
+instances = summary.oracle_instance_count
+witnessed = summary.dyadic_verified_count
 print(f"\ncoprime vectors up to n_1 <= {max_speed}: {searched}")
 print(f"instances: {instances}, with a dyadic witness: {witnessed}")
 assert searched == instances == witnessed

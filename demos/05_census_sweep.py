@@ -7,7 +7,7 @@ coprimality and rule coverage across all 2^N - 1 of them.  The rules
 read only the extremes of a vector, so the rules-only summary is
 counted in closed form from those extremes, with a Moebius inversion
 over the common divisor for the coprime counts, and visits no vector.
-The oracle, the dyadic search and the record export need the
+The oracle, the dyadic search and the record file need the
 per-vector loop, which runs once over the masks in ascending order.
 """
 
@@ -15,12 +15,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from lonely_runner.enumeration import (
-    coprime_count_moebius,
-    export,
-    iter_vector_records,
-    sweep,
-)
+from lonely_runner.enumeration import coprime_count_moebius, sweep
 
 N = 12
 start = time.perf_counter()
@@ -36,11 +31,11 @@ print(f"elapsed: {elapsed_ms} ms")
 # The desk-scale coprime count needs no enumeration either.
 print(f"\ncoprime count at N=32: {coprime_count_moebius(32)} of {2**32 - 1}")
 
-# Per-vector records come from the mask loop and stream out as CSV or
-# JSON for offline analysis.
+# Given a file, the mask loop also writes one record per vector to it,
+# as CSV or JSON, for offline analysis.
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "census_n8.csv"
-    export(iter_vector_records(8, with_oracle=True, with_dyadic=True), "csv", path)
+    sweep(8, with_oracle=True, with_dyadic=True, out=path)
     lines = path.read_text().splitlines()
     print(f"\nwrote {len(lines) - 1} records to {path.name}; first rows:")
     for line in lines[:4]:

@@ -187,18 +187,15 @@ def _cmd_dyadic(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    options = {
-        "require_coprime": args.require_coprime,
-        "with_oracle": args.with_oracle,
-        "with_dyadic": args.with_dyadic,
-    }
     start = time.perf_counter()
-    if args.out:
-        # One pass: the stream writes every record and returns the summary.
-        records = enumeration.iter_vector_records(args.max_speed, **options)
-        summary = enumeration.export(records, args.format, args.out)
-    else:
-        summary = enumeration.sweep(args.max_speed, **options)
+    summary = enumeration.sweep(
+        args.max_speed,
+        require_coprime=args.require_coprime,
+        with_oracle=args.with_oracle,
+        with_dyadic=args.with_dyadic,
+        out=args.out,
+        fmt=args.format,
+    )
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     _emit(vars(summary), args.json)
     print(f"elapsed_ms={elapsed_ms}", file=sys.stderr)

@@ -4,11 +4,9 @@ Bitmask i (1 <= i < 2^N) encodes the subset whose bit j-1 means speed
 j; decoding a mask yields the descending speed tuple, which the oracle
 and the dyadic search take as it is.  The per-vector loop runs once
 over the masks in ascending order and counts the vectors that the
-exact oracle or the dyadic grid search decides; a record also carries
-the vector's coprimality and rule triple.  One loop serves the oracle
-and dyadic summaries and the record stream; a stream returns its
-summary when it ends, so :func:`export` hands back the summary of the
-pass that wrote the file.
+exact oracle or the dyadic grid search decides; when :func:`sweep`
+writes a record file, the same loop hands it one record per vector,
+which also carries the vector's coprimality and rule triple.
 
 Every summary takes its total, coprime and rule counts from a closed
 form, and a rules-only summary visits no vector.  The rules read only
@@ -25,12 +23,13 @@ inversion.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Generator, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import dyadic, oracle
 from .classify import _rules, evaluate_rules
@@ -41,8 +40,6 @@ __all__ = [
     "VectorRecord",
     "coprime_count_moebius",
     "sweep",
-    "iter_vector_records",
-    "export",
 ]
 
 _MAX_SWEEP = 32
@@ -92,7 +89,7 @@ class EnumerationSummary:
 
 
 class VectorRecord(NamedTuple):
-    """Per-vector row of the census export; ``_fields`` is the CSV header."""
+    """Per-vector row of a census record file; ``_fields`` is the CSV header."""
 
     speeds: tuple[int, ...]
     k: int
@@ -134,18 +131,17 @@ def _decode(mask: int) -> tuple[int, ...]:
     return tuple(speeds)
 
 
-def _check_max_speed(max_speed: int) -> None:
-    if not 1 <= max_speed <= _MAX_SWEEP:
-        raise ValueError(f"max_speed must be in [1, {_MAX_SWEEP}], got {max_speed}")
-
-
 def _census(
-    max_speed: int, require_coprime: bool, with_oracle: bool, with_dyadic: bool, records: bool
-) -> Generator[VectorRecord, None, EnumerationSummary]:
+    max_speed: int,
+    require_coprime: bool,
+    with_oracle: bool,
+    with_dyadic: bool,
+    write: Callable[[VectorRecord], object] | None,
+) -> EnumerationSummary:
     """The one per-vector loop, over every mask in ascending order.
 
-    Counts oracle instances and dyadic hits; yields a VectorRecord per
-    classified vector only when ``records`` is set.  Returns the
+    Counts oracle instances and dyadic hits, and hands ``write`` a
+    VectorRecord per classified vector when it is given.  Returns the
     closed-form summary of :func:`_rule_census` with those two counts.
     """
     gcd = math.gcd
@@ -165,20 +161,10 @@ def _census(
             dyadic_m = dyadic.find_dyadic_time(speeds)
             if dyadic_m is not None:
                 dyadic_ct += 1
-        if records:
-            thm1, thm2, slow_fast = evaluate_rules(speeds)
-            yield VectorRecord(
-                speeds=speeds,
-                k=len(speeds),
-                coprime=coprime,
-                thm1=thm1,
-                thm2=thm2,
-                slow_fast=slow_fast,
-                any_rule=thm1 or thm2 or slow_fast,
-                is_instance=earliest is not None if with_oracle else None,
-                earliest_time=earliest,
-                dyadic_m=dyadic_m,
-            )
+        if write is not None:
+            rules = evaluate_rules(speeds)
+            is_instance = earliest is not None if with_oracle else None
+            write(VectorRecord(speeds, len(speeds), coprime, *rules, any(rules), is_instance, earliest, dyadic_m))
     summary = _rule_census(max_speed, require_coprime)
     return replace(summary, oracle_instance_count=oracle_ct, dyadic_verified_count=dyadic_ct)
 
@@ -239,6 +225,8 @@ def sweep(
     require_coprime: bool = False,
     with_oracle: bool = False,
     with_dyadic: bool = False,
+    out: str | os.PathLike | None = None,
+    fmt: str = "csv",
 ) -> EnumerationSummary:
     """Enumerate all nonempty subsets of {1..max_speed} and aggregate.
 
@@ -246,62 +234,37 @@ def sweep(
     oracle and dyadic passes) to coprime vectors; total and coprime
     counts always cover the whole range.  Those and the rule counts
     come from the closed form; only the oracle and dyadic counts visit
-    the vectors, in the per-vector loop.
+    the vectors, in the per-vector loop.  Given ``out``, the same loop
+    also writes one record per classified vector, masks ascending, to
+    that file as ``fmt`` (csv or json).  Both arguments are checked
+    before the file is opened.
     """
-    _check_max_speed(max_speed)  # on either path, before any work
-    if not (with_oracle or with_dyadic):
-        return _rule_census(max_speed, require_coprime)
-    try:
-        next(_census(max_speed, require_coprime, with_oracle, with_dyadic, records=False))
-    except StopIteration as done:
-        return done.value
-    raise AssertionError("a census without records yielded one")
-
-
-def iter_vector_records(
-    max_speed: int,
-    *,
-    require_coprime: bool = False,
-    with_oracle: bool = False,
-    with_dyadic: bool = False,
-) -> Generator[VectorRecord, None, EnumerationSummary]:
-    """Stream one VectorRecord per classified vector, masks ascending.
-
-    ``max_speed`` is checked at the call, before the stream exists; the
-    stream returns the summary of its pass.
-    """
-    _check_max_speed(max_speed)
-    return _census(max_speed, require_coprime, with_oracle, with_dyadic, records=True)
-
-
-def export(records: Iterable[VectorRecord], fmt: str, path: str | os.PathLike) -> EnumerationSummary | None:
-    """Write a record stream to the file at path as csv or json.
-
-    Returns what the stream returns when it ends: the summary of its
-    pass for :func:`iter_vector_records`, ``None`` for a list.  The
-    format is checked before the file is opened.
-    """
+    if not 1 <= max_speed <= _MAX_SWEEP:
+        raise ValueError(f"max_speed must be in [1, {_MAX_SWEEP}], got {max_speed}")
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    ended = []
-
-    def stream() -> Iterator[VectorRecord]:
-        ended.append((yield from records))
-
+    if out is None:
+        if with_oracle or with_dyadic:
+            return _census(max_speed, require_coprime, with_oracle, with_dyadic, None)
+        return _rule_census(max_speed, require_coprime)
     try:
-        with open(path, "w", newline="") as handle:
+        with open(out, "w", newline="") as handle:
             if fmt == "json":
                 handle.write("[")
-                for i, record in enumerate(stream()):
-                    if i:
-                        handle.write(",\n")
-                    json.dump(record._asdict(), handle, default=format_rational)
-                handle.write("]\n")
+                separators = itertools.chain([""], itertools.repeat(",\n"))
+
+                def write(record: VectorRecord) -> None:
+                    handle.write(next(separators) + json.dumps(record._asdict(), default=format_rational))
             else:
-                writer = csv.writer(handle)
-                writer.writerow(VectorRecord._fields)
-                for record in stream():
-                    writer.writerow(record.to_csv_row())
+                rows = csv.writer(handle)
+                rows.writerow(VectorRecord._fields)
+
+                def write(record: VectorRecord) -> None:
+                    rows.writerow(record.to_csv_row())
+
+            summary = _census(max_speed, require_coprime, with_oracle, with_dyadic, write)
+            if fmt == "json":
+                handle.write("]\n")
     except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
-    return ended[0]
+        raise OSError(f"cannot write {out}: {exc}") from exc
+    return summary

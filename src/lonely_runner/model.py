@@ -11,7 +11,7 @@ scale-invariance class (speeds c*n and n have the same suitable times
 up to the substitution t -> t/c).
 
 :func:`format_rational` is the one text form of a rational that the
-CLI and the export files print.
+CLI and the record files print.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class SpeedVector(tuple):
         if len(self) == 0:
             raise ValueError("speed vector must not be empty")
         for s in self:
-            if s < 1:
+            if not isinstance(s, int) or isinstance(s, bool) or s < 1:
                 raise ValueError(f"speeds must be positive integers, got {s}")
         for a, b in zip(self, self[1:]):
             if a == b:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import lonely_runner
-from lonely_runner.enumeration import EnumerationSummary, iter_vector_records
+from lonely_runner.enumeration import EnumerationSummary, _census
 from lonely_runner.model import SpeedVector
 from lonely_runner.oracle import is_suitable
 from lonely_runner.polyhedron import HalfPlane, contains
@@ -55,8 +55,10 @@ def record_tally(max_speed: int, require_coprime: bool = False) -> EnumerationSu
     The library counts this summary in closed form; the records come
     from the per-vector loop, which runs gcd and the rules on each mask.
     """
+    records = []
+    _census(max_speed, require_coprime, False, False, records.append)
     coprime = thm1 = thm2 = slow_fast = any_rule = 0
-    for record in iter_vector_records(max_speed, require_coprime=require_coprime):
+    for record in records:
         coprime += record.coprime
         thm1 += record.thm1
         thm2 += record.thm2

@@ -306,7 +306,7 @@ def test_enumerate_out_matches_library(tmp_path, capsys, coprime, with_oracle, w
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         expected = tmp_path / f"expected.{fmt}"
-        enumeration.export(enumeration.iter_vector_records(6, **options), fmt, expected)
+        enumeration.sweep(6, **options, out=expected, fmt=fmt)
         assert out_file.read_bytes() == expected.read_bytes()
         _, plain, _ = run_cli(capsys, "enumerate", "6", *flags)
         assert out == plain

@@ -9,9 +9,8 @@ from lonely_runner.classify import evaluate_rules
 from lonely_runner.enumeration import (
     EnumerationSummary,
     VectorRecord,
+    _census,
     coprime_count_moebius,
-    export,
-    iter_vector_records,
     sweep,
 )
 
@@ -154,16 +153,19 @@ def test_summary_holds_only_the_counts():
 
 
 def test_iter_vector_records_order_and_fields():
-    records = list(iter_vector_records(3))
+    records = []
+    _census(3, False, False, False, records.append)
     assert [r.speeds for r in records] == [(1,), (2,), (2, 1), (3,), (3, 1), (3, 2), (3, 2, 1)]
     assert [r.coprime for r in records] == [True, False, True, False, True, True, True]
     assert all(r.is_instance is None and r.earliest_time is None and r.dyadic_m is None for r in records)
-    coprime_only = list(iter_vector_records(3, require_coprime=True))
+    coprime_only = []
+    _census(3, True, False, False, coprime_only.append)
     assert [r.speeds for r in coprime_only] == [(1,), (2, 1), (3, 1), (3, 2), (3, 2, 1)]
 
 
 def test_iter_vector_records_with_oracle_and_dyadic():
-    records = list(iter_vector_records(4, with_oracle=True, with_dyadic=True))
+    records = []
+    _census(4, False, True, True, records.append)
     assert all(r.is_instance for r in records)
     assert all(r.dyadic_m is not None for r in records)
     by_speeds = {r.speeds: r for r in records}
@@ -186,8 +188,8 @@ def test_vector_record_serialization(tmp_path):
     )
     assert record.to_csv_row() == ["4;3;2", "3", "1", "0", "1", "1", "1", "", "", ""]
     path = tmp_path / "records.json"
-    export([record], "json", path)
-    assert json.loads(path.read_text())[0]["earliest_time"] is None
+    sweep(4, out=path, fmt="json")
+    assert json.loads(path.read_text())[-2] == {**record._asdict(), "speeds": [4, 3, 2]}
 
 
 def test_export_summary_json_roundtrip():
@@ -197,7 +199,7 @@ def test_export_summary_json_roundtrip():
 
 def test_export_records_csv(tmp_path):
     path = tmp_path / "records.csv"
-    export(iter_vector_records(4), "csv", path)
+    sweep(4, out=path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "speeds,k,coprime,thm1,thm2,slow_fast,any_rule,is_instance,earliest_time,dyadic_m"
     assert len(lines) == 1 + 15
@@ -205,7 +207,7 @@ def test_export_records_csv(tmp_path):
 
 def test_export_records_json_stream(tmp_path):
     path = tmp_path / "records.json"
-    export(iter_vector_records(3), "json", path)
+    sweep(3, out=path, fmt="json")
     data = json.loads(path.read_text())
     assert len(data) == 7
     assert data[0]["speeds"] == [1]
@@ -229,7 +231,7 @@ COLUMN_COUNTS = {
 @pytest.mark.parametrize("flags", FLAG_SETS, ids=lambda flags: "-".join(k for k, on in flags.items() if on) or "rules")
 def test_export_returns_the_summary_of_its_pass(tmp_path, fmt, flags):
     path = tmp_path / f"records.{fmt}"
-    summary = export(iter_vector_records(6, **flags), fmt, path)
+    summary = sweep(6, **flags, out=path, fmt=fmt)
     assert summary == sweep(6, **flags)
     if fmt == "csv":
         with open(path, newline="") as handle:
@@ -244,40 +246,28 @@ def test_export_returns_the_summary_of_its_pass(tmp_path, fmt, flags):
     assert sum(found(row["dyadic_m"]) for row in rows) == (summary.dyadic_verified_count or 0)
 
 
-def test_export_of_a_list_returns_none(tmp_path):
-    assert export(list(iter_vector_records(3)), "csv", tmp_path / "records.csv") is None
-
-
 def test_export_rejects_bad_format(tmp_path):
     path = tmp_path / "records.xml"
     with pytest.raises(ValueError, match="format"):
-        export(iter_vector_records(3), "xml", path)
+        sweep(3, out=path, fmt="xml")
     assert not path.exists()
 
 
 def test_export_wraps_os_errors(tmp_path):
     with pytest.raises(OSError, match="cannot write"):
-        export(iter_vector_records(3), "json", tmp_path / "missing-dir" / "out.json")
+        sweep(3, out=tmp_path / "missing-dir" / "out.json", fmt="json")
 
 
-def test_iter_vector_records_checks_max_speed():
-    with pytest.raises(ValueError, match="max_speed"):
-        next(iter_vector_records(0))
-
-
-def test_iter_vector_records_checks_max_speed_at_the_call(tmp_path):
-    # The check runs when the stream is made, so export never opens path.
+def test_iter_vector_records_checks_max_speed(tmp_path):
     path = tmp_path / "records.csv"
     with pytest.raises(ValueError, match="max_speed"):
-        export(iter_vector_records(40), "csv", path)
+        sweep(0, out=path)
     assert not path.exists()
 
 
-def test_iter_vector_records_returns_the_summary():
-    stream = iter_vector_records(6, with_oracle=True)
-    records = []
-    with pytest.raises(StopIteration) as done:
-        while True:
-            records.append(next(stream))
-    assert len(records) == 63
-    assert done.value.value == sweep(6, with_oracle=True)
+def test_iter_vector_records_checks_max_speed_at_the_call(tmp_path):
+    # max_speed is checked first, then the format, before the file is opened.
+    path = tmp_path / "records.csv"
+    with pytest.raises(ValueError, match="max_speed"):
+        sweep(40, out=path, fmt="xml")
+    assert not path.exists()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,14 @@ def test_speed_vector_rejects_nonpositive(bad):
     for speeds in ((5, bad), (bad, 5)):
         with pytest.raises(ValueError, match=f"positive integers, got {bad}$"):
             SpeedVector(speeds)
+
+
+@pytest.mark.parametrize("speeds", [[Fraction(3, 2)], [True, 3], [2.5, 1]])
+def test_speed_vector_rejects_non_integer_speeds(speeds):
+    # Suitable times have period 1 only for integer speeds; a bool is not a speed.
+    bad = next(s for s in speeds if type(s) is not int)
+    with pytest.raises(ValueError, match=f"positive integers, got {re.escape(str(bad))}$"):
+        SpeedVector(speeds)
 
 
 def test_speed_vector_names_the_largest_nonpositive_speed():
