@@ -3,9 +3,12 @@
 The grid for a vector with largest speed n_1 has denominator
 D = 2^e (k+1) n_1 where e is the smallest integer with 2^(e-1) >= n_1.
 The search asks for the minimal numerator m >= 1 such that m/D is a
-suitable time; the interesting open question is whether such an m
-exists for every coprime instance, and this module provides the tool
-to measure that at scale.
+suitable time.  Grid lemma: a suitable interval [lo, hi] with lo < hi
+holds a grid point, as its ends are a/((k+1) s) and c/((k+1) s') for
+speeds s and s', so hi - lo >= 1/((k+1) s s') >= 1/((k+1) n_1^2) >= 2/D.
+So the search never walks past the first such interval, and the open
+question, whether m exists for every coprime instance, is left to the
+*tight* ones, whose suitable set holds no interval of positive length.
 
 Implementation: instead of testing m = 1, 2, ... one by one, walk the
 suitable intervals in ascending order (the oracle's leapfrog join) and

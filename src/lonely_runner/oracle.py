@@ -121,9 +121,11 @@ def is_suitable(n: SpeedVector, t: Fraction | int) -> bool:
     """Definitional check: frac(n_i * t) in [1/(k+1), k/(k+1)] for every i.
 
     Deliberately independent of the interval machinery so the two can
-    cross-validate each other.
+    cross-validate each other.  A float t is refused: its binary value
+    is not the number it prints.
     """
-    t = Fraction(t)
+    if not isinstance(t, (int, Fraction)) or isinstance(t, bool):
+        raise ValueError(f"time must be an int or a Fraction, got {t!r}")
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
     k = n.k
@@ -137,9 +139,8 @@ def lattice_witness_from_time(n: SpeedVector, t: Fraction | int) -> tuple[int, .
 
     For suitable t this point lies in the runner polyhedron, which is
     the lattice-point form of the same instance question.  Unsuitable
-    times are rejected.
+    times are rejected, and so are inexact ones (see is_suitable).
     """
-    t = Fraction(t)
     if not is_suitable(n, t):
         raise ValueError(f"{t} is not a suitable time for {n}")
     return tuple(math.floor(s * t) for s in n)

@@ -21,11 +21,9 @@ a padded one gives its box bound (see _box), and the pair (1, 2) gives
 the band.  The windows are useful one way round: any integer point
 found inside them zero-pads to an integer point of P(n) whenever
 n_{m+1} <= k n_k, which is how instance witnesses are produced here.
-Everything is computed in exact rational arithmetic: Q is the box
-clipped by the two sides of the band, one Sutherland-Hodgman pass each
-(Sutherland and Hodgman, *CACM* 17, 1974).  Its x_2 range and
-emptiness are read from the box (see _clip), and its landmarks and
-lemma widths are offsets and differences of the box bounds.
+Everything is exact rational arithmetic.  The band cuts at most two
+corners off the box (see _clip), so Q's vertices have a closed form,
+and its landmarks and lemma widths are read off the box bounds.
 """
 
 from __future__ import annotations
@@ -109,14 +107,15 @@ class QGeometry:
 
 
 def contains(n: SpeedVector, x: Sequence[Fraction | int]) -> bool:
-    """Exact membership of x in the k-dimensional runner polyhedron P(n)."""
+    """Exact membership of x, a point of ints and Fractions (no floats), in P(n)."""
     if len(x) != n.k:
         raise ValueError(f"point has dimension {len(x)}, expected {n.k}")
-    xs = tuple(Fraction(c) for c in x)
+    if not all(isinstance(c, (int, Fraction)) and not isinstance(c, bool) for c in x):
+        raise ValueError(f"coordinates must be ints or Fractions, got {x!r}")
     k = n.k
     for i in range(k):
         for j in range(i + 1, k):
-            g = n[j] * xs[i] - n[i] * xs[j]
+            g = n[j] * x[i] - n[i] * x[j]
             if not Fraction(n[i] - k * n[j], k + 1) <= g <= Fraction(k * n[i] - n[j], k + 1):
                 return False
     return True
@@ -167,40 +166,29 @@ def _landmarks(n: SpeedVector, bounds: tuple[Fraction, ...]) -> QLandmarks:
 def _clip(n: SpeedVector, bounds: tuple[Fraction, ...]) -> tuple[tuple[Fraction, Fraction], ...]:
     """Vertices of Q in CCW order from the lexicographically smallest; () when empty.
 
-    bounds are the _q_bounds of n.  The box corners, counterclockwise,
-    are clipped by one Sutherland-Hodgman pass for each side of the
-    band lo5 <= n_2 x_1 - n_1 x_2 <= hi5.  A pass keeps the order, so
-    the cycle stays counterclockwise.  A box of zero width (a segment)
-    repeats corners, and repeats are dropped at the end.
-
-    The x_2 range of Q needs no clip.  At the corner (lo1, lo2),
-    n_2 x_1 - n_1 x_2 is (k-1) n_1/(k+1) above lo5 and (k-1) n_2/(k+1)
-    below hi5; at (hi1, hi2) the two margins swap.  So both corners lie
-    in Q: Q is empty only with the box, spans its whole x_2 range
-    [lo2, hi2], and as the box is never a point (n_1 != n_2), has two
-    vertices or more.
+    bounds are the _q_bounds of n.  At the box corner (lo1, lo2),
+    g = n_2 x_1 - n_1 x_2 is (k-1) n_1/(k+1) above lo5 and (k-1) n_2/(k+1)
+    below hi5, and at (hi1, hi2) the margins swap, so Q is empty only with
+    the box.  As g rises with x_1 and falls with x_2, only hi5 can cut the
+    corner (hi1, lo2) and only lo5 the corner (lo1, hi2): on each edge at
+    such a corner the vertex is the band's crossing clamped to the edge,
+    and repeats are dropped.  A nonempty box has lo2 < hi2 (the x_2 width is
+    at most 0 only when the x_1 width is negative, as n_1 > n_2), so Q
+    keeps its first vertex and spans the whole x_2 range [lo2, hi2].
     """
     lo1, hi1, lo2, hi2, lo5, hi5 = bounds
     if lo1 > hi1 or lo2 > hi2:
         return ()
     n1, n2 = n[0], n[1]
-    poly = [(lo1, lo2), (hi1, lo2), (hi1, hi2), (lo1, hi2)]
-    for sign, bound in ((1, lo5), (-1, hi5)):
-        # Keep the points with sign * (n_2 x_1 - n_1 x_2 - bound) >= 0.
-        g = [sign * (n2 * x1 - n1 * x2 - bound) for x1, x2 in poly]
-        clipped = []
-        for i, p in enumerate(poly):
-            q, gp, gq = poly[i - 1], g[i], g[i - 1]
-            if (gp >= 0) != (gq >= 0):
-                # The edge q -> p crosses the line; add the crossing.
-                t = gq / (gq - gp)
-                clipped.append((q[0] + t * (p[0] - q[0]), q[1] + t * (p[1] - q[1])))
-            if gp >= 0:
-                clipped.append(p)
-        poly = clipped
-    vertices = [p for i, p in enumerate(poly) if p != poly[i - 1]]
-    start = vertices.index(min(vertices))
-    return tuple(vertices[start:] + vertices[:start])
+    cycle = [
+        (lo1, lo2),
+        (min(hi1, (hi5 + n1 * lo2) / n2), lo2),
+        (hi1, max(lo2, (n2 * hi1 - hi5) / n1)),
+        (hi1, hi2),
+        (max(lo1, (lo5 + n1 * hi2) / n2), hi2),
+        (lo1, min(hi2, (n2 * lo1 - lo5) / n1)),
+    ]
+    return tuple(p for i, p in enumerate(cycle) if p != cycle[i - 1])
 
 
 def q_geometry(n: SpeedVector) -> QGeometry:
@@ -213,7 +201,8 @@ def q_geometry(n: SpeedVector) -> QGeometry:
     when their region is empty, decided from the x_2 range [lo2, hi2]
     of Q (see _clip), not by the sign of the closed form: Q cut to
     x_2 >= alpha is empty when alpha is above the range, and Q cut to
-    the slab [beta, gamma] when the slab misses the range.
+    the slab [beta, gamma] when beta > gamma, as the slab sits the
+    positive inset 2 n_2/((k+1) n_1) inside the range.
     """
     bounds = _q_bounds(n)
     lo1, hi1, lo2, hi2, lo5, hi5 = bounds
@@ -235,7 +224,7 @@ def q_geometry(n: SpeedVector) -> QGeometry:
             hi1 - lo1,
             hi2 - lo2,
             hi2 - lm.alpha if lm.alpha <= hi2 else None,
-            lm.gamma - lm.beta if max(lm.beta, lo2) <= min(lm.gamma, hi2) else None,
+            lm.gamma - lm.beta if lm.beta <= lm.gamma else None,
         )
     return QGeometry(halfplanes, vertices, lm, widths)
 

@@ -29,6 +29,7 @@ __all__ = [
     "suitability_probe_points",
     "brute_dyadic_m",
     "brute_integer_points_in_region",
+    "halfplane_vertices",
     "project",
     "support_bounds",
     "width",
@@ -150,6 +151,26 @@ def brute_integer_points_in_region(halfplanes, x1_range, x2_range) -> list[tuple
             if all(halfplane_lhs(h, x1, x2) <= h.b for h in halfplanes):
                 hits.append((x1, x2))
     return hits
+
+
+def halfplane_vertices(hps: Sequence[HalfPlane]) -> set[tuple[Fraction, Fraction]]:
+    """Vertices of a half-plane region: the feasible crossings of its boundary lines.
+
+    Each pair of boundary lines that is not parallel is solved by
+    Cramer's rule, and the crossing is kept when it satisfies every
+    constraint.  A feasible point on two independent tight constraints
+    is a vertex, and every vertex is one.
+    """
+    points = set()
+    for g, h in itertools.combinations(hps, 2):
+        det = g.a1 * h.a2 - g.a2 * h.a1
+        if det == 0:
+            continue
+        x1 = (g.b * h.a2 - g.a2 * h.b) / det
+        x2 = (g.a1 * h.b - g.b * h.a1) / det
+        if all(halfplane_lhs(c, x1, x2) <= c.b for c in hps):
+            points.add((x1, x2))
+    return points
 
 
 def project(

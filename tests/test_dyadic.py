@@ -1,8 +1,12 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_dyadic_m, descending_subsets
+from helpers import brute_dyadic_m, descending_subsets, scaled_suitable_set
 from lonely_runner import dyadic, oracle
 from lonely_runner.dyadic import dyadic_denominator, dyadic_exponent, find_dyadic_time
 from lonely_runner.model import SpeedVector
@@ -55,6 +59,52 @@ def test_half_range_gives_identical_result(speeds):
     m = find_dyadic_time(n)
     assert m is not None
     assert m <= (dyadic_denominator(n) + 1) // 2
+
+
+def test_grid_lemma_on_small_subsets():
+    # Every suitable interval of positive length holds a grid point, so
+    # the minimal m is never past the first one (dyadic module docstring).
+    # The intervals come from the arc lists, not from the search's join.
+    for speeds in descending_subsets(14):
+        n = SpeedVector(speeds)
+        den = dyadic_denominator(n)
+        arc_den, arcs = scaled_suitable_set(n)
+        wide = [(lo, hi) for lo, hi in arcs if lo < hi]
+        for lo, hi in wide:
+            # The first grid numerator at or above lo/arc_den is at most hi/arc_den.
+            assert -(-lo * den // arc_den) * arc_den <= hi * den, speeds
+        m = find_dyadic_time(n)
+        assert m is not None, speeds
+        if wide:
+            assert m * arc_den <= wide[0][1] * den, speeds
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 10**9), min_size=1, max_size=7, unique=True))
+def test_grid_lemma_at_huge_speeds(speeds):
+    n = SpeedVector(speeds)
+    den = dyadic_denominator(n)
+    for lo_num, lo_den, hi_num, hi_den in itertools.islice(oracle._leapfrog(n), 50):
+        lo, hi = F(lo_num, lo_den), F(hi_num, hi_den)
+        if lo < hi:
+            assert math.ceil(lo * den) <= hi * den
+            m = find_dyadic_time(n)
+            assert m is not None and F(m, den) <= hi
+            break
+
+
+def test_tight_coprime_vectors_up_to_12():
+    # Tight: the suitable set holds no interval of positive length.  The
+    # sporadic three are the tight instances of Goddyn and Wong
+    # (Integers 6, 2006), which no code here derives.
+    tight = set()
+    for speeds in descending_subsets(12):
+        if math.gcd(*speeds) == 1:
+            _, arcs = scaled_suitable_set(SpeedVector(speeds))
+            if arcs and all(lo == hi for lo, hi in arcs):
+                tight.add(speeds)
+    sporadic = {(7, 4, 3, 1), (9, 5, 4, 3, 1), (12, 7, 5, 4, 3, 2, 1)}
+    assert tight == {tuple(range(k, 0, -1)) for k in range(1, 13)} | sporadic
 
 
 def test_none_when_no_arc_reaches_the_grid(monkeypatch):

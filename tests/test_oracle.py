@@ -43,6 +43,18 @@ def test_is_suitable_definitional():
         is_suitable(n, F(-1, 8))
 
 
+@pytest.mark.parametrize("t", [0.1, 0.5, True, "1/10"])
+def test_inexact_times_are_refused(t):
+    # 1/10 is suitable for (5), but the float 0.1 is not 1/10.  Floats,
+    # bools and strings are refused, not converted.
+    n = SpeedVector([5])
+    assert is_suitable(n, F(1, 10))
+    with pytest.raises(ValueError, match="int or a Fraction"):
+        is_suitable(n, t)
+    with pytest.raises(ValueError, match="int or a Fraction"):
+        lattice_witness_from_time(n, t)
+
+
 def test_scaled_set_structure():
     n = SpeedVector([4, 3, 2])
     den, arcs = scaled_suitable_set(n)

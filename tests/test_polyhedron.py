@@ -10,6 +10,7 @@ from helpers import (
     brute_integer_points_in_region,
     descending_subsets,
     halfplane_lhs,
+    halfplane_vertices,
     project,
     support_bounds,
     translate_invariance_check,
@@ -48,6 +49,13 @@ def test_contains_frozen_examples():
 def test_contains_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         contains(SpeedVector([4, 3, 2]), (0, 0))
+
+
+@pytest.mark.parametrize("bad", [0.0, 0.5, True])
+def test_contains_refuses_inexact_coordinates(bad):
+    # A float would be read as its binary value; refuse it as SpeedVector does.
+    with pytest.raises(ValueError, match="ints or Fractions"):
+        contains(SpeedVector([4, 3, 2]), (0, bad, F(1, 2)))
 
 
 @pytest.mark.parametrize("speeds", [(4, 3, 2), (9, 7, 2), (5, 4, 3, 2, 1)])
@@ -205,6 +213,16 @@ def test_q_vertices_are_valid(speeds):
             bx, by = verts[(i + 1) % m]
             cx, cy = verts[(i + 2) % m]
             assert (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) >= 0
+
+
+def test_q_vertices_are_complete():
+    # Validity and convexity do not show that no vertex is missing: every
+    # feasible crossing of two boundary lines must be a vertex, and the
+    # cycle starts at its lexicographic minimum.
+    for speeds in descending_subsets(10, min_size=3):
+        geom = q_geometry(SpeedVector(speeds))
+        assert set(geom.vertices) == halfplane_vertices(geom.halfplanes), speeds
+        assert not geom.vertices or geom.vertices[0] == min(geom.vertices), speeds
 
 
 def test_width_of_a_point_is_zero():
