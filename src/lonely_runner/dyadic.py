@@ -14,7 +14,10 @@ Implementation: instead of testing m = 1, 2, ... one by one, walk the
 suitable intervals in ascending order (the oracle's leapfrog join) and
 take the first grid numerator at or after each interval start.  That
 yields the same minimal m as the literal ascending loop, and the walk
-stops at the first interval that holds a grid point.
+stops at the first interval that holds a grid point.  The walk is
+:func:`_grid_hit`, which takes any iterator of join intervals: the
+census feeds it the join it already opened for the earliest time, so
+one join serves both.
 
 Restricting to the lower half of the grid (m <= ceil(D/2)) never
 changes the answer: t = 1 is never suitable, so a minimal hit with
@@ -23,15 +26,18 @@ grid is symmetric (D - m is a grid numerator), contradicting
 minimality.
 
 The search returns m alone; the grid time is m / dyadic_denominator(n).
-Each function reads n as a descending tuple of distinct positive speeds:
-a SpeedVector, or the tuple the census decodes from a mask.
+:func:`find_dyadic_time` reads its speeds through SpeedVector, so it
+refuses invalid ones and takes them in any order.  The grid formulas
+read n as a descending tuple of distinct positive speeds: a
+SpeedVector, or the tuple the census decodes from a mask.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import oracle
+from .model import SpeedVector
 
 __all__ = ["dyadic_exponent", "dyadic_denominator", "find_dyadic_time"]
 
@@ -46,16 +52,22 @@ def dyadic_denominator(n: Sequence[int]) -> int:
     return (1 << dyadic_exponent(n)) * (len(n) + 1) * n[0]
 
 
-def find_dyadic_time(n: Sequence[int]) -> int | None:
-    """Minimal m in [1, D] with m/D suitable, or None when no grid time is.
-
-    The minimal m, when there is one, is at most ceil(D/2).
-    """
-    den = dyadic_denominator(n)
-    for lo_num, lo_den, hi_num, hi_den in oracle._leapfrog(n):
+def _grid_hit(intervals: Iterable[tuple[int, int, int, int]], den: int) -> int | None:
+    """First grid numerator m with m/den in one of the join's intervals, else None."""
+    for lo_num, lo_den, hi_num, hi_den in intervals:
         # Smallest m with m/den >= lo; intervals lie inside (0, 1), so
         # 1 <= m_lo <= den.
         m_lo = -((-lo_num * den) // lo_den)
         if m_lo <= (hi_num * den) // hi_den:
             return m_lo
     return None
+
+
+def find_dyadic_time(n: Iterable[int]) -> int | None:
+    """Minimal m in [1, D] with m/D suitable, or None when no grid time is.
+
+    The minimal m, when there is one, is at most ceil(D/2).  Invalid
+    speeds raise ValueError, as SpeedVector does.
+    """
+    n = SpeedVector(n)
+    return _grid_hit(oracle._leapfrog(n), dyadic_denominator(n))

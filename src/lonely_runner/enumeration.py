@@ -1,10 +1,12 @@
 """Census sweep over all speed subsets of {1..N}.
 
 Bitmask i (1 <= i < 2^N) encodes the subset whose bit j-1 means speed
-j; decoding a mask yields the descending speed tuple, which the oracle
-and the dyadic search take as it is.  The per-vector loop runs once
-over the masks in ascending order and counts the vectors that the
-exact oracle or the dyadic grid search decides; when :func:`sweep`
+j; decoding a mask yields the descending speed tuple, which the oracle's
+leapfrog join takes as it is.  The per-vector loop runs once over the
+masks in ascending order and counts the vectors that the exact oracle
+or the dyadic grid search decides.  One join per vector serves both:
+the start of its first interval is the earliest suitable time, and the
+dyadic grid walk resumes the same iterator from there.  When :func:`sweep`
 writes a record file, the same loop hands it one record per vector,
 which also carries the vector's coprimality and rule triple.
 
@@ -44,6 +46,7 @@ __all__ = [
 
 _MAX_SWEEP = 32
 _MAX_MOEBIUS = 62  # 2^62 subsets still fit comfortably in a machine word
+_BITS = ("0", "1")  # a record's bool columns, indexed by the bool
 
 
 def _moebius(count: Callable[[int], int], limit: int) -> int:
@@ -103,20 +106,18 @@ class VectorRecord(NamedTuple):
     dyadic_m: int | None
 
     def to_csv_row(self) -> list[str]:
-        def bit(x: bool) -> str:
-            return "1" if x else "0"
-
+        speeds, k, coprime, thm1, thm2, slow_fast, any_rule, is_instance, earliest, dyadic_m = self
         return [
-            ";".join(str(s) for s in self.speeds),
-            str(self.k),
-            bit(self.coprime),
-            bit(self.thm1),
-            bit(self.thm2),
-            bit(self.slow_fast),
-            bit(self.any_rule),
-            "" if self.is_instance is None else bit(self.is_instance),
-            "" if self.earliest_time is None else format_rational(self.earliest_time),
-            "" if self.dyadic_m is None else str(self.dyadic_m),
+            ";".join(map(str, speeds)),
+            str(k),
+            _BITS[coprime],
+            _BITS[thm1],
+            _BITS[thm2],
+            _BITS[slow_fast],
+            _BITS[any_rule],
+            "" if is_instance is None else _BITS[is_instance],
+            "" if earliest is None else format_rational(earliest),
+            "" if dyadic_m is None else str(dyadic_m),
         ]
 
 
@@ -144,29 +145,36 @@ def _census(
     VectorRecord per classified vector when it is given.  Returns the
     closed-form summary of :func:`_rule_census` with those two counts.
     """
-    gcd = math.gcd
-    earliest = dyadic_m = None  # reassigned per vector only when their pass is on
-    oracle_ct = 0 if with_oracle else None
-    dyadic_ct = 0 if with_dyadic else None
+    gcd, leapfrog, grid_hit, denominator = math.gcd, oracle._leapfrog, dyadic._grid_hit, dyadic.dyadic_denominator
+    join = with_oracle or with_dyadic
+    first = is_instance = earliest = dyadic_m = None  # reassigned per vector only when their pass is on
+    oracle_ct = dyadic_ct = 0
     for mask in range(1, 1 << max_speed):
         speeds = _decode(mask)
         coprime = gcd(*speeds) == 1
         if require_coprime and not coprime:
             continue
-        if with_oracle:
-            earliest = oracle.earliest_suitable_time(speeds)
-            if earliest is not None:
+        if join:
+            joined = leapfrog(speeds)
+            first = next(joined, None)
+            if first is not None:
                 oracle_ct += 1
-        if with_dyadic:
-            dyadic_m = dyadic.find_dyadic_time(speeds)
-            if dyadic_m is not None:
-                dyadic_ct += 1
+            if with_dyadic:
+                dyadic_m = None if first is None else grid_hit(itertools.chain((first,), joined), denominator(speeds))
+                if dyadic_m is not None:
+                    dyadic_ct += 1
         if write is not None:
             rules = evaluate_rules(speeds)
-            is_instance = earliest is not None if with_oracle else None
+            if with_oracle:
+                is_instance = first is not None
+                earliest = Fraction(first[0], first[1]) if is_instance else None
             write(VectorRecord(speeds, len(speeds), coprime, *rules, any(rules), is_instance, earliest, dyadic_m))
     summary = _rule_census(max_speed, require_coprime)
-    return replace(summary, oracle_instance_count=oracle_ct, dyadic_verified_count=dyadic_ct)
+    return replace(
+        summary,
+        oracle_instance_count=oracle_ct if with_oracle else None,
+        dyadic_verified_count=dyadic_ct if with_dyadic else None,
+    )
 
 
 def _patterns(n1: int, binom: list[list[int]]) -> Iterator[tuple[int, int, int, int, int]]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import SpeedVector
 
@@ -106,14 +106,20 @@ def suitable_set(n: SpeedVector) -> list[tuple[Fraction, Fraction]]:
     return [(Fraction(a, b), Fraction(c, d)) for a, b, c, d in _leapfrog(n)]
 
 
-def is_instance(n: SpeedVector) -> bool:
-    """True when some suitable time exists for n."""
-    return next(_leapfrog(n), None) is not None
+def is_instance(n: Iterable[int]) -> bool:
+    """True when some suitable time exists for the speeds n, in any order.
+
+    Invalid speeds raise ValueError, as SpeedVector does.
+    """
+    return next(_leapfrog(SpeedVector(n)), None) is not None
 
 
-def earliest_suitable_time(n: Sequence[int]) -> Fraction | None:
-    """Smallest suitable time for the distinct speeds n, in any order; None when none exists."""
-    first = next(_leapfrog(n), None)
+def earliest_suitable_time(n: Iterable[int]) -> Fraction | None:
+    """Smallest suitable time for the speeds n, in any order; None when none exists.
+
+    Invalid speeds raise ValueError, as SpeedVector does.
+    """
+    first = next(_leapfrog(SpeedVector(n)), None)
     return None if first is None else Fraction(first[0], first[1])
 
 

@@ -67,7 +67,12 @@ def _private(name):
 def test_only_named_private_names_cross_modules():
     # A module may reach into another's private names only where this
     # list says so; each entry is (user, "module._name").
-    allowed = {("dyadic", "oracle._leapfrog"), ("enumeration", "classify._rules")}
+    allowed = {
+        ("dyadic", "oracle._leapfrog"),
+        ("enumeration", "classify._rules"),
+        ("enumeration", "oracle._leapfrog"),
+        ("enumeration", "dyadic._grid_hit"),
+    }
     found = set()
     for path in sorted(Path(lonely_runner.__path__[0]).glob("*.py")):
         tree = ast.parse(path.read_text())

@@ -285,13 +285,13 @@ def test_large_speed_verdicts(capsys, argv):
 
 def test_enumerate_out_is_one_pass(tmp_path, monkeypatch, capsys):
     rules = counting(monkeypatch, enumeration, "evaluate_rules")
-    searches = counting(monkeypatch, dyadic, "find_dyadic_time")
+    joins = counting(monkeypatch, oracle, "_leapfrog")
     out_file = tmp_path / "records.csv"
     code, out, _ = run_cli(capsys, "enumerate", "6", "--with-oracle", "--with-dyadic", "--out", str(out_file))
     assert code == 0
     assert "total_vectors: 63" in out
     assert len(rules) == 63
-    assert len(searches) == 63
+    assert len(joins) == 63
 
 
 @pytest.mark.parametrize("coprime", [False, True])
@@ -367,6 +367,44 @@ OUT_GOLDEN = {
         '"any_rule": true, "is_instance": true, "earliest_time": "1/8", "dyadic_m": 16},\n'
         '{"speeds": [4, 3, 2, 1], "k": 4, "coprime": true, "thm1": false, "thm2": true, "slow_fast": true, '
         '"any_rule": true, "is_instance": true, "earliest_time": "1/5", "dyadic_m": 32}]\n',
+    ),
+    "dyadic-csv": (
+        ("--with-dyadic", "--format", "csv"),
+        "speeds,k,coprime,thm1,thm2,slow_fast,any_rule,is_instance,earliest_time,dyadic_m\r\n"
+        "1,1,1,0,0,1,1,,,2\r\n"
+        "2,1,0,0,0,1,1,,,4\r\n"
+        "2;1,2,1,0,1,1,1,,,8\r\n"
+        "3,1,0,0,0,1,1,,,8\r\n"
+        "3;1,2,1,0,0,0,0,,,32\r\n"
+        "3;2,2,1,0,1,1,1,,,12\r\n"
+        "3;2;1,3,1,0,1,1,1,,,24\r\n"
+        "4,1,0,0,0,1,1,,,8\r\n"
+        "4;1,2,1,0,1,0,1,,,32\r\n"
+        "4;2,2,0,0,1,1,1,,,16\r\n"
+        "4;2;1,3,1,0,0,0,0,,,40\r\n"
+        "4;3,2,1,0,1,1,1,,,11\r\n"
+        "4;3;1,3,1,0,0,0,0,,,54\r\n"
+        "4;3;2,3,1,0,1,1,1,,,16\r\n"
+        "4;3;2;1,4,1,0,1,1,1,,,32\r\n",
+    ),
+    "oracle-csv": (
+        ("--with-oracle", "--format", "csv"),
+        "speeds,k,coprime,thm1,thm2,slow_fast,any_rule,is_instance,earliest_time,dyadic_m\r\n"
+        "1,1,1,0,0,1,1,1,1/2,\r\n"
+        "2,1,0,0,0,1,1,1,1/4,\r\n"
+        "2;1,2,1,0,1,1,1,1,1/3,\r\n"
+        "3,1,0,0,0,1,1,1,1/6,\r\n"
+        "3;1,2,1,0,0,0,0,1,4/9,\r\n"
+        "3;2,2,1,0,1,1,1,1,1/6,\r\n"
+        "3;2;1,3,1,0,1,1,1,1,1/4,\r\n"
+        "4,1,0,0,0,1,1,1,1/8,\r\n"
+        "4;1,2,1,0,1,0,1,1,1/3,\r\n"
+        "4;2,2,0,0,1,1,1,1,1/6,\r\n"
+        "4;2;1,3,1,0,0,0,0,1,5/16,\r\n"
+        "4;3,2,1,0,1,1,1,1,1/9,\r\n"
+        "4;3;1,3,1,0,0,0,0,1,5/12,\r\n"
+        "4;3;2,3,1,0,1,1,1,1,1/8,\r\n"
+        "4;3;2;1,4,1,0,1,1,1,1,1/5,\r\n",
     ),
     "rules-coprime-csv": (
         ("--require-coprime",),

@@ -1,11 +1,13 @@
 import csv
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
-from helpers import coprime_count_brute, descending_subsets, record_tally
+from helpers import brute_dyadic_m, coprime_count_brute, descending_subsets, record_tally, scaled_suitable_set
 from lonely_runner.classify import evaluate_rules
+from lonely_runner.dyadic import dyadic_denominator, find_dyadic_time
 from lonely_runner.enumeration import (
     EnumerationSummary,
     VectorRecord,
@@ -13,6 +15,7 @@ from lonely_runner.enumeration import (
     coprime_count_moebius,
     sweep,
 )
+from lonely_runner.model import SpeedVector
 
 MOEBIUS_PREFIX = [1, 2, 5, 11, 26, 53, 116, 236, 488, 983, 2006, 4016]
 
@@ -171,6 +174,23 @@ def test_iter_vector_records_with_oracle_and_dyadic():
     by_speeds = {r.speeds: r for r in records}
     assert str(by_speeds[(4, 3, 2)].earliest_time) == "1/8"
     assert by_speeds[(4, 3, 2)].dyadic_m == 16
+
+
+def test_shared_join_matches_separate_paths():
+    # The census reads the earliest time and the dyadic hit off one join.
+    # The independent arc intersection gives the earliest time, a join of
+    # its own gives the hit, and on N = 7 so does the literal grid loop.
+    records = []
+    _census(10, False, True, True, records.append)
+    assert len(records) == 1023
+    for record in records:
+        n = SpeedVector(record.speeds)
+        den, arcs = scaled_suitable_set(n)
+        assert record.is_instance and record.earliest_time == Fraction(arcs[0][0], den)
+        assert record.dyadic_m == find_dyadic_time(n)
+        if n[0] <= 7:
+            grid = dyadic_denominator(n)
+            assert record.dyadic_m == brute_dyadic_m(n, grid, grid)
 
 
 def test_vector_record_serialization(tmp_path):

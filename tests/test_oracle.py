@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import descending_subsets, grid_denominator, scaled_suitable_set, suitability_probe_points
 from lonely_runner import oracle, polyhedron
+from lonely_runner.dyadic import find_dyadic_time
 from lonely_runner.model import SpeedVector
 from lonely_runner.oracle import (
     earliest_suitable_time,
@@ -31,6 +32,24 @@ def test_earliest_frozen_values():
     assert earliest_suitable_time(SpeedVector([4, 3, 2])) == F(1, 8)
     assert earliest_suitable_time(SpeedVector([3, 2, 1])) == F(1, 4)
     assert earliest_suitable_time(SpeedVector([5, 4, 3, 2, 1])) == F(1, 6)
+
+
+VERDICTS = [is_instance, earliest_suitable_time, find_dyadic_time]
+
+
+@pytest.mark.parametrize("speeds", [(), (0,), (-1,), (2, 2), (3, True)])
+@pytest.mark.parametrize("verdict", VERDICTS)
+def test_verdicts_refuse_invalid_speeds(verdict, speeds):
+    # A zero, negative or repeated speed would otherwise come back as a
+    # quiet verdict, and True would pass for the speed 1.
+    with pytest.raises(ValueError):
+        verdict(speeds)
+
+
+@pytest.mark.parametrize("verdict", VERDICTS)
+def test_verdicts_read_speeds_in_any_order(verdict):
+    # The dyadic grid is sized by the fastest speed, wherever it stands.
+    assert verdict((2, 3, 4)) == verdict((4, 3, 2)) == verdict(SpeedVector([4, 3, 2]))
 
 
 def test_is_suitable_definitional():
