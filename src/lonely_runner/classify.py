@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import oracle
 from .model import SpeedVector
@@ -71,14 +71,16 @@ class ClassificationReport:
     oracle_verdict: bool | None
 
 
-def classify(n: SpeedVector, with_oracle: bool = False) -> ClassificationReport:
-    """Run the three rules on n; optionally decide exactly with the oracle.
+def classify(n: Iterable[int], with_oracle: bool = False) -> ClassificationReport:
+    """Run the three rules on the speeds n; optionally decide exactly with the oracle.
 
     The witness time is the slow_fast time when that rule fires (it is
     free), otherwise the earliest suitable time when the oracle is on.
     Any reported witness time is suitable and its floor-rounding is an
-    integer point of the runner polyhedron.
+    integer point of the runner polyhedron.  Invalid speeds raise
+    ValueError, as SpeedVector does.
     """
+    n = SpeedVector(n)
     thm1, thm2, slow_fast = evaluate_rules(n)
     any_rule = thm1 or thm2 or slow_fast
     earliest = oracle.earliest_suitable_time(n) if with_oracle else None

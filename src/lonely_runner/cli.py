@@ -11,7 +11,8 @@ input; timing diagnostics go to stderr.  Each subcommand builds one
 dict of library values (fractions, speed vectors, dataclasses) and
 prints it once: ``--json`` as a single JSON document, otherwise as
 key: value lines rendered from the same values, so the two forms
-cannot drift apart.
+cannot drift apart.  ``check``'s suitable set is the one lazy value:
+both forms write it interval by interval as the oracle yields it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ import functools
 import json
 import sys
 import time
+from collections.abc import Callable, Iterator
 from dataclasses import is_dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import dyadic as dyadic_mod
 from . import enumeration, model, oracle, polyhedron
@@ -114,39 +117,66 @@ def _text(value: object) -> str:
         return format_rational(value)
     if isinstance(value, tuple):
         return "(" + ",".join(map(_text, value)) + ")"
-    if isinstance(value, list):
-        return " ".join(f"[{_text(lo)}, {_text(hi)}]" for lo, hi in value)
     return str(value)
+
+
+def _write_intervals(write: Callable[[str], object], intervals: Iterator[tuple], form: str, sep: str) -> None:
+    """Write reduced (lo_num, lo_den, hi_num, hi_den) intervals one by one, as they are drawn."""
+    lead = ""
+    for quad in intervals:
+        write(lead + form.format(*quad))
+        lead = sep
 
 
 def _emit(obj: dict, as_json: bool, lines: list[str] | None = None) -> None:
     """Print obj as one JSON document, or as text.
 
     The text is one ``key: value`` line per key unless the command
-    passes its own ``lines``, built from the same values.
+    passes its own ``lines``, built from the same values.  A value that
+    is an iterator of reduced intervals (``check``'s suitable set) is
+    written as it is drawn, so neither form holds the whole set; the
+    bytes are those ``json.dumps`` would give for a list of
+    ``[lo, hi]`` string pairs.
     """
+    write = sys.stdout.write
     if as_json:
-        print(json.dumps(obj, default=_plain))
+        lead = "{"
+        for key, value in obj.items():
+            write(f"{lead}{json.dumps(key)}: ")
+            if isinstance(value, Iterator):
+                write("[")
+                _write_intervals(write, value, '["{}/{}", "{}/{}"]', ", ")
+                write("]")
+            else:
+                write(json.dumps(value, default=_plain))
+            lead = ", "
+        write("}\n")
     elif lines is None:
-        print("\n".join(f"{key}: {_text(value)}" for key, value in obj.items()))
+        for key, value in obj.items():
+            write(f"{key}: ")
+            if isinstance(value, Iterator):
+                _write_intervals(write, value, "[{}/{}, {}/{}]", " ")
+            else:
+                write(_text(value))
+            write("\n")
     else:
-        print("\n".join(lines))
+        write("\n".join(lines) + "\n")
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     n = _vector_from_args(args)
-    times = oracle.suitable_set(n)
-    earliest = times[0][0] if times else None
-    if earliest is not None and earliest > Fraction(1, 2):
-        # A nonempty symmetric closed set cannot start after 1/2.
-        raise RuntimeError(f"suitable set of {n} lost reflection symmetry")
+    # The limits, and the guard against a set that starts after 1/2, act
+    # on the first draw, before anything is printed.
+    intervals = oracle._suitable_quads(n)
+    first = next(intervals, None)
+    earliest = None if first is None else Fraction(first[0], first[1])
     obj = {
         "vector": n,
-        "instance": bool(times),
+        "instance": first is not None,
         "earliest_time": earliest,
         "half_period_witness": earliest,
         "lattice_witness": None if earliest is None else oracle.lattice_witness_from_time(n, earliest),
-        "suitable_set": times,
+        "suitable_set": chain(() if first is None else (first,), intervals),
     }
     _emit(obj, args.json)
     return 0

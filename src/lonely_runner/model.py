@@ -29,6 +29,8 @@ class SpeedVector(tuple):
     __slots__ = ()
 
     def __new__(cls, speeds: Iterable[int]) -> SpeedVector:
+        if type(speeds) is cls:  # checked when it was made, and immutable
+            return speeds
         self = super().__new__(cls, sorted(speeds, reverse=True))
         if len(self) == 0:
             raise ValueError("speed vector must not be empty")

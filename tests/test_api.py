@@ -68,6 +68,7 @@ def test_only_named_private_names_cross_modules():
     # A module may reach into another's private names only where this
     # list says so; each entry is (user, "module._name").
     allowed = {
+        ("cli", "oracle._suitable_quads"),
         ("dyadic", "oracle._leapfrog"),
         ("enumeration", "classify._rules"),
         ("enumeration", "oracle._leapfrog"),

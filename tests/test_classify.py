@@ -62,6 +62,15 @@ def test_classify_with_oracle():
     assert report.oracle_verdict is True
 
 
+def test_classify_reads_speeds_through_speed_vector():
+    # A raw tuple works in any order; invalid speeds raise ValueError, where
+    # (3, 0) used to divide by zero and (2, 2) to fail on a missing attribute.
+    assert classify((2, 3, 4), with_oracle=True) == classify(SpeedVector([4, 3, 2]), with_oracle=True)
+    for speeds in [(), (0,), (2, 2), (3, 0), (3, True)]:
+        with pytest.raises(ValueError):
+            classify(speeds)
+
+
 def test_classify_slow_fast_witness_is_free():
     report = classify(SpeedVector([4, 3, 2]))
     assert report.slow_fast

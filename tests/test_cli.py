@@ -1,14 +1,19 @@
 import json
+import math
+import os
+import random
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from helpers import child_env
+from helpers import child_env, descending_subsets, scaled_suitable_set
 from lonely_runner import cli, dyadic, enumeration, model, oracle, polyhedron
 from lonely_runner.cli import main
 
@@ -250,6 +255,97 @@ def test_check_keeps_the_reflection_guard(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert "reflection symmetry" in err
+
+
+def test_check_guards_the_interval_that_holds_one_half(monkeypatch, capsys):
+    # The set is printed from its lower half and the mirror image of it,
+    # so the interval holding 1/2 must be its own mirror; 7/16 + 5/8 != 1.
+    monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: iter([(1, 8, 3, 16), (7, 16, 10, 16), (13, 16, 7, 8)]))
+    code, _, err = run_cli(capsys, "check", "4", "3", "2")
+    assert code == 2
+    assert "reflection symmetry" in err
+
+
+def expected_check_stdout(speeds, as_json):
+    """check's stdout, built from the arc-list oracle in tests/helpers."""
+    n = model.SpeedVector(speeds)
+    den, arcs = scaled_suitable_set(n)
+
+    def rational(num):
+        q = Fraction(num, den)
+        return f"{q.numerator}/{q.denominator}"
+
+    pairs = [(rational(lo), rational(hi)) for lo, hi in arcs]
+    earliest = pairs[0][0] if pairs else None
+    point = None if earliest is None else [math.floor(s * Fraction(earliest)) for s in n]
+    if as_json:
+        obj = {
+            "vector": list(n),
+            "instance": bool(pairs),
+            "earliest_time": earliest,
+            "half_period_witness": earliest,
+            "lattice_witness": point,
+            "suitable_set": [list(pair) for pair in pairs],
+        }
+        return json.dumps(obj) + "\n"
+    earliest = earliest or "none"
+    return (
+        f"vector: ({','.join(map(str, n))})\n"
+        f"instance: {'true' if pairs else 'false'}\n"
+        f"earliest_time: {earliest}\n"
+        f"half_period_witness: {earliest}\n"
+        f"lattice_witness: {'none' if point is None else '(' + ','.join(map(str, point)) + ')'}\n"
+        f"suitable_set: {' '.join(f'[{lo}, {hi}]' for lo, hi in pairs)}\n"
+    )
+
+
+def seeded_vectors(k, tier, count):
+    rng = random.Random(tier * 10 + k)
+    return [tuple(rng.sample(range(tier - tier // 10, tier + 1), k)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_check_stdout_matches_the_arc_lists(capsys, as_json):
+    # Every subset of {1..10}, then seeded vectors near 10^3.
+    flags = ("--json",) if as_json else ()
+    cases = list(descending_subsets(10)) + seeded_vectors(3, 10**3, 3) + seeded_vectors(7, 10**3, 2)
+    for speeds in cases:
+        code, out, err = run_cli(capsys, "check", *map(str, speeds), *flags)
+        assert (code, err) == (0, ""), speeds
+        assert out == expected_check_stdout(speeds, as_json), speeds
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_check_streams_in_bounded_memory(flags):
+    # About 73k intervals near 10^5.  Holding them, as Fraction pairs or as
+    # one output document, takes over 20 MB; the kept lower half is about
+    # 1.2 MB of integers.  (tracemalloc slows the join about twentyfold.)
+    speeds = seeded_vectors(3, 10**5, 1)[0]
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["check", *map(str, speeds), *flags])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2**20
+
+
+def test_check_into_a_closed_pipe_exits_0():
+    # A reader that stops early (``| head``) is not an error.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lonely_runner", "check", "9973", "9949", "9941"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    head = proc.stdout.read(50)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert head.startswith(b"vector: (9973,9949,9941)\n")
+    assert proc.returncode == 0
+    assert err == b""
 
 
 def test_check_refuses_huge_speeds_before_any_work(monkeypatch, capsys):

@@ -30,6 +30,13 @@ def test_speed_vector_accepts_any_order():
     assert SpeedVector((4, 3, 2)) == (4, 3, 2)
 
 
+def test_speed_vector_of_a_speed_vector_is_itself():
+    # Checked when made and immutable, so the library functions that read
+    # their speeds through SpeedVector pay nothing for one.
+    n = SpeedVector((4, 3, 2))
+    assert SpeedVector(n) is n
+
+
 def test_speed_vector_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
         SpeedVector(())

@@ -52,6 +52,34 @@ def test_verdicts_read_speeds_in_any_order(verdict):
     assert verdict((2, 3, 4)) == verdict((4, 3, 2)) == verdict(SpeedVector([4, 3, 2]))
 
 
+# Read through SpeedVector: a raw tuple in any order works, and invalid
+# speeds raise ValueError rather than AttributeError or ZeroDivisionError.
+INVALID_SPEEDS = [(), (0,), (-1,), (2, 2), (3, True), (3, 0)]
+
+
+def test_suitable_set_reads_speeds_through_speed_vector():
+    assert suitable_set((2, 3, 4)) == suitable_set(SpeedVector([4, 3, 2]))
+    for speeds in INVALID_SPEEDS:
+        with pytest.raises(ValueError):
+            suitable_set(speeds)
+
+
+def test_is_suitable_reads_speeds_through_speed_vector():
+    assert is_suitable((2, 1), F(1, 3))
+    assert not is_suitable((1, 2), F(1, 2))
+    for speeds in INVALID_SPEEDS:
+        with pytest.raises(ValueError):
+            is_suitable(speeds, F(1, 3))
+
+
+def test_lattice_witness_reads_speeds_through_speed_vector():
+    # The point follows the descending order of the speeds, as given or not.
+    assert lattice_witness_from_time((1, 3, 10), F(1, 4)) == (2, 0, 0)
+    for speeds in INVALID_SPEEDS:
+        with pytest.raises(ValueError):
+            lattice_witness_from_time(speeds, F(1, 3))
+
+
 def test_is_suitable_definitional():
     n = SpeedVector([4, 3, 2])
     assert is_suitable(n, F(1, 8))
