@@ -11,7 +11,7 @@ question, whether m exists for every coprime instance, is left to the
 *tight* ones, whose suitable set holds no interval of positive length.
 
 Implementation: instead of testing m = 1, 2, ... one by one, walk the
-suitable intervals in ascending order (the oracle's leapfrog join) and
+suitable intervals in ascending order (the oracle's bad-arc sweep) and
 take the first grid numerator at or after each interval start.  That
 yields the same minimal m as the literal ascending loop, and the walk
 stops at the first interval that holds a grid point.  The walk is

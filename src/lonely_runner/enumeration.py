@@ -2,7 +2,7 @@
 
 Bitmask i (1 <= i < 2^N) encodes the subset whose bit j-1 means speed
 j; decoding a mask yields the descending speed tuple, which the oracle's
-leapfrog join takes as it is.  The per-vector loop runs once over the
+bad-arc sweep takes as it is.  The per-vector loop runs once over the
 masks in ascending order and counts the vectors that the exact oracle
 or the dyadic grid search decides.  One join per vector serves both:
 the start of its first interval is the earliest suitable time, and the

@@ -6,21 +6,32 @@ frac(n_i * t) lies in the closed interval [1/(k+1), k/(k+1)].  A speed
 vector is an *instance* when some suitable time exists; by periodicity
 it then exists in (0, 1).
 
-The suitable set is computed exactly.  Runner i alone admits the arcs
-[(m + 1/(k+1)) / n_i, (m + k/(k+1)) / n_i], m = 0..n_i-1, whose
-endpoints are integers over (k+1) n_i.  They are intersected by a
-leapfrog join (Veldhuizen, *Leapfrog Triejoin*, ICDT 2014): each runner
-in turn either accepts the current time t or seeks to the start of its
-arc floor(n_i t), or of the next arc when t is past the window, in O(1)
-because its arcs form an arithmetic progression.  When all k accept t
-in a row, [t, earliest of their arc ends] is suitable, and the join
-resumes at the next arc of the runner whose arc ended first.  Times are
-integer pairs compared by cross-multiplication, memory is O(k), and a
-caller that needs only the first interval stops there.
+The suitable set is computed exactly.  Runner j is too close to the
+start only on its *bad arcs*, the open intervals
+((m (k+1) - 1) / D_j, (m (k+1) + 1) / D_j), m = 0, 1, ..., where
+D_j = (k+1) n_j; the suitable set is what their union leaves of (0, 1).
+One sweep finds it.  A heap holds each runner's next bad arc, ordered
+by start, and ``cur`` is the furthest arc end reached so far.  When the
+earliest start is at or after ``cur``, [cur, start] is suitable (a single
+point when the two are equal).  A popped arc that ends after ``cur``
+moves ``cur``; one that ends at or before it sends its runner straight
+to its first arc that ends after ``cur``, in O(1) because the arcs form
+an arithmetic progression.  Every pop thus moves one runner forward by
+at least one arc, so the whole set takes at most sum(n) pops, and the
+first interval takes a few pops even at speeds near 10^18.
+
+The heap is ordered by an exact integer key, floor(t 2^P) with
+P = bit_length((k+1) n_1^2).  Two distinct arc endpoints x / ((k+1) n_a) and
+y / ((k+1) n_b) differ by at least 1 / ((k+1) n_a n_b) > 2^-P, so
+distinct times get distinct keys and equal times get equal keys.  The
+keys have about twice the digits of n_1 however many runners there are;
+a common denominator such as (k+1) lcm(n) would grow with the digits of
+all of them.  Memory is O(k), and a caller that needs only the first
+interval stops there.
 
 The set is symmetric under t -> 1 - t: frac(s (1 - t)) = 1 - frac(s t)
 and the window [1/(k+1), k/(k+1)] is symmetric.  So the whole set is
-built from the join's lower half: ``_suitable_quads`` joins only until
+built from the sweep's lower half: ``_suitable_quads`` sweeps only until
 an interval reaches 1/2, keeps the intervals before it as reduced
 integers, checks that the interval holding 1/2 (if any) is its own
 mirror, and then emits the mirror images of the lower half in reverse.
@@ -37,6 +48,7 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
+from heapq import heapify, heapreplace
 from typing import Iterable, Iterator, Sequence
 
 from .model import SpeedVector
@@ -50,70 +62,61 @@ __all__ = [
 ]
 
 # The suitable set has at most sum(n) intervals, since distinct intervals
-# end at distinct arc ends; a larger sum is refused before any work, which
-# bounds the output and the lower half ``_suitable_quads`` keeps (32 bytes
-# an interval).
+# end at distinct arc ends, and the sweep finds it in at most sum(n) heap
+# pops.  A larger sum is refused before any work, which bounds the output,
+# the time and the lower half ``_suitable_quads`` keeps (32 bytes an
+# interval).  Distinct speeds with sum(n) <= 2^20 number k <= 1447, so every
+# denominator (k+1) s < 1448 * 2^20 < 2^31 fits the kept half's signed
+# 64-bit integers.  The worst case the bound admits is k = 1 at
+# sum(n) = 2^20: ``check 1048576`` has 2^20 intervals and, on a 2-vCPU VM
+# under CPython 3.11.7, runs 1.9-3.3 s, peaks at 33 MB ``ru_maxrss`` (16 MB
+# of it the interpreter) and prints 36 MB.
 _MAX_SUITABLE_ARCS = 1 << 20
-# The join's work grows like k * sum(n), at 0.1-0.25 us a step, so the set
-# of (1, ..., 1000) would take over a minute; 2^23 steps take about 2 s.
-# The two bounds keep every denominator (k+1) s <= k sum(n) + sum(n) below
-# 2^24, so the kept half fits in signed 64-bit integers.  The worst case
-# they admit is k = 1 at sum(n) = 2^20: ``check 1048576`` has 2^20
-# intervals and, on a 2-vCPU VM under CPython 3.11.7, runs 2.9 s, peaks
-# at 33 MB ``ru_maxrss`` (16 MB of it the interpreter) and prints 36 MB.
-_MAX_JOIN_STEPS = 1 << 23
 
 
 def _leapfrog(speeds: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
     """Suitable intervals in ascending order, as (lo_num, lo_den, hi_num, hi_den).
 
-    Each denominator is (k+1) s for a speed s.  Slowest runner first: its seeks jump furthest.
+    The bad-arc sweep of the module docstring.  Each denominator is
+    (k+1) s for a speed s: lo ends a bad arc, hi starts the next one.
     """
     speeds = sorted(speeds)
-    k = len(speeds)
-    kp1 = k + 1
-    a, b = 0, 1  # the current time t = a/b; no runner accepts t = 0
-    i = accepted = 0
+    kp1 = len(speeds) + 1
+    p = (kp1 * speeds[-1] * speeds[-1]).bit_length()
+    # The furthest arc end is lo_num / lo_den, with key cur: at first the
+    # end of the slowest runner's arc 0.
+    lo_num, lo_den = 1, kp1 * speeds[0]
+    cur = (1 << p) // lo_den
+    # A heap entry is (key of the start, start numerator, D) of a runner's bad arc, from arc 1.
+    heap = [(((kp1 - 1) << p) // (kp1 * s), kp1 - 1, kp1 * s) for s in speeds]
+    heapify(heap)
     while True:
-        s = speeds[i]
-        m, r = divmod(s * a, b)  # frac(s t) = r/b
-        r *= kp1
-        if r < b or r > k * b:
-            # Seek to the start of arc m, or of arc m + 1 past the window.
-            if r >= b:
-                m += 1
-            if m >= s:
+        key, num, den = heap[0]
+        if key >= cur:
+            yield lo_num, lo_den, num, den
+        num += 2  # the arc's end
+        end = (num << p) // den
+        if end > cur:
+            if num > den:  # past 1, where the set repeats
                 return
-            a, b = m * kp1 + 1, kp1 * s
-            hi_num, hi_den, holder = a + k - 1, b, i  # earliest arc end of the accepting runners
-            accepted = 1
+            cur, lo_num, lo_den = end, num, den
+            num += kp1 - 2
         else:
-            num, den = m * kp1 + k, kp1 * s
-            if not accepted or num * hi_den < hi_num * den:
-                hi_num, hi_den, holder = num, den, i
-            accepted += 1
-        if accepted == k:
-            yield a, b, hi_num, hi_den
-            # Nothing is suitable before the holder's next arc starts.
-            a, b, i, accepted = hi_num + 2, hi_den, holder, 0
-            if a >= b:
-                return
-        else:
-            i = i + 1 if i + 1 < k else 0
+            # Seek: the first arc m with (m (k+1) + 1) / den > cur.
+            num = -(-(lo_num * den // lo_den) // kp1) * kp1 - 1
+        heapreplace(heap, ((num << p) // den, num, den))
 
 
 def _suitable_quads(n: SpeedVector) -> Iterator[tuple[int, int, int, int]]:
     """The suitable set of n in ascending order, as reduced (lo_num, lo_den, hi_num, hi_den).
 
-    Joins only up to the interval that reaches 1/2 and mirrors the rest
+    Sweeps only up to the interval that reaches 1/2 and mirrors the rest
     (see the module docstring).  A mirrored endpoint (d - c)/d has the
-    same gcd as c/d, so each endpoint costs one gcd.  The limits are
-    checked, and refused with ValueError, before the join starts.
+    same gcd as c/d, so each endpoint costs one gcd.  The limit is
+    checked, and refused with ValueError, before the sweep starts.
     """
     if sum(n) > _MAX_SUITABLE_ARCS:
         raise ValueError(f"{n} may have {sum(n)} suitable intervals, over the limit {_MAX_SUITABLE_ARCS}")
-    if n.k * sum(n) > _MAX_JOIN_STEPS:
-        raise ValueError(f"{n} may take {n.k * sum(n)} join steps, over the limit {_MAX_JOIN_STEPS}")
     gcd = math.gcd
     lower = array("q")
     middle = None

@@ -351,14 +351,25 @@ def test_check_into_a_closed_pipe_exits_0():
 def test_check_refuses_huge_speeds_before_any_work(monkeypatch, capsys):
     # The set could hold sum(n) intervals.  The limit is checked before
     # the join starts; a join started here would fail the test, not fill memory.
-    # The join's work, about k * sum(n) steps, has its own limit: 1..1000
-    # has a sum of 500500, under the first limit, but k * sum(n) = 500500000.
     monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: pytest.fail("the limit is checked first"))
-    for speeds in (["1000000000000", "1"], [str(s) for s in range(1, 1001)]):
-        code, out, err = run_cli(capsys, "check", *speeds)
-        assert code == 1
-        assert out == ""
-        assert "limit" in err
+    code, out, err = run_cli(capsys, "check", "1000000000000", "1")
+    assert code == 1
+    assert out == ""
+    assert "limit" in err
+
+
+def test_check_accepts_many_runners_under_the_limit(capsys):
+    # 1..1000 has k = 1000 and a sum of 500500, under the limit: the sweep
+    # makes at most sum(n) pops however many runners share the heap.
+    speeds = range(1, 1001)
+    code, out, _ = run_cli(capsys, "check", *map(str, speeds))
+    assert code == 0
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    # (1..k) is tight: its suitable set is the points j/(k+1) with j prime to k+1.
+    points = [t for t in (Fraction(j, 1001) for j in range(1, 1001)) if t.denominator == 1001]
+    assert fields["suitable_set"] == " ".join(f"[{t}, {t}]" for t in points)
+    # is_suitable costs 1000 Fraction products a time; every tenth point keeps the test short.
+    assert all(oracle.is_suitable(speeds, t) for t in points[::10])
 
 
 @pytest.mark.parametrize("argv", [("dyadic",), ("classify", "--with-oracle")])

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import descending_subsets, grid_denominator, scaled_suitable_set, suitability_probe_points
-from lonely_runner import oracle, polyhedron
+from lonely_runner import cli, oracle, polyhedron
 from lonely_runner.dyadic import find_dyadic_time
 from lonely_runner.model import SpeedVector
 from lonely_runner.oracle import (
@@ -149,12 +150,8 @@ def test_leapfrog_matches_arc_lists_at_larger_speeds(k, tier):
         assert_sorted_disjoint(times)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(1, 10**9), min_size=1, max_size=7, unique=True))
-def test_leapfrog_intervals_at_huge_speeds(speeds):
-    # The arc lists cannot run at these speeds; the definitional test can.
-    n = SpeedVector(speeds)
-    raw = list(itertools.islice(oracle._leapfrog(n), 50))
+def assert_intervals_by_definition(n, raw):
+    """Check the sweep's first intervals with is_suitable: ends, midpoints and each gap's midpoint."""
     dens = {(n.k + 1) * s for s in n}
     assert all(lo_den in dens and hi_den in dens for _, lo_den, _, hi_den in raw)
     intervals = [(F(lo_num, lo_den), F(hi_num, hi_den)) for lo_num, lo_den, hi_num, hi_den in raw]
@@ -167,20 +164,106 @@ def test_leapfrog_intervals_at_huge_speeds(speeds):
         gap_start = hi
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 10**9), min_size=1, max_size=7, unique=True))
+def test_leapfrog_intervals_at_huge_speeds(speeds):
+    # The arc lists cannot run at these speeds; the definitional test can.
+    n = SpeedVector(speeds)
+    assert_intervals_by_definition(n, list(itertools.islice(oracle._leapfrog(n), 50)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 10**40), min_size=1, max_size=7, unique=True))
+def test_sweep_key_is_exact_at_speeds_near_10_40(speeds):
+    # The keys are near 2^270 here, far past what a float tells apart.
+    n = SpeedVector(speeds)
+    assert_intervals_by_definition(n, list(itertools.islice(oracle._leapfrog(n), 50)))
+
+
+def test_sweep_key_separates_the_closest_arc_ends():
+    # k = 2, D = 3 n, both near 2^40.  The slower runner's bad arc 12000 ends
+    # at e = 36001 / (3 n_a); the faster one's arc 12001 starts at
+    # s = 36002 / (3 n_b).  As 36001 n_b - 36002 n_a = 1, s < e by
+    # 1 / (3 n_a n_b), the least gap two arc ends can have, so e is not
+    # suitable.  A key that tied them would emit [e, s] backwards.
+    n_b, n_a = 366503924197, 366493744098
+    e, s = F(36001, 3 * n_a), F(36002, 3 * n_b)
+    assert e - s == F(1, 3 * n_a * n_b)
+    assert 36001 / (3 * n_a) == 36002 / (3 * n_b)  # float keys tie
+    p = (3 * n_b * n_b).bit_length()
+    assert (36001 << p - 2) // (3 * n_a) == (36002 << p - 2) // (3 * n_b)  # so do keys two bits short
+    n = SpeedVector([n_b, n_a])
+    raw = list(itertools.islice(oracle._leapfrog(n), 12001))
+    assert_intervals_by_definition(n, raw)
+    # The first 12000 intervals end before s, and the next starts after e.
+    assert F(raw[-2][2], raw[-2][3]) < s < e < F(raw[-1][0], raw[-1][1])
+    assert not is_suitable(n, e)
+
+
+class HeapWatch:
+    """Stands in for the sweep's heapify and heapreplace: counts pops, keeps the widest key."""
+
+    def __init__(self, monkeypatch):
+        monkeypatch.setattr(oracle, "heapify", self.heapify)
+        monkeypatch.setattr(oracle, "heapreplace", self.heapreplace)
+        self.reset(0)
+
+    def reset(self, max_pops):
+        self.pops, self.key_bits, self.max_pops = 0, 0, max_pops
+
+    def heapify(self, heap):
+        self.key_bits = max([self.key_bits] + [key.bit_length() for key, *_ in heap])
+        heapq.heapify(heap)
+
+    def heapreplace(self, heap, entry):
+        self.pops += 1
+        if self.pops > self.max_pops:  # fail here rather than run on
+            pytest.fail(f"more than {self.max_pops} heap pops")
+        self.key_bits = max(self.key_bits, entry[0].bit_length())
+        return heapq.heapreplace(heap, entry)
+
+    def assert_narrow_keys(self, n):
+        # floor(t 2^P) with t < 2 and P <= 2 bit_length((k+1) n_1): the keys
+        # follow the fastest speed, not the digits of all of them.
+        assert self.key_bits <= 2 * ((n.k + 1) * n[0]).bit_length() + 1
+
+
+def test_sweep_pops_each_arc_at_most_once(monkeypatch):
+    watch = HeapWatch(monkeypatch)
+    for speeds in descending_subsets(10):
+        n = SpeedVector(speeds)
+        watch.reset(sum(n))
+        list(oracle._leapfrog(n))
+        watch.assert_narrow_keys(n)
+
+
+@pytest.mark.parametrize("speeds", [(10**12, 1), (10**18, 10**9, 1)])
+def test_sweep_seeks_past_the_arcs_of_fast_runners(monkeypatch, speeds):
+    # Without the seek, the fastest runner would pop every arc it has before 1/3.
+    watch = HeapWatch(monkeypatch)
+    n = SpeedVector(speeds)
+    watch.reset(4 * n.k)
+    t = earliest_suitable_time(n)
+    assert is_suitable(n, t)
+    watch.assert_narrow_keys(n)
+
+
+def test_classify_with_oracle_at_1399_digits_pops_a_few_arcs(monkeypatch, capsys):
+    rng = random.Random(1399)
+    n = SpeedVector(rng.randrange(10**1398, 10**1399) for _ in range(100))
+    watch = HeapWatch(monkeypatch)
+    watch.reset(4 * n.k)
+    assert cli.main(["classify", *map(str, n), "--with-oracle"]) == 0
+    assert "oracle_verdict: true\n" in capsys.readouterr().out
+    # (k+1) lcm(n) would have about 100 times the digits of n_1.
+    watch.assert_narrow_keys(n)
+
+
 def test_suitable_set_refuses_more_arcs_than_the_limit(monkeypatch):
     monkeypatch.setattr(oracle, "_MAX_SUITABLE_ARCS", 9)
     assert len(suitable_set(SpeedVector([4, 3, 2]))) == 2
     monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: pytest.fail("the limit is checked first"))
     with pytest.raises(ValueError, match="limit 9"):
-        suitable_set(SpeedVector([5, 3, 2]))
-
-
-def test_suitable_set_refuses_more_join_steps_than_the_limit(monkeypatch):
-    # k * sum(n) is 27 for (4, 3, 2) and 30 for (5, 3, 2).
-    monkeypatch.setattr(oracle, "_MAX_JOIN_STEPS", 27)
-    assert len(suitable_set(SpeedVector([4, 3, 2]))) == 2
-    monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: pytest.fail("the limit is checked first"))
-    with pytest.raises(ValueError, match="limit 27"):
         suitable_set(SpeedVector([5, 3, 2]))
 
 
