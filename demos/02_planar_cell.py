@@ -4,7 +4,7 @@ The runner polyhedron and its planar cell
 
 A vector is an instance exactly when the runner polyhedron P(n)
 contains an integer point.  P(n) is unbounded (it is invariant along
-the direction n), so the search happens in a bounded planar window Q
+the direction n), so the geometry works in a bounded planar window Q
 cut out by six half-planes: any integer point of Q zero-pads to an
 integer point of P(n) whenever n_3 <= k * n_k.
 """
@@ -12,9 +12,8 @@ integer point of P(n) whenever n_3 <= k * n_k.
 from lonely_runner import (
     SpeedVector,
     contains,
-    integer_point_in_q,
-    lift_to_p,
-    p1_interval,
+    earliest_suitable_time,
+    lattice_witness_from_time,
     q_geometry,
 )
 
@@ -41,15 +40,9 @@ for axis in (0, 1):
     print(f"width along x{axis + 1}:", max(values) - min(values))
 print("closed-form lemma widths:", geom.lemma_widths)
 
-# Find the integer point and lift it into the full polyhedron; the
-# point's length says which window it comes from.
-p = integer_point_in_q(n)
-print("integer point of Q:", p)
-lifted = lift_to_p(n, p)
-print("zero-padded lift:", lifted, "in P(n):", contains(n, lifted))
-
-# The 1D window works the same way when n_2 <= k * n_k.
-m = SpeedVector([20, 14, 8, 6, 5, 4, 2])
-lo, hi = p1_interval(m)
-print(f"\nvector {m}: 1D window [{lo}, {hi}] contains the integer 1")
-print("lift of 1:", lift_to_p(m, (1,)))
+# An integer point of P(n): the floor-rounding of the earliest suitable
+# time.  Here it is zero past its first two coordinates, which lie in Q.
+point = lattice_witness_from_time(n, earliest_suitable_time(n))
+print("lattice witness:", point, "in P(n):", contains(n, point))
+x1, x2 = point[:2]
+print(f"({x1}, {x2}) in Q:", all(h.a1 * x1 + h.a2 * x2 <= h.b for h in geom.halfplanes))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import oracle
 from .model import SpeedVector
@@ -46,15 +46,15 @@ def _rules(n1: int, n2: int, n3: int, nk: int, k: int) -> tuple[bool, bool, bool
     return thm1, thm2, slow_fast
 
 
-def evaluate_rules(speeds: Sequence[int]) -> tuple[bool, bool, bool]:
-    """Rule triple (thm1, thm2, slow_fast) on a descending speed tuple.
+def evaluate_rules(speeds: Iterable[int]) -> tuple[bool, bool, bool]:
+    """Rule triple (thm1, thm2, slow_fast) for the speeds, in any order.
 
-    Integer-only, so the enumeration sweep calls it on raw tuples;
-    classify calls it for single vectors.  Rules whose shape
-    requirements are not met (k too small) are simply False.
+    Rules whose shape requirements are not met (k too small) are simply
+    False.  Invalid speeds raise ValueError, as SpeedVector does.
     """
-    k = len(speeds)
-    return _rules(speeds[0], speeds[min(1, k - 1)], speeds[min(2, k - 1)], speeds[-1], k)
+    n = SpeedVector(speeds)
+    k = n.k
+    return _rules(n[0], n[min(1, k - 1)], n[min(2, k - 1)], n[-1], k)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ suitable intervals in ascending order (the oracle's bad-arc sweep) and
 take the first grid numerator at or after each interval start.  That
 yields the same minimal m as the literal ascending loop, and the walk
 stops at the first interval that holds a grid point.  The walk is
-:func:`_grid_hit`, which takes any iterator of join intervals: the
-census feeds it the join it already opened for the earliest time, so
-one join serves both.
+:func:`_grid_hit`, which takes any iterator of sweep intervals: the
+census feeds it the sweep it already opened for the earliest time, so
+one sweep serves both.
 
 Restricting to the lower half of the grid (m <= ceil(D/2)) never
 changes the answer: t = 1 is never suitable, so a minimal hit with
@@ -53,7 +53,7 @@ def dyadic_denominator(n: Sequence[int]) -> int:
 
 
 def _grid_hit(intervals: Iterable[tuple[int, int, int, int]], den: int) -> int | None:
-    """First grid numerator m with m/den in one of the join's intervals, else None."""
+    """First grid numerator m with m/den in one of the sweep's intervals, else None."""
     for lo_num, lo_den, hi_num, hi_den in intervals:
         # Smallest m with m/den >= lo; intervals lie inside (0, 1), so
         # 1 <= m_lo <= den.
@@ -70,4 +70,4 @@ def find_dyadic_time(n: Iterable[int]) -> int | None:
     speeds raise ValueError, as SpeedVector does.
     """
     n = SpeedVector(n)
-    return _grid_hit(oracle._leapfrog(n), dyadic_denominator(n))
+    return _grid_hit(oracle._sweep(n), dyadic_denominator(n))

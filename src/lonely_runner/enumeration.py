@@ -4,7 +4,7 @@ Bitmask i (1 <= i < 2^N) encodes the subset whose bit j-1 means speed
 j; decoding a mask yields the descending speed tuple, which the oracle's
 bad-arc sweep takes as it is.  The per-vector loop runs once over the
 masks in ascending order and counts the vectors that the exact oracle
-or the dyadic grid search decides.  One join per vector serves both:
+or the dyadic grid search decides.  One sweep per vector serves both:
 the start of its first interval is the earliest suitable time, and the
 dyadic grid walk resumes the same iterator from there.  When :func:`sweep`
 writes a record file, the same loop hands it one record per vector,
@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
 from . import dyadic, oracle
-from .classify import _rules, evaluate_rules
+from .classify import _rules
 from .model import format_rational
 
 __all__ = [
@@ -145,7 +145,7 @@ def _census(
     VectorRecord per classified vector when it is given.  Returns the
     closed-form summary of :func:`_rule_census` with those two counts.
     """
-    gcd, leapfrog, grid_hit, denominator = math.gcd, oracle._leapfrog, dyadic._grid_hit, dyadic.dyadic_denominator
+    gcd, sweep_arcs, grid_hit, denominator = math.gcd, oracle._sweep, dyadic._grid_hit, dyadic.dyadic_denominator
     join = with_oracle or with_dyadic
     first = is_instance = earliest = dyadic_m = None  # reassigned per vector only when their pass is on
     oracle_ct = dyadic_ct = 0
@@ -155,7 +155,7 @@ def _census(
         if require_coprime and not coprime:
             continue
         if join:
-            joined = leapfrog(speeds)
+            joined = sweep_arcs(speeds)
             first = next(joined, None)
             if first is not None:
                 oracle_ct += 1
@@ -164,11 +164,12 @@ def _census(
                 if dyadic_m is not None:
                     dyadic_ct += 1
         if write is not None:
-            rules = evaluate_rules(speeds)
+            k = len(speeds)
+            rules = _rules(speeds[0], speeds[min(1, k - 1)], speeds[min(2, k - 1)], speeds[-1], k)
             if with_oracle:
                 is_instance = first is not None
                 earliest = Fraction(first[0], first[1]) if is_instance else None
-            write(VectorRecord(speeds, len(speeds), coprime, *rules, any(rules), is_instance, earliest, dyadic_m))
+            write(VectorRecord(speeds, k, coprime, *rules, any(rules), is_instance, earliest, dyadic_m))
     summary = _rule_census(max_speed, require_coprime)
     return replace(
         summary,

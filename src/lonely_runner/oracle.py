@@ -74,7 +74,7 @@ __all__ = [
 _MAX_SUITABLE_ARCS = 1 << 20
 
 
-def _leapfrog(speeds: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
+def _sweep(speeds: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
     """Suitable intervals in ascending order, as (lo_num, lo_den, hi_num, hi_den).
 
     The bad-arc sweep of the module docstring.  Each denominator is
@@ -120,7 +120,7 @@ def _suitable_quads(n: SpeedVector) -> Iterator[tuple[int, int, int, int]]:
     gcd = math.gcd
     lower = array("q")
     middle = None
-    for a, b, c, d in _leapfrog(n):
+    for a, b, c, d in _sweep(n):
         if 2 * a > b:  # past 1/2: the mirror of a kept interval, unless none was kept
             if not lower:
                 raise RuntimeError(f"suitable set of {n} lost reflection symmetry: it starts after 1/2")
@@ -158,7 +158,7 @@ def is_instance(n: Iterable[int]) -> bool:
 
     Invalid speeds raise ValueError, as SpeedVector does.
     """
-    return next(_leapfrog(SpeedVector(n)), None) is not None
+    return next(_sweep(SpeedVector(n)), None) is not None
 
 
 def earliest_suitable_time(n: Iterable[int]) -> Fraction | None:
@@ -166,7 +166,7 @@ def earliest_suitable_time(n: Iterable[int]) -> Fraction | None:
 
     Invalid speeds raise ValueError, as SpeedVector does.
     """
-    first = next(_leapfrog(SpeedVector(n)), None)
+    first = next(_sweep(SpeedVector(n)), None)
     return None if first is None else Fraction(first[0], first[1])
 
 

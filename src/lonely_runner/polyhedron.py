@@ -1,4 +1,4 @@
-"""The runner polyhedron and its low-dimensional windows.
+"""The runner polyhedron and its planar window.
 
 For a speed vector n_1 > ... > n_k, the runner polyhedron P(n) is the
 set of x in R^k with
@@ -11,16 +11,17 @@ worth computing: wide windows force integer points.
 
 P(n) is invariant along the direction n itself (adding c*n to x leaves
 every n_j x_i - n_i x_j unchanged), so P(n) is never bounded and its
-true coordinate projections are unbounded too.  Instead of projections
-we work with bounded low-dimensional windows into P(n): a closed
-interval for one coordinate, and for two coordinates the hexagonal
-cell Q cut out by six half-planes (box bounds on x_1 and x_2 plus a
-slant band on n_2 x_1 - n_1 x_2).  Both are P(n)'s pair constraints
-with the padded coordinates set to zero: a window coordinate against
-a padded one gives its box bound (see _box), and the pair (1, 2) gives
-the band.  The windows are useful one way round: any integer point
-found inside them zero-pads to an integer point of P(n) whenever
-n_{m+1} <= k n_k, which is how instance witnesses are produced here.
+true coordinate projections are unbounded too.  Instead of a projection
+we work with a bounded window into P(n) on the first two coordinates:
+the hexagonal cell Q cut out by six half-planes (box bounds on x_1 and
+x_2 plus a slant band on n_2 x_1 - n_1 x_2).  These are P(n)'s pair
+constraints with x_3 = ... = x_k = 0: x_1 or x_2 against a padded
+coordinate gives its box bound (see _box), and the pair (1, 2) gives
+the band.  The window is useful one way round: an integer point of Q
+zero-pads to an integer point of P(n) whenever n_3 <= k n_k (and an
+integer x_1 of the one-coordinate window whenever n_2 <= k n_k).  That
+is how the width and modular rules of ``classify`` certify instances,
+and the tests take this route to confirm them a second way.
 Everything is exact rational arithmetic.  The band cuts at most two
 corners off the box (see _clip), so Q's vertices have a closed form,
 and its landmarks and lemma widths are read off the box bounds.
@@ -28,7 +29,6 @@ and its landmarks and lemma widths are read off the box bounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -41,10 +41,7 @@ __all__ = [
     "QGeometry",
     "LemmaWidths",
     "contains",
-    "p1_interval",
     "q_geometry",
-    "integer_point_in_q",
-    "lift_to_p",
 ]
 
 _ZERO = Fraction(0)
@@ -121,29 +118,16 @@ def contains(n: SpeedVector, x: Sequence[Fraction | int]) -> bool:
     return True
 
 
-def _box(n: SpeedVector, i: int, m: int) -> tuple[Fraction, Fraction]:
-    """Bounds (lo, hi) on x_i in the m-dimensional window of P(n), for i <= m < k.
+def _box(n: SpeedVector, i: int) -> tuple[Fraction, Fraction]:
+    """Bounds (lo, hi) on x_i, i in {1, 2}, in the planar window of P(n).
 
     They are P(n)'s constraint on the pair (i, j) with the padded x_j = 0,
     (n_i - k n_j)/(k+1) <= n_j x_i <= (k n_i - n_j)/(k+1) for every
-    j > m, which is tightest at j = k below and at j = m+1 above.
+    j >= 3, which is tightest at j = k below and at j = 3 above.
     """
     k = n.k
-    ni, nk, nm1 = n[i - 1], n[k - 1], n[m]
-    return Fraction(ni - k * nk, (k + 1) * nk), Fraction(k * ni - nm1, (k + 1) * nm1)
-
-
-def p1_interval(n: SpeedVector) -> tuple[Fraction, Fraction]:
-    """One-dimensional window into P(n) on the first coordinate, as (lo, hi).
-
-    Any x1 in [lo, hi] extends to a point of P(n) by zero-padding when
-    n_2 <= k * n_k (see lift_to_p).  Needs k >= 2.  The interval may be
-    empty (lo > hi) for vectors with a very dominant n_1; callers must
-    check.
-    """
-    if n.k < 2:
-        raise ValueError("p1_interval needs k >= 2")
-    return _box(n, 1, 1)
+    ni, nk, n3 = n[i - 1], n[k - 1], n[2]
+    return Fraction(ni - k * nk, (k + 1) * nk), Fraction(k * ni - n3, (k + 1) * n3)
 
 
 def _q_bounds(n: SpeedVector) -> tuple[Fraction, ...]:
@@ -151,7 +135,7 @@ def _q_bounds(n: SpeedVector) -> tuple[Fraction, ...]:
     if n.k < 3:
         raise ValueError("the 2D cell needs k >= 3")
     k, n1, n2 = n.k, n[0], n[1]
-    return (*_box(n, 1, 2), *_box(n, 2, 2), Fraction(n1 - k * n2, k + 1), Fraction(k * n1 - n2, k + 1))
+    return (*_box(n, 1), *_box(n, 2), Fraction(n1 - k * n2, k + 1), Fraction(k * n1 - n2, k + 1))
 
 
 def _landmarks(n: SpeedVector, bounds: tuple[Fraction, ...]) -> QLandmarks:
@@ -197,7 +181,7 @@ def q_geometry(n: SpeedVector) -> QGeometry:
     The half-planes come in the order x1 lower, x1 upper, x2 lower, x2
     upper, slant lower, slant upper, where the slant constraints bound
     n_2 x_1 - n_1 x_2.  Points of Q zero-pad into P(n) when
-    n_3 <= k * n_k (see lift_to_p).  The lemma widths are None exactly
+    n_3 <= k * n_k.  The lemma widths are None exactly
     when their region is empty, decided from the x_2 range [lo2, hi2]
     of Q (see _clip), not by the sign of the closed form: Q cut to
     x_2 >= alpha is empty when alpha is above the range, and Q cut to
@@ -227,52 +211,3 @@ def q_geometry(n: SpeedVector) -> QGeometry:
             lm.gamma - lm.beta if lm.beta <= lm.gamma else None,
         )
     return QGeometry(halfplanes, vertices, lm, widths)
-
-
-def integer_point_in_q(n: SpeedVector) -> tuple[int, int] | None:
-    """Integer point (x1, x2) of Q minimizing (x2, x1) lexicographically, or None.
-
-    Scans integer x2 levels across the x2 range [lo2, hi2] of Q (see
-    _clip); on each level the admissible x1 range is the box bound
-    intersected with the slant band solved for x1.
-    """
-    lo1, hi1, lo2, hi2, lo5, hi5 = _q_bounds(n)
-    if lo1 > hi1 or lo2 > hi2:
-        return None
-    n1, n2 = n[0], n[1]
-    for z in range(math.ceil(lo2), math.floor(hi2) + 1):
-        xlo = max(lo1, (lo5 + n1 * z) / n2)
-        xhi = min(hi1, (hi5 + n1 * z) / n2)
-        if xlo > xhi:
-            continue
-        c = math.ceil(xlo)
-        if c <= math.floor(xhi):
-            return c, z
-    return None
-
-
-def lift_to_p(n: SpeedVector, p: Sequence[int]) -> tuple[int, ...]:
-    """Zero-pad a point of the m-dimensional window into P(n), m = len(p).
-
-    Valid for m in {1, 2} when n_{m+1} <= k * n_k (vacuous when m = k):
-    the padded point is then in P(n) exactly when p is in the window,
-    so one exact membership test of the padded point decides both, and
-    a point outside raises.
-    """
-    coords = tuple(p)
-    m = len(coords)
-    if m not in (1, 2):
-        raise ValueError(f"point must have 1 or 2 coordinates, got {m}")
-    if m > n.k:
-        raise ValueError(f"m = {m} exceeds k = {n.k}")
-    k = n.k
-    if m < k and n[m] > k * n[k - 1]:
-        raise ValueError(f"lift needs n_{m + 1} <= k*n_k, got {n[m]} > {k * n[k - 1]}")
-    # Under the guard, the constraint of two padded coordinates i < j holds,
-    # as n_i <= n_{m+1} <= k n_k <= k n_j.  A window coordinate against the
-    # padded ones is the window's box (see _box), and for m = 2 the pair
-    # (1, 2) is the slant band.
-    lifted = coords + (0,) * (k - m)
-    if not contains(n, lifted):
-        raise ValueError(f"point {coords} is outside the {m}-dimensional window")
-    return lifted

@@ -18,7 +18,7 @@ import lonely_runner
 from lonely_runner.enumeration import EnumerationSummary, _census
 from lonely_runner.model import SpeedVector
 from lonely_runner.oracle import is_suitable
-from lonely_runner.polyhedron import HalfPlane, contains
+from lonely_runner.polyhedron import HalfPlane, contains, q_geometry
 
 __all__ = [
     "descending_subsets",
@@ -28,6 +28,10 @@ __all__ = [
     "scaled_suitable_set",
     "suitability_probe_points",
     "brute_dyadic_m",
+    "certify_first_intervals",
+    "p1_window",
+    "q_integer_point",
+    "zero_pad",
     "brute_integer_points_in_region",
     "halfplane_vertices",
     "project",
@@ -93,7 +97,7 @@ def _intersect(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tuple
 def scaled_suitable_set(n: SpeedVector) -> tuple[int, list[tuple[int, int]]]:
     """Suitable set as integer arcs [lo, hi] over D = (k+1) * lcm(n).
 
-    An oracle independent of the library's leapfrog join: every
+    An oracle independent of the library's bad-arc sweep: every
     runner's arcs are materialised over the common denominator D and
     the k lists are intersected pairwise with a two-pointer sweep.
     Memory grows with sum(n), so keep speeds small.
@@ -135,6 +139,78 @@ def brute_dyadic_m(n: SpeedVector, den: int, limit: int) -> int | None:
     for m in range(1, limit + 1):
         if is_suitable(n, Fraction(m, den)):
             return m
+    return None
+
+
+def _furthest_arc_end(n: SpeedVector, t: Fraction) -> Fraction | None:
+    """Furthest end of the runners' bad arcs that hold [t, t + eps), or None when none does.
+
+    With x = s t and m = floor(x + 1/(k+1)), arc m of the runner of
+    speed s, ((m - 1/(k+1)) / s, (m + 1/(k+1)) / s), holds it when
+    x < m + 1/(k+1).
+    """
+    margin = Fraction(1, n.k + 1)
+    ends = []
+    for s in n:
+        x = s * t
+        end = math.floor(x + margin) + margin  # m + 1/(k+1), in units of 1/s
+        if x < end:
+            ends.append(end / s)
+    return max(ends, default=None)
+
+
+def certify_first_intervals(n: SpeedVector, intervals: Sequence[tuple[Fraction, Fraction]]) -> None:
+    """Check by the definition that the (lo, hi) pairs are the first suitable intervals of n.
+
+    Shares no code with the library's sweep.  From 0 and from each hi,
+    a walk moves t to the furthest end of the bad arcs that hold
+    [t, t + eps) until it reaches the next lo: every time it passes is
+    inside a bad arc, every point it lands on short of lo must be
+    unsuitable, and it must land exactly on lo.  Inside an interval, lo
+    is suitable and no runner's next bad arc, which starts at
+    (floor(s lo) + k/(k+1)) / s, starts before hi.  A walk that cannot
+    start from hi would mean the interval goes on past it.
+    """
+    k, t = n.k, Fraction(0)
+    for lo, hi in intervals:
+        assert t < lo <= hi < 1, (n, t, lo, hi)
+        t = _furthest_arc_end(n, t)
+        while t is not None and t < lo:
+            assert not is_suitable(n, t), f"{n}: {t} is suitable, before {lo}"
+            t = _furthest_arc_end(n, t)
+        assert t == lo, f"{n}: the walk from the previous interval reaches {t}, not {lo}"
+        assert is_suitable(n, lo), (n, lo)
+        assert all((math.floor(s * lo) + Fraction(k, k + 1)) / s >= hi for s in n), (n, lo, hi)
+        t = hi
+
+
+def zero_pad(n: SpeedVector, p: Sequence[int]) -> tuple[int, ...]:
+    """The point p of a window on the first coordinates, padded with zeros to dimension k."""
+    return tuple(p) + (0,) * (n.k - len(p))
+
+
+def p1_window(n: SpeedVector) -> tuple[Fraction, Fraction]:
+    """The one-coordinate window (lo, hi) of P(n) on x_1, in the paper's closed form; k >= 2.
+
+    Its points zero-pad into P(n) when n_2 <= k n_k.
+    """
+    k, n1, n2, nk = n.k, n[0], n[1], n[-1]
+    return Fraction(n1 - k * nk, (k + 1) * nk), Fraction(k * n1 - n2, (k + 1) * n2)
+
+
+def q_integer_point(n: SpeedVector) -> tuple[int, int] | None:
+    """Integer point (x1, x2) of Q minimizing (x2, x1) lexicographically, or None.
+
+    Scans the integer x2 levels between the x2 bounds of Q's half-planes;
+    on each level the half-planes with a1 != 0 bound x1.  The scan stops
+    at the first hit, so it is quick at any speed where Q is wide.
+    """
+    hps = q_geometry(n).halfplanes
+    for x2 in range(math.ceil(-hps[2].b), math.floor(hps[3].b) + 1):
+        lo = max((h.b - h.a2 * x2) / h.a1 for h in hps if h.a1 < 0)
+        hi = min((h.b - h.a2 * x2) / h.a1 for h in hps if h.a1 > 0)
+        if math.ceil(lo) <= hi:
+            return math.ceil(lo), x2
     return None
 
 

@@ -10,7 +10,7 @@ import math
 import time
 from fractions import Fraction
 
-from helpers import descending_subsets, record_tally, width
+from helpers import descending_subsets, q_integer_point, record_tally, width, zero_pad
 from lonely_runner.classify import classify, evaluate_rules
 from lonely_runner.cli import main
 from lonely_runner.dyadic import dyadic_denominator, find_dyadic_time
@@ -23,13 +23,7 @@ from lonely_runner.oracle import (
     lattice_witness_from_time,
     suitable_set,
 )
-from lonely_runner.polyhedron import (
-    HalfPlane,
-    contains,
-    integer_point_in_q,
-    lift_to_p,
-    q_geometry,
-)
+from lonely_runner.polyhedron import HalfPlane, contains, q_geometry
 
 F = Fraction
 
@@ -190,9 +184,9 @@ def test_criterion_09_witness_roundtrip_to_12():
         assert contains(n, point), speeds
         lattice_checked += 1
         if n.k == 3 and n[2] <= n.k * n[n.k - 1]:
-            p = integer_point_in_q(n)
+            p = q_integer_point(n)
             assert p is not None, speeds
-            assert contains(n, lift_to_p(n, p)), speeds
+            assert contains(n, zero_pad(n, p)), speeds
             planar_checked += 1
     assert lattice_checked == 4095
     assert planar_checked == 220

@@ -69,9 +69,9 @@ def test_only_named_private_names_cross_modules():
     # list says so; each entry is (user, "module._name").
     allowed = {
         ("cli", "oracle._suitable_quads"),
-        ("dyadic", "oracle._leapfrog"),
+        ("dyadic", "oracle._sweep"),
         ("enumeration", "classify._rules"),
-        ("enumeration", "oracle._leapfrog"),
+        ("enumeration", "oracle._sweep"),
         ("enumeration", "dyadic._grid_hit"),
     }
     found = set()

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import descending_subsets
+from helpers import certify_first_intervals, descending_subsets, p1_window, q_integer_point, zero_pad
 from lonely_runner.classify import classify, evaluate_rules
 from lonely_runner.cli import main
 from lonely_runner.model import SpeedVector
 from lonely_runner.oracle import earliest_suitable_time, is_instance, is_suitable
-from lonely_runner.polyhedron import contains, integer_point_in_q, lift_to_p, p1_interval
+from lonely_runner.polyhedron import contains
 
 F = Fraction
 
@@ -71,6 +71,15 @@ def test_classify_reads_speeds_through_speed_vector():
             classify(speeds)
 
 
+def test_evaluate_rules_reads_speeds_through_speed_vector():
+    # Ascending speeds used to be read as if descending, so (2, ..., 17)
+    # came back (False, False, True), and a repeated speed went through.
+    assert evaluate_rules((2, 4, 5, 6, 7, 16, 17)) == evaluate_rules((17, 16, 7, 6, 5, 4, 2)) == (True, False, False)
+    for speeds in [(), (0,), (3, 3, 1), (3, 0), (3, True)]:
+        with pytest.raises(ValueError):
+            evaluate_rules(speeds)
+
+
 def test_classify_slow_fast_witness_is_free():
     report = classify(SpeedVector([4, 3, 2]))
     assert report.slow_fast
@@ -110,9 +119,10 @@ def test_reported_witnesses_are_suitable():
 
 
 # Rule soundness at large speeds, checked two ways: every rule-positive
-# vector has a suitable time from the join, and its rule's own witness
-# (an integer point of Q or of the 1D window, lifted into P(n), or the
-# slow_fast time) is checked against the polyhedron or the definition.
+# vector has an earliest suitable time, certified by the definition, and
+# its rule's own witness (an integer point of Q or of the 1D window,
+# zero-padded into P(n), or the slow_fast time) is checked against the
+# polyhedron or the definition.
 BIG = 10**9
 
 
@@ -161,14 +171,15 @@ def _confirm_rule_verdicts(speeds):
     if not (thm1 or thm2 or slow_fast):
         return thm1, thm2, slow_fast
     t = earliest_suitable_time(n)
-    assert t is not None and is_suitable(n, t)
+    assert t is not None
+    certify_first_intervals(n, [(t, t)])
     if thm1:
-        p = integer_point_in_q(n)
+        p = q_integer_point(n)
         assert p is not None
-        assert contains(n, lift_to_p(n, p))
+        assert contains(n, zero_pad(n, p))
     if thm2:
-        lo, _ = p1_interval(n)
-        assert contains(n, lift_to_p(n, (math.ceil(lo),)))
+        lo, _ = p1_window(n)
+        assert contains(n, zero_pad(n, (math.ceil(lo),)))
     if slow_fast:
         assert is_suitable(n, classify(n).witness_time)
     return thm1, thm2, slow_fast

@@ -223,7 +223,7 @@ def counting(monkeypatch, module, name):
     ids=["check", "classify", "dyadic"],
 )
 def test_vector_commands_build_the_suitable_set_once(monkeypatch, capsys, argv, expected):
-    builds = counting(monkeypatch, oracle, "_leapfrog")
+    builds = counting(monkeypatch, oracle, "_sweep")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == expected
@@ -250,7 +250,7 @@ def test_polytope_builds_the_box_and_landmarks_once(monkeypatch, capsys):
 def test_check_keeps_the_reflection_guard(monkeypatch, capsys):
     # A suitable set that starts after 1/2 cannot be symmetric; check
     # reports it as an internal error instead of printing a witness.
-    monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: iter([(40, 48, 41, 48)]))
+    monkeypatch.setattr(oracle, "_sweep", lambda speeds: iter([(40, 48, 41, 48)]))
     code, out, err = run_cli(capsys, "check", "4", "3", "2")
     assert code == 2
     assert out == ""
@@ -260,7 +260,7 @@ def test_check_keeps_the_reflection_guard(monkeypatch, capsys):
 def test_check_guards_the_interval_that_holds_one_half(monkeypatch, capsys):
     # The set is printed from its lower half and the mirror image of it,
     # so the interval holding 1/2 must be its own mirror; 7/16 + 5/8 != 1.
-    monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: iter([(1, 8, 3, 16), (7, 16, 10, 16), (13, 16, 7, 8)]))
+    monkeypatch.setattr(oracle, "_sweep", lambda speeds: iter([(1, 8, 3, 16), (7, 16, 10, 16), (13, 16, 7, 8)]))
     code, _, err = run_cli(capsys, "check", "4", "3", "2")
     assert code == 2
     assert "reflection symmetry" in err
@@ -351,7 +351,7 @@ def test_check_into_a_closed_pipe_exits_0():
 def test_check_refuses_huge_speeds_before_any_work(monkeypatch, capsys):
     # The set could hold sum(n) intervals.  The limit is checked before
     # the join starts; a join started here would fail the test, not fill memory.
-    monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: pytest.fail("the limit is checked first"))
+    monkeypatch.setattr(oracle, "_sweep", lambda speeds: pytest.fail("the limit is checked first"))
     code, out, err = run_cli(capsys, "check", "1000000000000", "1")
     assert code == 1
     assert out == ""
@@ -391,14 +391,19 @@ def test_large_speed_verdicts(capsys, argv):
 
 
 def test_enumerate_out_is_one_pass(tmp_path, monkeypatch, capsys):
-    rules = counting(monkeypatch, enumeration, "evaluate_rules")
-    joins = counting(monkeypatch, oracle, "_leapfrog")
+    rules = counting(monkeypatch, enumeration, "_rules")
+    joins = counting(monkeypatch, oracle, "_sweep")
     out_file = tmp_path / "records.csv"
     code, out, _ = run_cli(capsys, "enumerate", "6", "--with-oracle", "--with-dyadic", "--out", str(out_file))
     assert code == 0
     assert "total_vectors: 63" in out
-    assert len(rules) == 63
     assert len(joins) == 63
+    # The closed-form summary calls the rules once per pattern of extremes;
+    # the records call them once per vector.
+    per_vector = len(rules)
+    rules.clear()
+    enumeration.sweep(6)
+    assert per_vector - len(rules) == 63
 
 
 @pytest.mark.parametrize("coprime", [False, True])
@@ -952,7 +957,7 @@ NON_INSTANCE = {
 
 @pytest.mark.parametrize("argv,expected", NON_INSTANCE.values(), ids=NON_INSTANCE.keys())
 def test_golden_stdout_non_instance(monkeypatch, capsys, argv, expected):
-    monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: iter([]))
+    monkeypatch.setattr(oracle, "_sweep", lambda speeds: iter([]))
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
     assert out == expected

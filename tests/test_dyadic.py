@@ -84,7 +84,7 @@ def test_grid_lemma_on_small_subsets():
 def test_grid_lemma_at_huge_speeds(speeds):
     n = SpeedVector(speeds)
     den = dyadic_denominator(n)
-    for lo_num, lo_den, hi_num, hi_den in itertools.islice(oracle._leapfrog(n), 50):
+    for lo_num, lo_den, hi_num, hi_den in itertools.islice(oracle._sweep(n), 50):
         lo, hi = F(lo_num, lo_den), F(hi_num, hi_den)
         if lo < hi:
             assert math.ceil(lo * den) <= hi * den
@@ -112,7 +112,7 @@ def test_none_when_no_arc_reaches_the_grid(monkeypatch):
     # is driven synthetically: an empty suitable set, then a set whose
     # only arc sits in the upper half of the grid.
     n = SpeedVector([4, 3, 2])
-    monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: iter([]))
+    monkeypatch.setattr(oracle, "_sweep", lambda speeds: iter([]))
     assert dyadic.find_dyadic_time(n) is None
-    monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: iter([(40, 48, 41, 48)]))
+    monkeypatch.setattr(oracle, "_sweep", lambda speeds: iter([(40, 48, 41, 48)]))
     assert dyadic.find_dyadic_time(n) is not None

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import descending_subsets, grid_denominator, scaled_suitable_set, suitability_probe_points
+from helpers import (
+    certify_first_intervals,
+    descending_subsets,
+    grid_denominator,
+    scaled_suitable_set,
+    suitability_probe_points,
+)
 from lonely_runner import cli, oracle, polyhedron
 from lonely_runner.dyadic import find_dyadic_time
 from lonely_runner.model import SpeedVector
@@ -114,9 +120,9 @@ def test_scaled_set_structure():
 
 def test_leapfrog_structure():
     # Each endpoint stays over the (k+1) s of the runner whose arc it is.
-    assert list(oracle._leapfrog((4, 3, 2))) == [(1, 8, 3, 16), (13, 16, 7, 8)]
-    assert list(oracle._leapfrog((1,))) == [(1, 2, 1, 2)]
-    assert list(oracle._leapfrog((2, 1))) == [(1, 3, 2, 6), (4, 6, 2, 3)]
+    assert list(oracle._sweep((4, 3, 2))) == [(1, 8, 3, 16), (13, 16, 7, 8)]
+    assert list(oracle._sweep((1,))) == [(1, 2, 1, 2)]
+    assert list(oracle._sweep((2, 1))) == [(1, 3, 2, 6), (4, 6, 2, 3)]
 
 
 def arc_list_intervals(n):
@@ -151,17 +157,12 @@ def test_leapfrog_matches_arc_lists_at_larger_speeds(k, tier):
 
 
 def assert_intervals_by_definition(n, raw):
-    """Check the sweep's first intervals with is_suitable: ends, midpoints and each gap's midpoint."""
+    """Check the sweep's first intervals by the definition alone (see certify_first_intervals)."""
     dens = {(n.k + 1) * s for s in n}
     assert all(lo_den in dens and hi_den in dens for _, lo_den, _, hi_den in raw)
     intervals = [(F(lo_num, lo_den), F(hi_num, hi_den)) for lo_num, lo_den, hi_num, hi_den in raw]
     assert (intervals[0][0] if intervals else None) == earliest_suitable_time(n)
-    gap_start = F(0)
-    for lo, hi in intervals:
-        assert gap_start < lo <= hi < 1
-        assert not is_suitable(n, (gap_start + lo) / 2)
-        assert is_suitable(n, lo) and is_suitable(n, hi) and is_suitable(n, (lo + hi) / 2)
-        gap_start = hi
+    certify_first_intervals(n, intervals)
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,7 +170,7 @@ def assert_intervals_by_definition(n, raw):
 def test_leapfrog_intervals_at_huge_speeds(speeds):
     # The arc lists cannot run at these speeds; the definitional test can.
     n = SpeedVector(speeds)
-    assert_intervals_by_definition(n, list(itertools.islice(oracle._leapfrog(n), 50)))
+    assert_intervals_by_definition(n, list(itertools.islice(oracle._sweep(n), 50)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,7 +178,7 @@ def test_leapfrog_intervals_at_huge_speeds(speeds):
 def test_sweep_key_is_exact_at_speeds_near_10_40(speeds):
     # The keys are near 2^270 here, far past what a float tells apart.
     n = SpeedVector(speeds)
-    assert_intervals_by_definition(n, list(itertools.islice(oracle._leapfrog(n), 50)))
+    assert_intervals_by_definition(n, list(itertools.islice(oracle._sweep(n), 50)))
 
 
 def test_sweep_key_separates_the_closest_arc_ends():
@@ -193,7 +194,7 @@ def test_sweep_key_separates_the_closest_arc_ends():
     p = (3 * n_b * n_b).bit_length()
     assert (36001 << p - 2) // (3 * n_a) == (36002 << p - 2) // (3 * n_b)  # so do keys two bits short
     n = SpeedVector([n_b, n_a])
-    raw = list(itertools.islice(oracle._leapfrog(n), 12001))
+    raw = list(itertools.islice(oracle._sweep(n), 12001))
     assert_intervals_by_definition(n, raw)
     # The first 12000 intervals end before s, and the next starts after e.
     assert F(raw[-2][2], raw[-2][3]) < s < e < F(raw[-1][0], raw[-1][1])
@@ -233,7 +234,7 @@ def test_sweep_pops_each_arc_at_most_once(monkeypatch):
     for speeds in descending_subsets(10):
         n = SpeedVector(speeds)
         watch.reset(sum(n))
-        list(oracle._leapfrog(n))
+        list(oracle._sweep(n))
         watch.assert_narrow_keys(n)
 
 
@@ -262,7 +263,7 @@ def test_classify_with_oracle_at_1399_digits_pops_a_few_arcs(monkeypatch, capsys
 def test_suitable_set_refuses_more_arcs_than_the_limit(monkeypatch):
     monkeypatch.setattr(oracle, "_MAX_SUITABLE_ARCS", 9)
     assert len(suitable_set(SpeedVector([4, 3, 2]))) == 2
-    monkeypatch.setattr(oracle, "_leapfrog", lambda speeds: pytest.fail("the limit is checked first"))
+    monkeypatch.setattr(oracle, "_sweep", lambda speeds: pytest.fail("the limit is checked first"))
     with pytest.raises(ValueError, match="limit 9"):
         suitable_set(SpeedVector([5, 3, 2]))
 

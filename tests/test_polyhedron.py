@@ -11,19 +11,19 @@ from helpers import (
     descending_subsets,
     halfplane_lhs,
     halfplane_vertices,
+    p1_window,
     project,
+    q_integer_point,
     support_bounds,
     translate_invariance_check,
     width,
+    zero_pad,
 )
 from lonely_runner.model import SpeedVector
 from lonely_runner.polyhedron import (
     HalfPlane,
     QLandmarks,
     contains,
-    integer_point_in_q,
-    lift_to_p,
-    p1_interval,
     q_geometry,
 )
 
@@ -70,15 +70,8 @@ def test_contains_invariant_along_speed_direction(speeds):
 
 
 def test_p1_interval_frozen():
-    assert p1_interval(SpeedVector([20, 14, 8, 6, 5, 4, 2])) == (F(3, 8), F(9, 8))
-    assert p1_interval(SpeedVector([2, 1])) == (F(0), F(1))
-    lo, hi = p1_interval(SpeedVector([20, 14, 8, 6, 5, 4, 2]))
-    assert lo <= 1 <= hi
-
-
-def test_p1_interval_needs_k2():
-    with pytest.raises(ValueError, match="k >= 2"):
-        p1_interval(SpeedVector([3]))
+    assert p1_window(SpeedVector([20, 14, 8, 6, 5, 4, 2])) == (F(3, 8), F(9, 8))
+    assert p1_window(SpeedVector([2, 1])) == (F(0), F(1))
 
 
 def test_p1_interval_length_bound():
@@ -88,7 +81,7 @@ def test_p1_interval_length_bound():
         k = n.k
         if n[1] > k * n[k - 1]:
             continue
-        lo, hi = p1_interval(n)
+        lo, hi = p1_window(n)
         assert hi - lo >= F(k - 1, k + 1)
 
 
@@ -312,16 +305,16 @@ def test_lemma_suite_small_sweep():
 
 
 def test_integer_point_frozen():
-    assert integer_point_in_q(REMARK_VECTOR) == (1, 1)
-    assert integer_point_in_q(SpeedVector([4, 3, 2])) == (0, 0)
-    assert integer_point_in_q(SpeedVector([100, 99, 98, 1])) is None
+    assert q_integer_point(REMARK_VECTOR) == (1, 1)
+    assert q_integer_point(SpeedVector([4, 3, 2])) == (0, 0)
+    assert q_integer_point(SpeedVector([100, 99, 98, 1])) is None
 
 
 @pytest.mark.parametrize("speeds", sorted(descending_subsets(8, min_size=3)))
 def test_integer_point_matches_brute_scan(speeds):
     n = SpeedVector(speeds)
     geom = q_geometry(n)
-    found = integer_point_in_q(n)
+    found = q_integer_point(n)
     if not geom.vertices:
         assert found is None
         return
@@ -340,50 +333,34 @@ def test_integer_point_matches_brute_scan(speeds):
 
 
 def test_lift_frozen_examples():
-    assert lift_to_p(SpeedVector([20, 14, 8, 6, 5, 4, 2]), (1,)) == (1, 0, 0, 0, 0, 0, 0)
-    assert lift_to_p(SpeedVector([4, 3, 2]), (0, 0)) == (0, 0, 0)
-    p = integer_point_in_q(REMARK_VECTOR)
-    lifted = lift_to_p(REMARK_VECTOR, p)
+    # 1 is in the 1D window [3/8, 9/8] of m, and 5 is not.
+    m = SpeedVector([20, 14, 8, 6, 5, 4, 2])
+    assert zero_pad(m, (1,)) == (1, 0, 0, 0, 0, 0, 0)
+    assert contains(m, zero_pad(m, (1,)))
+    assert not contains(m, zero_pad(m, (5,)))
+    n = SpeedVector([4, 3, 2])
+    assert contains(n, zero_pad(n, (0, 0)))
+    lifted = zero_pad(REMARK_VECTOR, q_integer_point(REMARK_VECTOR))
     assert lifted == (1, 1, 0, 0, 0, 0, 0)
     assert contains(REMARK_VECTOR, lifted)
-
-
-def test_lift_identity_when_m_equals_k():
-    assert lift_to_p(SpeedVector([2, 1]), (0, 0)) == (0, 0)
-
-
-def test_lift_domain_errors():
-    n = SpeedVector([20, 14, 8, 6, 5, 4, 2])
-    with pytest.raises(ValueError, match="1 or 2 coordinates"):
-        lift_to_p(n, (1, 0, 0))
-    with pytest.raises(ValueError, match="exceeds k"):
-        lift_to_p(SpeedVector([3]), (0, 0))
-    with pytest.raises(ValueError, match="lift needs"):
-        lift_to_p(SpeedVector([100, 99, 98, 1]), (24, 24))
-    with pytest.raises(ValueError, match="outside"):
-        lift_to_p(n, (5,))
     # The 2D window of REMARK_VECTOR: x1 in [3/16, 2], x2 in [1/8, 15/8]
     # and -95/8 <= 16 x1 - 17 x2 <= 103/8.  (0, 0) misses the box; (2, 1)
     # is in the box, but 16*2 - 17*1 = 15 is above the band.
-    with pytest.raises(ValueError, match="outside"):
-        lift_to_p(REMARK_VECTOR, (0, 0))
-    with pytest.raises(ValueError, match="outside"):
-        lift_to_p(REMARK_VECTOR, (2, 1))
+    assert not contains(REMARK_VECTOR, zero_pad(REMARK_VECTOR, (0, 0)))
+    assert not contains(REMARK_VECTOR, zero_pad(REMARK_VECTOR, (2, 1)))
 
 
 @pytest.mark.parametrize("speeds", sorted(descending_subsets(8, min_size=3)))
 def test_lift_soundness_from_q(speeds):
     # Any integer point of the planar cell zero-pads into P(n) when
-    # n_3 <= k * n_k.  integer_point_in_q finds the point from Q's bounds
-    # and lift_to_p tests only the padded point against P(n), so the call
-    # raises if the two disagree.
+    # n_3 <= k * n_k.  q_integer_point finds the point from Q's
+    # half-planes, and contains tests the padded point against P(n).
     n = SpeedVector(speeds)
     if n[2] > n.k * n[n.k - 1]:
         return
-    p = integer_point_in_q(n)
+    p = q_integer_point(n)
     if p is not None:
-        lifted = lift_to_p(n, p)
-        assert contains(n, lifted)
+        assert contains(n, zero_pad(n, p))
 
 
 @pytest.mark.parametrize("speeds", sorted(descending_subsets(7, min_size=2)))
@@ -391,11 +368,11 @@ def test_lift_soundness_from_p1(speeds):
     n = SpeedVector(speeds)
     if n[1] > n.k * n[n.k - 1]:
         return
-    lo, hi = p1_interval(n)
+    lo, hi = p1_window(n)
     c = math.ceil(lo)
     if c > math.floor(hi):
         return
-    assert contains(n, lift_to_p(n, (c,)))
+    assert contains(n, zero_pad(n, (c,)))
 
 
 def _half_steps(lo, hi):
@@ -405,17 +382,10 @@ def _half_steps(lo, hi):
 
 
 def _check_window_point(n, point, inside, seen):
-    """Check the window's verdict ``inside`` against P(n) at the padded point, and lift_to_p at integer points."""
-    padded = point + (0,) * (n.k - len(point))
-    assert contains(n, padded) == inside, (n, point)
+    """Check the window's verdict ``inside`` against P(n) at the padded point; count integer points."""
+    assert contains(n, zero_pad(n, point)) == inside, (n, point)
     if all(x.denominator == 1 for x in point):
         seen[inside] += 1
-        integer = tuple(int(x) for x in point)
-        if inside:
-            assert lift_to_p(n, integer) == padded
-        else:
-            with pytest.raises(ValueError, match="outside"):
-                lift_to_p(n, integer)
 
 
 def test_p1_window_is_membership_of_the_padded_point():
@@ -424,7 +394,7 @@ def test_p1_window_is_membership_of_the_padded_point():
         n = SpeedVector(speeds)
         if n[1] > n.k * n[-1]:
             continue
-        lo, hi = p1_interval(n)
+        lo, hi = p1_window(n)
         for x in _half_steps(lo, hi):
             _check_window_point(n, (x,), lo <= x <= hi, seen)
     assert seen[True] and seen[False]
