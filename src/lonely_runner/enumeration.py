@@ -7,8 +7,13 @@ masks in ascending order and counts the vectors that the exact oracle
 or the dyadic grid search decides.  One sweep per vector serves both:
 the start of its first interval is the earliest suitable time, and the
 dyadic grid walk resumes the same iterator from there.  When :func:`sweep`
-writes a record file, the same loop hands it one record per vector,
-which also carries the vector's coprimality and rule triple.
+writes a record file, the same loop writes one line per vector, which
+also carries the vector's coprimality and rule triple.  The line is one
+format string over integers the loop already holds: the speeds through
+a table of their decimal strings, the earliest time's sweep endpoint
+reduced by one gcd.  It has the bytes ``csv.writer`` and ``json.dumps``
+would give.  A file of more than 2^24 records (about 1 GB) is refused
+before it is opened.
 
 Every summary takes its total, coprime and rule counts from a closed
 form, and a rules-only summary visits no vector.  The rules read only
@@ -24,29 +29,26 @@ inversion.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
 import os
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from . import dyadic, oracle
 from .classify import _rules
-from .model import format_rational
 
 __all__ = [
     "EnumerationSummary",
-    "VectorRecord",
     "coprime_count_moebius",
     "sweep",
 ]
 
 _MAX_SWEEP = 32
 _MAX_MOEBIUS = 62  # 2^62 subsets still fit comfortably in a machine word
-_BITS = ("0", "1")  # a record's bool columns, indexed by the bool
+_MAX_RECORDS = 1 << 24  # a record file of about 1 GB: rows average 44 bytes at N = 16 and grow with N
+# Rows end in \r\n, as csv.writer ends them.
+_CSV_HEADER = "speeds,k,coprime,thm1,thm2,slow_fast,any_rule,is_instance,earliest_time,dyadic_m\r\n"
 
 
 def _moebius(count: Callable[[int], int], limit: int) -> int:
@@ -91,36 +93,6 @@ class EnumerationSummary:
     dyadic_verified_count: int | None
 
 
-class VectorRecord(NamedTuple):
-    """Per-vector row of a census record file; ``_fields`` is the CSV header."""
-
-    speeds: tuple[int, ...]
-    k: int
-    coprime: bool
-    thm1: bool
-    thm2: bool
-    slow_fast: bool
-    any_rule: bool
-    is_instance: bool | None
-    earliest_time: Fraction | None
-    dyadic_m: int | None
-
-    def to_csv_row(self) -> list[str]:
-        speeds, k, coprime, thm1, thm2, slow_fast, any_rule, is_instance, earliest, dyadic_m = self
-        return [
-            ";".join(map(str, speeds)),
-            str(k),
-            _BITS[coprime],
-            _BITS[thm1],
-            _BITS[thm2],
-            _BITS[slow_fast],
-            _BITS[any_rule],
-            "" if is_instance is None else _BITS[is_instance],
-            "" if earliest is None else format_rational(earliest),
-            "" if dyadic_m is None else str(dyadic_m),
-        ]
-
-
 def _decode(mask: int) -> tuple[int, ...]:
     """Descending speed tuple of a subset bitmask (bit j-1 <-> speed j)."""
     speeds = []
@@ -137,17 +109,25 @@ def _census(
     require_coprime: bool,
     with_oracle: bool,
     with_dyadic: bool,
-    write: Callable[[VectorRecord], object] | None,
+    write: Callable[[str], object] | None,
+    fmt: str = "csv",
 ) -> EnumerationSummary:
     """The one per-vector loop, over every mask in ascending order.
 
-    Counts oracle instances and dyadic hits, and hands ``write`` a
-    VectorRecord per classified vector when it is given.  Returns the
+    Counts oracle instances and dyadic hits, and hands ``write`` one
+    record line per classified vector when it is given: a CSV row, or
+    for ``fmt`` json an object, each after the first preceded by ",\n".
+    The format's tokens are chosen before the loop.  Returns the
     closed-form summary of :func:`_rule_census` with those two counts.
     """
     gcd, sweep_arcs, grid_hit, denominator = math.gcd, oracle._sweep, dyadic._grid_hit, dyadic.dyadic_denominator
     join = with_oracle or with_dyadic
-    first = is_instance = earliest = dyadic_m = None  # reassigned per vector only when their pass is on
+    as_json = fmt == "json"
+    bits, missing, quote, comma = (("false", "true"), "null", '"', ", ") if as_json else ("01", "", "", ";")
+    names = [str(s) for s in range(max_speed + 1)]
+    separator = ""
+    first = dyadic_m = None  # reassigned per vector only when their pass is on
+    is_instance = earliest = missing
     oracle_ct = dyadic_ct = 0
     for mask in range(1, 1 << max_speed):
         speeds = _decode(mask)
@@ -165,11 +145,29 @@ def _census(
                     dyadic_ct += 1
         if write is not None:
             k = len(speeds)
-            rules = _rules(speeds[0], speeds[min(1, k - 1)], speeds[min(2, k - 1)], speeds[-1], k)
+            thm1, thm2, slow_fast = _rules(speeds[0], speeds[min(1, k - 1)], speeds[min(2, k - 1)], speeds[-1], k)
             if with_oracle:
-                is_instance = first is not None
-                earliest = Fraction(first[0], first[1]) if is_instance else None
-            write(VectorRecord(speeds, k, coprime, *rules, any(rules), is_instance, earliest, dyadic_m))
+                if first is None:
+                    is_instance, earliest = bits[0], missing
+                else:
+                    num, den = first[0], first[1]
+                    g = gcd(num, den)
+                    is_instance, earliest = bits[1], f"{quote}{num // g}/{den // g}{quote}"
+            text = comma.join(map(names.__getitem__, speeds))
+            any_rule = bits[thm1 or thm2 or slow_fast]
+            hit = missing if dyadic_m is None else dyadic_m
+            if as_json:
+                write(
+                    f'{separator}{{"speeds": [{text}], "k": {k}, "coprime": {bits[coprime]}, "thm1": {bits[thm1]}, '
+                    f'"thm2": {bits[thm2]}, "slow_fast": {bits[slow_fast]}, "any_rule": {any_rule}, '
+                    f'"is_instance": {is_instance}, "earliest_time": {earliest}, "dyadic_m": {hit}}}'
+                )
+                separator = ",\n"
+            else:
+                write(
+                    f"{text},{k},{bits[coprime]},{bits[thm1]},{bits[thm2]},{bits[slow_fast]},{any_rule},"
+                    f"{is_instance},{earliest},{hit}\r\n"
+                )
     summary = _rule_census(max_speed, require_coprime)
     return replace(
         summary,
@@ -245,8 +243,9 @@ def sweep(
     come from the closed form; only the oracle and dyadic counts visit
     the vectors, in the per-vector loop.  Given ``out``, the same loop
     also writes one record per classified vector, masks ascending, to
-    that file as ``fmt`` (csv or json).  Both arguments are checked
-    before the file is opened.
+    that file as ``fmt`` (csv or json).  Both arguments, and the
+    number of records against the limit of 2^24, are checked before
+    the file is opened.
     """
     if not 1 <= max_speed <= _MAX_SWEEP:
         raise ValueError(f"max_speed must be in [1, {_MAX_SWEEP}], got {max_speed}")
@@ -256,22 +255,13 @@ def sweep(
         if with_oracle or with_dyadic:
             return _census(max_speed, require_coprime, with_oracle, with_dyadic, None)
         return _rule_census(max_speed, require_coprime)
+    records = coprime_count_moebius(max_speed) if require_coprime else (1 << max_speed) - 1
+    if records > _MAX_RECORDS:
+        raise ValueError(f"a record file of {records} records is over the limit {_MAX_RECORDS}")
     try:
         with open(out, "w", newline="") as handle:
-            if fmt == "json":
-                handle.write("[")
-                separators = itertools.chain([""], itertools.repeat(",\n"))
-
-                def write(record: VectorRecord) -> None:
-                    handle.write(next(separators) + json.dumps(record._asdict(), default=format_rational))
-            else:
-                rows = csv.writer(handle)
-                rows.writerow(VectorRecord._fields)
-
-                def write(record: VectorRecord) -> None:
-                    rows.writerow(record.to_csv_row())
-
-            summary = _census(max_speed, require_coprime, with_oracle, with_dyadic, write)
+            handle.write("[" if fmt == "json" else _CSV_HEADER)
+            summary = _census(max_speed, require_coprime, with_oracle, with_dyadic, handle.write, fmt)
             if fmt == "json":
                 handle.write("]\n")
     except OSError as exc:

@@ -7,7 +7,10 @@ with.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 import math
 import os
 from fractions import Fraction
@@ -15,15 +18,19 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import lonely_runner
+from lonely_runner.classify import evaluate_rules
+from lonely_runner.dyadic import find_dyadic_time
 from lonely_runner.enumeration import EnumerationSummary, _census
-from lonely_runner.model import SpeedVector
-from lonely_runner.oracle import is_suitable
+from lonely_runner.model import SpeedVector, format_rational
+from lonely_runner.oracle import earliest_suitable_time, is_suitable
 from lonely_runner.polyhedron import HalfPlane, contains, q_geometry
 
 __all__ = [
     "descending_subsets",
     "coprime_count_brute",
+    "census_records",
     "record_tally",
+    "reference_record_file",
     "grid_denominator",
     "scaled_suitable_set",
     "suitability_probe_points",
@@ -54,23 +61,80 @@ def coprime_count_brute(max_speed: int) -> int:
     return sum(1 for s in descending_subsets(max_speed) if math.gcd(*s) == 1)
 
 
+def census_records(
+    max_speed: int, require_coprime: bool = False, with_oracle: bool = False, with_dyadic: bool = False
+) -> list[dict]:
+    """The per-vector loop's JSON record lines, read back with json.loads."""
+    lines = ["["]
+    _census(max_speed, require_coprime, with_oracle, with_dyadic, lines.append, "json")
+    return json.loads("".join(lines) + "]")
+
+
 def record_tally(max_speed: int, require_coprime: bool = False) -> EnumerationSummary:
     """The rules-only summary of a sweep, summed from the record columns vector by vector.
 
     The library counts this summary in closed form; the records come
     from the per-vector loop, which runs gcd and the rules on each mask.
     """
-    records = []
-    _census(max_speed, require_coprime, False, False, records.append)
     coprime = thm1 = thm2 = slow_fast = any_rule = 0
-    for record in records:
-        coprime += record.coprime
-        thm1 += record.thm1
-        thm2 += record.thm2
-        slow_fast += record.slow_fast
-        any_rule += record.any_rule
+    for record in census_records(max_speed, require_coprime):
+        coprime += record["coprime"]
+        thm1 += record["thm1"]
+        thm2 += record["thm2"]
+        slow_fast += record["slow_fast"]
+        any_rule += record["any_rule"]
     total = (1 << max_speed) - 1
     return EnumerationSummary(max_speed, total, coprime, thm1, thm2, slow_fast, any_rule, None, None)
+
+
+def reference_record_file(
+    max_speed: int, require_coprime: bool, with_oracle: bool, with_dyadic: bool, fmt: str
+) -> bytes:
+    """The bytes ``sweep(..., out=path, fmt=fmt)`` writes, from the public verdict functions.
+
+    Every subset in ascending bitmask order, each record a dict of typed
+    values that ``csv.writer`` or ``json.dumps`` (rationals through
+    ``format_rational``) serializes.  Shares no formatting code with the
+    library's writer.
+    """
+    records = []
+    for mask in range(1, 1 << max_speed):
+        speeds = tuple(s for s in range(max_speed, 0, -1) if mask >> (s - 1) & 1)
+        coprime = math.gcd(*speeds) == 1
+        if require_coprime and not coprime:
+            continue
+        thm1, thm2, slow_fast = evaluate_rules(speeds)
+        earliest = earliest_suitable_time(speeds) if with_oracle else None
+        records.append(
+            {
+                "speeds": list(speeds),
+                "k": len(speeds),
+                "coprime": coprime,
+                "thm1": thm1,
+                "thm2": thm2,
+                "slow_fast": slow_fast,
+                "any_rule": thm1 or thm2 or slow_fast,
+                "is_instance": earliest is not None if with_oracle else None,
+                "earliest_time": earliest,
+                "dyadic_m": find_dyadic_time(speeds) if with_dyadic else None,
+            }
+        )
+    if fmt == "json":
+        return ("[" + ",\n".join(json.dumps(r, default=format_rational) for r in records) + "]\n").encode()
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(records[0].keys())
+    writer.writerows(map(_csv_cell, r.values()) for r in records)
+    return text.getvalue().encode()
+
+
+def _csv_cell(value: list[int] | bool | int | Fraction | None) -> str | int:
+    """A record value as the CSV file writes it: speeds joined by ';', bools as 0/1, None empty."""
+    if isinstance(value, list):
+        return ";".join(map(str, value))
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    return "" if value is None else int(value)
 
 
 def grid_denominator(n: SpeedVector) -> int:

@@ -5,13 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_dyadic_m, coprime_count_brute, descending_subsets, record_tally, scaled_suitable_set
+from helpers import (
+    brute_dyadic_m,
+    census_records,
+    coprime_count_brute,
+    descending_subsets,
+    record_tally,
+    reference_record_file,
+    scaled_suitable_set,
+)
 from lonely_runner.classify import evaluate_rules
 from lonely_runner.dyadic import dyadic_denominator, find_dyadic_time
 from lonely_runner.enumeration import (
     EnumerationSummary,
-    VectorRecord,
-    _census,
     coprime_count_moebius,
     sweep,
 )
@@ -156,60 +162,60 @@ def test_summary_holds_only_the_counts():
 
 
 def test_iter_vector_records_order_and_fields():
-    records = []
-    _census(3, False, False, False, records.append)
-    assert [r.speeds for r in records] == [(1,), (2,), (2, 1), (3,), (3, 1), (3, 2), (3, 2, 1)]
-    assert [r.coprime for r in records] == [True, False, True, False, True, True, True]
-    assert all(r.is_instance is None and r.earliest_time is None and r.dyadic_m is None for r in records)
-    coprime_only = []
-    _census(3, True, False, False, coprime_only.append)
-    assert [r.speeds for r in coprime_only] == [(1,), (2, 1), (3, 1), (3, 2), (3, 2, 1)]
+    records = census_records(3)
+    assert [r["speeds"] for r in records] == [[1], [2], [2, 1], [3], [3, 1], [3, 2], [3, 2, 1]]
+    assert [r["coprime"] for r in records] == [True, False, True, False, True, True, True]
+    assert all(r["is_instance"] is None and r["earliest_time"] is None and r["dyadic_m"] is None for r in records)
+    coprime_only = census_records(3, require_coprime=True)
+    assert [r["speeds"] for r in coprime_only] == [[1], [2, 1], [3, 1], [3, 2], [3, 2, 1]]
 
 
 def test_iter_vector_records_with_oracle_and_dyadic():
-    records = []
-    _census(4, False, True, True, records.append)
-    assert all(r.is_instance for r in records)
-    assert all(r.dyadic_m is not None for r in records)
-    by_speeds = {r.speeds: r for r in records}
-    assert str(by_speeds[(4, 3, 2)].earliest_time) == "1/8"
-    assert by_speeds[(4, 3, 2)].dyadic_m == 16
+    records = census_records(4, with_oracle=True, with_dyadic=True)
+    assert all(r["is_instance"] for r in records)
+    assert all(r["dyadic_m"] is not None for r in records)
+    by_speeds = {tuple(r["speeds"]): r for r in records}
+    assert by_speeds[(4, 3, 2)]["earliest_time"] == "1/8"
+    assert by_speeds[(4, 3, 2)]["dyadic_m"] == 16
 
 
 def test_shared_join_matches_separate_paths():
     # The census reads the earliest time and the dyadic hit off one join.
     # The independent arc intersection gives the earliest time, a join of
     # its own gives the hit, and on N = 7 so does the literal grid loop.
-    records = []
-    _census(10, False, True, True, records.append)
+    records = census_records(10, with_oracle=True, with_dyadic=True)
     assert len(records) == 1023
     for record in records:
-        n = SpeedVector(record.speeds)
+        n = SpeedVector(record["speeds"])
         den, arcs = scaled_suitable_set(n)
-        assert record.is_instance and record.earliest_time == Fraction(arcs[0][0], den)
-        assert record.dyadic_m == find_dyadic_time(n)
+        assert record["is_instance"] and Fraction(record["earliest_time"]) == Fraction(arcs[0][0], den)
+        assert record["dyadic_m"] == find_dyadic_time(n)
         if n[0] <= 7:
             grid = dyadic_denominator(n)
-            assert record.dyadic_m == brute_dyadic_m(n, grid, grid)
+            assert record["dyadic_m"] == brute_dyadic_m(n, grid, grid)
 
 
 def test_vector_record_serialization(tmp_path):
-    record = VectorRecord(
-        speeds=(4, 3, 2),
-        k=3,
-        coprime=True,
-        thm1=False,
-        thm2=True,
-        slow_fast=True,
-        any_rule=True,
-        is_instance=None,
-        earliest_time=None,
-        dyadic_m=None,
-    )
-    assert record.to_csv_row() == ["4;3;2", "3", "1", "0", "1", "1", "1", "", "", ""]
+    # (4, 3, 2) is mask 0b1110, the second-to-last of the 15 records at N = 4.
+    path = tmp_path / "records.csv"
+    sweep(4, out=path)
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[-2] == ["4;3;2", "3", "1", "0", "1", "1", "1", "", "", ""]
     path = tmp_path / "records.json"
     sweep(4, out=path, fmt="json")
-    assert json.loads(path.read_text())[-2] == {**record._asdict(), "speeds": [4, 3, 2]}
+    assert json.loads(path.read_text())[-2] == {
+        "speeds": [4, 3, 2],
+        "k": 3,
+        "coprime": True,
+        "thm1": False,
+        "thm2": True,
+        "slow_fast": True,
+        "any_rule": True,
+        "is_instance": None,
+        "earliest_time": None,
+        "dyadic_m": None,
+    }
 
 
 def test_export_summary_json_roundtrip():
@@ -266,6 +272,16 @@ def test_export_returns_the_summary_of_its_pass(tmp_path, fmt, flags):
     assert sum(found(row["dyadic_m"]) for row in rows) == (summary.dyadic_verified_count or 0)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("flags", FLAG_SETS, ids=lambda flags: "-".join(k for k, on in flags.items() if on) or "rules")
+def test_export_matches_the_reference_writer(tmp_path, fmt, flags):
+    # A second route for the bytes: csv.writer or json.dumps over the public verdict functions.
+    path = tmp_path / f"records.{fmt}"
+    for max_speed in range(1, 9):
+        sweep(max_speed, **flags, out=path, fmt=fmt)
+        assert path.read_bytes() == reference_record_file(max_speed, fmt=fmt, **flags), max_speed
+
+
 def test_export_rejects_bad_format(tmp_path):
     path = tmp_path / "records.xml"
     with pytest.raises(ValueError, match="format"):
@@ -278,14 +294,14 @@ def test_export_wraps_os_errors(tmp_path):
         sweep(3, out=tmp_path / "missing-dir" / "out.json", fmt="json")
 
 
-def test_iter_vector_records_checks_max_speed(tmp_path):
+def test_sweep_checks_max_speed(tmp_path):
     path = tmp_path / "records.csv"
     with pytest.raises(ValueError, match="max_speed"):
         sweep(0, out=path)
     assert not path.exists()
 
 
-def test_iter_vector_records_checks_max_speed_at_the_call(tmp_path):
+def test_sweep_checks_max_speed_at_the_call(tmp_path):
     # max_speed is checked first, then the format, before the file is opened.
     path = tmp_path / "records.csv"
     with pytest.raises(ValueError, match="max_speed"):
