@@ -19,17 +19,15 @@ stops at the first interval that holds a grid point.  The walk is
 census feeds it the sweep it already opened for the earliest time, so
 one sweep serves both.
 
-Restricting to the lower half of the grid (m <= ceil(D/2)) never
-changes the answer: t = 1 is never suitable, so a minimal hit with
-m/D > 1/2 would reflect to the suitable time 1 - m/D < 1/2, and the
-grid is symmetric (D - m is a grid numerator), contradicting
-minimality.
+The sweep yields only the intervals that start at or before 1/2, and
+that is enough: the grid is symmetric (D - m is a grid numerator) and
+so is the suitable set (t -> 1 - t), so a suitable m/D > 1/2 has the
+suitable mirror (D - m)/D < 1/2, which one of those intervals holds.
+The minimal m is therefore found there, and m <= ceil(D/2).
 
 The search returns m alone; the grid time is m / dyadic_denominator(n).
-:func:`find_dyadic_time` reads its speeds through SpeedVector, so it
-refuses invalid ones and takes them in any order.  The grid formulas
-read n as a descending tuple of distinct positive speeds: a
-SpeedVector, or the tuple the census decodes from a mask.
+All three public functions read their speeds through SpeedVector, so
+they refuse invalid ones and take them in any order.
 """
 
 from __future__ import annotations
@@ -42,21 +40,36 @@ from .model import SpeedVector
 __all__ = ["dyadic_exponent", "dyadic_denominator", "find_dyadic_time"]
 
 
-def dyadic_exponent(n: Sequence[int]) -> int:
-    """Smallest e with 2^(e-1) >= n_1."""
-    return (n[0] - 1).bit_length() + 1
+def _exponent(n1: int) -> int:
+    """Smallest e with 2^(e-1) >= n1."""
+    return (n1 - 1).bit_length() + 1
 
 
-def dyadic_denominator(n: Sequence[int]) -> int:
+def _denominator(n: Sequence[int]) -> int:
+    """2^e (k+1) n_1 with e = _exponent(n_1), for speeds n read unchecked, fastest first."""
+    return (1 << _exponent(n[0])) * (len(n) + 1) * n[0]
+
+
+def dyadic_exponent(n: Iterable[int]) -> int:
+    """Smallest e with 2^(e-1) >= n_1, the fastest of the speeds n."""
+    return _exponent(SpeedVector(n)[0])
+
+
+def dyadic_denominator(n: Iterable[int]) -> int:
     """Grid denominator 2^e (k+1) n_1 with e = dyadic_exponent(n)."""
-    return (1 << dyadic_exponent(n)) * (len(n) + 1) * n[0]
+    return _denominator(SpeedVector(n))
 
 
-def _grid_hit(intervals: Iterable[tuple[int, int, int, int]], den: int) -> int | None:
-    """First grid numerator m with m/den in one of the sweep's intervals, else None."""
+def _grid_hit(intervals: Iterable[tuple[int, int, int, int]], speeds: Sequence[int]) -> int | None:
+    """First grid numerator m with m/D in one of the sweep's intervals, else None.
+
+    D is the _denominator of speeds: a SpeedVector, or the tuple the
+    census decodes from a mask.
+    """
+    den = _denominator(speeds)
     for lo_num, lo_den, hi_num, hi_den in intervals:
-        # Smallest m with m/den >= lo; intervals lie inside (0, 1), so
-        # 1 <= m_lo <= den.
+        # Smallest m with m/den >= lo; the intervals start in (0, 1/2],
+        # so 1 <= m_lo <= ceil(den/2).
         m_lo = -((-lo_num * den) // lo_den)
         if m_lo <= (hi_num * den) // hi_den:
             return m_lo
@@ -70,4 +83,4 @@ def find_dyadic_time(n: Iterable[int]) -> int | None:
     speeds raise ValueError, as SpeedVector does.
     """
     n = SpeedVector(n)
-    return _grid_hit(oracle._sweep(n), dyadic_denominator(n))
+    return _grid_hit(oracle._sweep(n), n)

@@ -120,8 +120,8 @@ def _census(
     The format's tokens are chosen before the loop.  Returns the
     closed-form summary of :func:`_rule_census` with those two counts.
     """
-    gcd, sweep_arcs, grid_hit, denominator = math.gcd, oracle._sweep, dyadic._grid_hit, dyadic.dyadic_denominator
-    join = with_oracle or with_dyadic
+    gcd, sweep_arcs, grid_hit = math.gcd, oracle._sweep, dyadic._grid_hit
+    sweeps = with_oracle or with_dyadic
     as_json = fmt == "json"
     bits, missing, quote, comma = (("false", "true"), "null", '"', ", ") if as_json else ("01", "", "", ";")
     names = [str(s) for s in range(max_speed + 1)]
@@ -134,13 +134,13 @@ def _census(
         coprime = gcd(*speeds) == 1
         if require_coprime and not coprime:
             continue
-        if join:
-            joined = sweep_arcs(speeds)
-            first = next(joined, None)
+        if sweeps:
+            intervals = sweep_arcs(speeds)
+            first = next(intervals, None)
             if first is not None:
                 oracle_ct += 1
             if with_dyadic:
-                dyadic_m = None if first is None else grid_hit(itertools.chain((first,), joined), denominator(speeds))
+                dyadic_m = None if first is None else grid_hit(itertools.chain((first,), intervals), speeds)
                 if dyadic_m is not None:
                     dyadic_ct += 1
         if write is not None:

@@ -11,7 +11,7 @@ scale-invariance class (speeds c*n and n have the same suitable times
 up to the substitution t -> t/c).
 
 :func:`format_rational` is the one text form of a rational that the
-CLI and the record files print.
+CLI prints.
 """
 
 from __future__ import annotations

@@ -16,9 +16,12 @@ earliest start is at or after ``cur``, [cur, start] is suitable (a single
 point when the two are equal).  A popped arc that ends after ``cur``
 moves ``cur``; one that ends at or before it sends its runner straight
 to its first arc that ends after ``cur``, in O(1) because the arcs form
-an arithmetic progression.  Every pop thus moves one runner forward by
-at least one arc, so the whole set takes at most sum(n) pops, and the
-first interval takes a few pops even at speeds near 10^18.
+an arithmetic progression.  The sweep stops once ``cur`` would pass
+1/2, so it yields the intervals that start at or before 1/2, the last
+of them the one holding 1/2 if there is one.  Every pop moves one
+runner forward by at least one arc that ends by 1/2, so the sweep takes
+at most sum(n)/2 pops, and the first interval takes a few pops even at
+speeds near 10^18.
 
 The heap is ordered by an exact integer key, floor(t 2^P) with
 P = bit_length((k+1) n_1^2).  Two distinct arc endpoints x / ((k+1) n_a) and
@@ -30,17 +33,18 @@ all of them.  Memory is O(k), and a caller that needs only the first
 interval stops there.
 
 The set is symmetric under t -> 1 - t: frac(s (1 - t)) = 1 - frac(s t)
-and the window [1/(k+1), k/(k+1)] is symmetric.  So the whole set is
-built from the sweep's lower half: ``_suitable_quads`` sweeps only until
-an interval reaches 1/2, keeps the intervals before it as reduced
-integers, checks that the interval holding 1/2 (if any) is its own
-mirror, and then emits the mirror images of the lower half in reverse.
-A set that starts after 1/2, or whose middle interval is not its own
-mirror, is an internal error.  ``suitable_set`` returns the result as a
-list of plain (lo, hi) ``Fraction`` pairs, sorted and disjoint by
-construction; ``check`` streams it without building them.  That order
-is not re-checked at run time; the tests compare the list with an
-independent intersection of the per-runner arc lists.
+and the window [1/(k+1), k/(k+1)] is symmetric.  So every question
+about it is answered by the part in (0, 1/2], which is why the sweep
+stops there.  ``_suitable_quads`` builds the whole set from that half:
+it keeps the intervals before 1/2 as reduced integers, checks that the
+interval holding 1/2 (if any) is its own mirror, and then emits the
+mirror images of the kept ones in reverse.  An interval that starts
+after 1/2, or a middle interval that is not its own mirror, is an
+internal error.  ``suitable_set`` returns the result as a list of
+plain (lo, hi) ``Fraction`` pairs, sorted and disjoint by construction;
+``check`` streams it without building them.  That order is not
+re-checked at run time; the tests compare the list with an independent
+intersection of the per-runner arc lists.
 """
 
 from __future__ import annotations
@@ -62,10 +66,10 @@ __all__ = [
 ]
 
 # The suitable set has at most sum(n) intervals, since distinct intervals
-# end at distinct arc ends, and the sweep finds it in at most sum(n) heap
-# pops.  A larger sum is refused before any work, which bounds the output,
-# the time and the lower half ``_suitable_quads`` keeps (32 bytes an
-# interval).  Distinct speeds with sum(n) <= 2^20 number k <= 1447, so every
+# end at distinct arc ends, and the sweep finds its half in at most
+# sum(n)/2 heap pops.  A larger sum is refused before any work, which
+# bounds the output, the time and the lower half ``_suitable_quads`` keeps
+# (32 bytes an interval).  Distinct speeds with sum(n) <= 2^20 number k <= 1447, so every
 # denominator (k+1) s < 1448 * 2^20 < 2^31 fits the kept half's signed
 # 64-bit integers.  The worst case the bound admits is k = 1 at
 # sum(n) = 2^20: ``check 1048576`` has 2^20 intervals and, on a 2-vCPU VM
@@ -75,17 +79,17 @@ _MAX_SUITABLE_ARCS = 1 << 20
 
 
 def _sweep(speeds: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
-    """Suitable intervals in ascending order, as (lo_num, lo_den, hi_num, hi_den).
+    """Suitable intervals that start at or before 1/2, as (lo_num, lo_den, hi_num, hi_den).
 
-    The bad-arc sweep of the module docstring.  Each denominator is
-    (k+1) s for a speed s: lo ends a bad arc, hi starts the next one.
+    The bad-arc sweep of the module docstring, over speeds in descending
+    order.  Each denominator is (k+1) s for a speed s: lo ends a bad arc,
+    hi starts the next one.
     """
-    speeds = sorted(speeds)
     kp1 = len(speeds) + 1
-    p = (kp1 * speeds[-1] * speeds[-1]).bit_length()
+    p = (kp1 * speeds[0] * speeds[0]).bit_length()
     # The furthest arc end is lo_num / lo_den, with key cur: at first the
     # end of the slowest runner's arc 0.
-    lo_num, lo_den = 1, kp1 * speeds[0]
+    lo_num, lo_den = 1, kp1 * speeds[-1]
     cur = (1 << p) // lo_den
     # A heap entry is (key of the start, start numerator, D) of a runner's bad arc, from arc 1.
     heap = [(((kp1 - 1) << p) // (kp1 * s), kp1 - 1, kp1 * s) for s in speeds]
@@ -97,7 +101,7 @@ def _sweep(speeds: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
         num += 2  # the arc's end
         end = (num << p) // den
         if end > cur:
-            if num > den:  # past 1, where the set repeats
+            if 2 * num > den:  # past 1/2, where the mirror image begins
                 return
             cur, lo_num, lo_den = end, num, den
             num += kp1 - 2
@@ -110,35 +114,28 @@ def _sweep(speeds: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
 def _suitable_quads(n: SpeedVector) -> Iterator[tuple[int, int, int, int]]:
     """The suitable set of n in ascending order, as reduced (lo_num, lo_den, hi_num, hi_den).
 
-    Sweeps only up to the interval that reaches 1/2 and mirrors the rest
-    (see the module docstring).  A mirrored endpoint (d - c)/d has the
-    same gcd as c/d, so each endpoint costs one gcd.  The limit is
-    checked, and refused with ValueError, before the sweep starts.
+    Yields the sweep's half and then the mirror images of the intervals
+    before 1/2 (see the module docstring).  A mirrored endpoint (d - c)/d
+    has the same gcd as c/d, so each endpoint costs one gcd.  The limit
+    is checked, and refused with ValueError, before the sweep starts.
     """
     if sum(n) > _MAX_SUITABLE_ARCS:
         raise ValueError(f"{n} may have {sum(n)} suitable intervals, over the limit {_MAX_SUITABLE_ARCS}")
     gcd = math.gcd
     lower = array("q")
-    middle = None
     for a, b, c, d in _sweep(n):
-        if 2 * a > b:  # past 1/2: the mirror of a kept interval, unless none was kept
-            if not lower:
-                raise RuntimeError(f"suitable set of {n} lost reflection symmetry: it starts after 1/2")
-            break
+        if 2 * a > b:
+            raise RuntimeError(f"suitable set of {n} lost reflection symmetry: [{a}/{b}, {c}/{d}] starts after 1/2")
         g, h = gcd(a, b), gcd(c, d)
         quad = a // g, b // g, c // h, d // h
-        if 2 * c >= d:  # holds 1/2
-            if a * d + b * c != b * d:
-                raise RuntimeError(
-                    f"suitable set of {n} lost reflection symmetry: [{a}/{b}, {c}/{d}] holds 1/2 "
-                    "but is not its own mirror"
-                )
-            middle = quad
-            break
-        lower.extend(quad)
+        if 2 * c < d:
+            lower.extend(quad)
+        elif a * d + b * c != b * d:
+            raise RuntimeError(
+                f"suitable set of {n} lost reflection symmetry: [{a}/{b}, {c}/{d}] holds 1/2 "
+                "but is not its own mirror"
+            )
         yield quad
-    if middle is not None:
-        yield middle
     for i in range(len(lower) - 4, -1, -4):
         a, b, c, d = lower[i : i + 4]
         yield d - c, d, b - a, b

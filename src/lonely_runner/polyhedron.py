@@ -7,7 +7,9 @@ set of x in R^k with
 
 for all 1 <= i < j <= k.  A vector is a lonely runner instance exactly
 when P(n) contains an integer point, which is what makes the geometry
-worth computing: wide windows force integer points.
+worth computing: wide windows force integer points.  The public
+functions read their speeds through SpeedVector: any order, and
+ValueError on invalid ones.
 
 P(n) is invariant along the direction n itself (adding c*n to x leaves
 every n_j x_i - n_i x_j unchanged), so P(n) is never bounded and its
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .model import SpeedVector
 
@@ -103,8 +105,13 @@ class QGeometry:
     lemma_widths: LemmaWidths
 
 
-def contains(n: SpeedVector, x: Sequence[Fraction | int]) -> bool:
-    """Exact membership of x, a point of ints and Fractions (no floats), in P(n)."""
+def contains(n: Iterable[int], x: Sequence[Fraction | int]) -> bool:
+    """Exact membership of x, a point of ints and Fractions (no floats), in P(n).
+
+    x_i pairs with the i-th fastest of the speeds n, which come in any
+    order, as ``lattice_witness_from_time`` orders its point.
+    """
+    n = SpeedVector(n)
     if len(x) != n.k:
         raise ValueError(f"point has dimension {len(x)}, expected {n.k}")
     if not all(isinstance(c, (int, Fraction)) and not isinstance(c, bool) for c in x):
@@ -175,8 +182,8 @@ def _clip(n: SpeedVector, bounds: tuple[Fraction, ...]) -> tuple[tuple[Fraction,
     return tuple(p for i, p in enumerate(cycle) if p != cycle[i - 1])
 
 
-def q_geometry(n: SpeedVector) -> QGeometry:
-    """The planar cell Q of n, for k >= 3 (the bounds involve n_3).
+def q_geometry(n: Iterable[int]) -> QGeometry:
+    """The planar cell Q of the speeds n, in any order, for k >= 3 (the bounds involve n_3).
 
     The half-planes come in the order x1 lower, x1 upper, x2 lower, x2
     upper, slant lower, slant upper, where the slant constraints bound
@@ -188,6 +195,7 @@ def q_geometry(n: SpeedVector) -> QGeometry:
     the slab [beta, gamma] when beta > gamma, as the slab sits the
     positive inset 2 n_2/((k+1) n_1) inside the range.
     """
+    n = SpeedVector(n)
     bounds = _q_bounds(n)
     lo1, hi1, lo2, hi2, lo5, hi5 = bounds
     lm = _landmarks(n, bounds)

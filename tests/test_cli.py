@@ -319,7 +319,7 @@ def test_check_stdout_matches_the_arc_lists(capsys, as_json):
 def test_check_streams_in_bounded_memory(flags):
     # About 73k intervals near 10^5.  Holding them, as Fraction pairs or as
     # one output document, takes over 20 MB; the kept lower half is about
-    # 1.2 MB of integers.  (tracemalloc slows the join about twentyfold.)
+    # 1.2 MB of integers.  (tracemalloc slows the sweep about twentyfold.)
     speeds = seeded_vectors(3, 10**5, 1)[0]
     with open(os.devnull, "w") as sink, redirect_stdout(sink):
         tracemalloc.start()
@@ -350,7 +350,7 @@ def test_check_into_a_closed_pipe_exits_0():
 
 def test_check_refuses_huge_speeds_before_any_work(monkeypatch, capsys):
     # The set could hold sum(n) intervals.  The limit is checked before
-    # the join starts; a join started here would fail the test, not fill memory.
+    # the sweep starts; a sweep started here would fail the test, not fill memory.
     monkeypatch.setattr(oracle, "_sweep", lambda speeds: pytest.fail("the limit is checked first"))
     code, out, err = run_cli(capsys, "check", "1000000000000", "1")
     assert code == 1
@@ -360,7 +360,7 @@ def test_check_refuses_huge_speeds_before_any_work(monkeypatch, capsys):
 
 def test_check_accepts_many_runners_under_the_limit(capsys):
     # 1..1000 has k = 1000 and a sum of 500500, under the limit: the sweep
-    # makes at most sum(n) pops however many runners share the heap.
+    # makes at most sum(n)/2 pops however many runners share the heap.
     speeds = range(1, 1001)
     code, out, _ = run_cli(capsys, "check", *map(str, speeds))
     assert code == 0
@@ -392,12 +392,12 @@ def test_large_speed_verdicts(capsys, argv):
 
 def test_enumerate_out_is_one_pass(tmp_path, monkeypatch, capsys):
     rules = counting(monkeypatch, enumeration, "_rules")
-    joins = counting(monkeypatch, oracle, "_sweep")
+    sweeps = counting(monkeypatch, oracle, "_sweep")
     out_file = tmp_path / "records.csv"
     code, out, _ = run_cli(capsys, "enumerate", "6", "--with-oracle", "--with-dyadic", "--out", str(out_file))
     assert code == 0
     assert "total_vectors: 63" in out
-    assert len(joins) == 63
+    assert len(sweeps) == 63
     # The closed-form summary calls the rules once per pattern of extremes;
     # the records call them once per vector.
     per_vector = len(rules)
@@ -929,7 +929,7 @@ def test_golden_stdout(capsys, argv, expected):
 
 
 # A vector the oracle finds no suitable time for: every theorem-backed
-# vector is an instance, so the join is patched to yield nothing.
+# vector is an instance, so the sweep is patched to yield nothing.
 NON_INSTANCE = {
     "check": (
         ("check", "4", "3", "2"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_dyadic_m, descending_subsets, scaled_suitable_set
+from helpers import brute_dyadic_m, certify_first_intervals, descending_subsets, scaled_suitable_set
 from lonely_runner import dyadic, oracle
 from lonely_runner.dyadic import dyadic_denominator, dyadic_exponent, find_dyadic_time
 from lonely_runner.model import SpeedVector
@@ -32,6 +32,27 @@ def test_dyadic_denominator_frozen():
     assert dyadic_denominator(SpeedVector([4, 3, 2])) == 128
     assert dyadic_denominator(SpeedVector([1])) == 4
     assert dyadic_denominator(SpeedVector([5, 1])) == 240
+
+
+INVALID_SPEEDS = [(), (0,), (5, 5)]
+
+
+def test_dyadic_exponent_reads_speeds_through_speed_vector():
+    # The exponent follows the fastest speed, wherever it stands.
+    for speeds in itertools.permutations((5, 3, 1)):
+        assert dyadic_exponent(speeds) == dyadic_exponent(SpeedVector(speeds)) == 4
+    for speeds in INVALID_SPEEDS:
+        with pytest.raises(ValueError):
+            dyadic_exponent(speeds)
+
+
+def test_dyadic_denominator_reads_speeds_through_speed_vector():
+    assert dyadic_denominator((1, 5)) == dyadic_denominator(SpeedVector([5, 1])) == 240
+    for speeds in itertools.permutations((5, 3, 1)):
+        assert dyadic_denominator(speeds) == dyadic_denominator(SpeedVector(speeds)) == 320
+    for speeds in INVALID_SPEEDS:
+        with pytest.raises(ValueError):
+            dyadic_denominator(speeds)
 
 
 def test_find_dyadic_frozen():
@@ -64,7 +85,7 @@ def test_half_range_gives_identical_result(speeds):
 def test_grid_lemma_on_small_subsets():
     # Every suitable interval of positive length holds a grid point, so
     # the minimal m is never past the first one (dyadic module docstring).
-    # The intervals come from the arc lists, not from the search's join.
+    # The intervals come from the arc lists, not from the search's sweep.
     for speeds in descending_subsets(14):
         n = SpeedVector(speeds)
         den = dyadic_denominator(n)
@@ -91,6 +112,26 @@ def test_grid_lemma_at_huge_speeds(speeds):
             m = find_dyadic_time(n)
             assert m is not None and F(m, den) <= hi
             break
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 10**9), min_size=1, max_size=7, unique=True))
+def test_dyadic_hit_is_minimal_at_huge_speeds(speeds):
+    # No grid point lies in the intervals the search passes before its hit.
+    # The walk reads the sweep's intervals as Fractions, not through
+    # _grid_hit, and the intervals it passes are certified by the definition.
+    n = SpeedVector(speeds)
+    den = dyadic_denominator(n)
+    passed, m = [], None
+    for lo_num, lo_den, hi_num, hi_den in oracle._sweep(n):
+        lo, hi = F(lo_num, lo_den), F(hi_num, hi_den)
+        passed.append((lo, hi))
+        if F(math.ceil(lo * den), den) <= hi:
+            m = math.ceil(lo * den)
+            break
+    certify_first_intervals(n, passed)
+    assert m == find_dyadic_time(n)
+    assert m is None or m <= math.ceil(F(den, 2))
 
 
 def test_tight_coprime_vectors_up_to_12():

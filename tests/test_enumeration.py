@@ -14,6 +14,7 @@ from helpers import (
     reference_record_file,
     scaled_suitable_set,
 )
+from lonely_runner import oracle
 from lonely_runner.classify import evaluate_rules
 from lonely_runner.dyadic import dyadic_denominator, find_dyadic_time
 from lonely_runner.enumeration import (
@@ -180,8 +181,8 @@ def test_iter_vector_records_with_oracle_and_dyadic():
 
 
 def test_shared_join_matches_separate_paths():
-    # The census reads the earliest time and the dyadic hit off one join.
-    # The independent arc intersection gives the earliest time, a join of
+    # The census reads the earliest time and the dyadic hit off one sweep.
+    # The independent arc intersection gives the earliest time, a sweep of
     # its own gives the hit, and on N = 7 so does the literal grid loop.
     records = census_records(10, with_oracle=True, with_dyadic=True)
     assert len(records) == 1023
@@ -280,6 +281,22 @@ def test_export_matches_the_reference_writer(tmp_path, fmt, flags):
     for max_speed in range(1, 9):
         sweep(max_speed, **flags, out=path, fmt=fmt)
         assert path.read_bytes() == reference_record_file(max_speed, fmt=fmt, **flags), max_speed
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_export_writes_non_instance_records(tmp_path, monkeypatch, fmt):
+    # Every small vector is an instance, so the sweep is patched to yield nothing.
+    monkeypatch.setattr(oracle, "_sweep", lambda speeds: iter([]))
+    path = tmp_path / f"records.{fmt}"
+    summary = sweep(4, with_oracle=True, with_dyadic=True, out=path, fmt=fmt)
+    assert (summary.oracle_instance_count, summary.dyadic_verified_count) == (0, 0)
+    data = path.read_bytes()
+    assert data == reference_record_file(4, False, True, True, fmt)
+    if fmt == "csv":
+        rows = data.splitlines(keepends=True)[1:]
+        assert len(rows) == 15 and all(row.endswith(b",0,,\r\n") for row in rows)
+    else:
+        assert data.count(b'"is_instance": false, "earliest_time": null, "dyadic_m": null}') == 15
 
 
 def test_export_rejects_bad_format(tmp_path):

@@ -118,11 +118,12 @@ def test_scaled_set_structure():
     assert all(a[1] < b[0] for a, b in zip(arcs, arcs[1:]))
 
 
-def test_leapfrog_structure():
-    # Each endpoint stays over the (k+1) s of the runner whose arc it is.
-    assert list(oracle._sweep((4, 3, 2))) == [(1, 8, 3, 16), (13, 16, 7, 8)]
+def test_sweep_structure():
+    # Each endpoint stays over the (k+1) s of the runner whose arc it is,
+    # and the sweep ends with the last interval that starts by 1/2.
+    assert list(oracle._sweep((4, 3, 2))) == [(1, 8, 3, 16)]
     assert list(oracle._sweep((1,))) == [(1, 2, 1, 2)]
-    assert list(oracle._sweep((2, 1))) == [(1, 3, 2, 6), (4, 6, 2, 3)]
+    assert list(oracle._sweep((2, 1))) == [(1, 3, 2, 6)]
 
 
 def arc_list_intervals(n):
@@ -138,7 +139,7 @@ def assert_sorted_disjoint(intervals):
         prev_hi = hi
 
 
-def test_leapfrog_matches_arc_lists_on_small_subsets():
+def test_sweep_matches_arc_lists_on_small_subsets():
     for speeds in descending_subsets(11):
         n = SpeedVector(speeds)
         times = suitable_set(n)
@@ -147,7 +148,7 @@ def test_leapfrog_matches_arc_lists_on_small_subsets():
 
 
 @pytest.mark.parametrize("k,tier", [(3, 10**3), (7, 10**3), (3, 10**4), (7, 10**4)])
-def test_leapfrog_matches_arc_lists_at_larger_speeds(k, tier):
+def test_sweep_matches_arc_lists_at_larger_speeds(k, tier):
     rng = random.Random(tier + k)
     for _ in range(2):
         n = SpeedVector(rng.sample(range(tier - tier // 10, tier + 1), k))
@@ -167,7 +168,7 @@ def assert_intervals_by_definition(n, raw):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 10**9), min_size=1, max_size=7, unique=True))
-def test_leapfrog_intervals_at_huge_speeds(speeds):
+def test_sweep_intervals_at_huge_speeds(speeds):
     # The arc lists cannot run at these speeds; the definitional test can.
     n = SpeedVector(speeds)
     assert_intervals_by_definition(n, list(itertools.islice(oracle._sweep(n), 50)))
@@ -230,10 +231,12 @@ class HeapWatch:
 
 
 def test_sweep_pops_each_arc_at_most_once(monkeypatch):
+    # Each pop passes an arc of one runner that ends by 1/2, where the sweep
+    # stops; a runner of speed s has fewer than s/2 such arcs after arc 0.
     watch = HeapWatch(monkeypatch)
     for speeds in descending_subsets(10):
         n = SpeedVector(speeds)
-        watch.reset(sum(n))
+        watch.reset(sum(n) // 2 + n.k)
         list(oracle._sweep(n))
         watch.assert_narrow_keys(n)
 

@@ -20,6 +20,7 @@ from helpers import (
     zero_pad,
 )
 from lonely_runner.model import SpeedVector
+from lonely_runner.oracle import earliest_suitable_time, lattice_witness_from_time
 from lonely_runner.polyhedron import (
     HalfPlane,
     QLandmarks,
@@ -44,6 +45,32 @@ def test_contains_frozen_examples():
     assert contains(SpeedVector([4, 3, 2]), (0, 0, 0))
     assert not contains(SpeedVector([5, 1]), (0, 0))
     assert contains(SpeedVector([2, 1]), (0, 0))
+
+
+INVALID_SPEEDS = [(), (0,), (-1, 2), (5, 5, 3), (3, True, 1)]
+
+
+def test_contains_reads_speeds_through_speed_vector():
+    # x_i pairs with the i-th fastest speed, whatever order the speeds come in.
+    for speeds in [(4, 3, 2), (9, 7, 2), (5, 4, 3, 2, 1)]:
+        n = SpeedVector(speeds)
+        box = list(itertools.product(range(-1, 2), repeat=n.k))
+        verdicts = [contains(n, x) for x in box]
+        assert any(verdicts) and not all(verdicts)
+        for order in itertools.permutations(speeds):
+            assert [contains(order, x) for x in box] == verdicts, order
+    for speeds in INVALID_SPEEDS:
+        with pytest.raises(ValueError):
+            contains(speeds, (0,) * len(speeds))
+
+
+def test_lattice_witness_of_shuffled_speeds_lies_in_polyhedron():
+    # lattice_witness_from_time returns its point fastest speed first, as contains reads it.
+    rng = random.Random(7)
+    for speeds in descending_subsets(7, min_size=2):
+        shuffled = rng.sample(speeds, len(speeds))
+        t = earliest_suitable_time(shuffled)
+        assert contains(shuffled, lattice_witness_from_time(shuffled, t)), shuffled
 
 
 def test_contains_dimension_mismatch():
@@ -83,6 +110,16 @@ def test_p1_interval_length_bound():
             continue
         lo, hi = p1_window(n)
         assert hi - lo >= F(k - 1, k + 1)
+
+
+def test_q_geometry_reads_speeds_through_speed_vector():
+    for speeds in [(5, 4, 3, 1), (17, 16, 7, 6, 5, 4, 2), (9, 8, 6, 1)]:
+        geom = q_geometry(SpeedVector(speeds))
+        for order in [speeds[::-1], speeds[1:] + speeds[:1], list(speeds)]:
+            assert q_geometry(order) == geom, order
+    for speeds in INVALID_SPEEDS + [(5, 0, 3, 1)]:
+        with pytest.raises(ValueError):
+            q_geometry(speeds)
 
 
 def test_q_halfplanes_needs_k3():
