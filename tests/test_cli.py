@@ -705,6 +705,74 @@ def test_missing_arguments_exit_1(capsys):
     assert run_cli(capsys)[0] == 1
 
 
+TOP_USAGE = (
+    "usage: lonely-runner [-h]\n"
+    "                     {check,classify,polytope,dyadic,enumerate,count-coprime}\n"
+    "                     ...\n"
+)
+CHECK_USAGE = "usage: lonely-runner check [-h] [--normalize] [--json] speeds [speeds ...]\n"
+
+# argparse's own bytes at 80 columns, as Python 3.10 and 3.11 print them:
+# bad usage is the usage line and one error line on stderr, exit 1.
+USAGE_ERRORS = {
+    "check-without-speeds": (
+        ("check",),
+        CHECK_USAGE + "lonely-runner check: error: the following arguments are required: speeds\n",
+    ),
+    "no-command": ((), TOP_USAGE + "lonely-runner: error: the following arguments are required: command\n"),
+    "unknown-command": (
+        ("bogus",),
+        TOP_USAGE + "lonely-runner: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'check', 'classify', 'polytope', 'dyadic', 'enumerate', 'count-coprime')\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, expected", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_bytes(monkeypatch, capsys, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv) == (1, "", expected)
+
+
+HELP = {
+    "top": (
+        ("--help",),
+        TOP_USAGE + "\n"
+        "Command-line interface.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {check,classify,polytope,dyadic,enumerate,count-coprime}\n"
+        "    check               exact oracle verdict and witnesses\n"
+        "    classify            sufficient-condition rule triple\n"
+        "    polytope            half-planes, vertices, landmarks, widths of the planar\n"
+        "                        cell Q\n"
+        "    dyadic              minimal suitable time on the dyadic grid\n"
+        "    enumerate           census sweep over all subsets of {1..N}\n"
+        "    count-coprime       closed-form count of coprime subsets of {1..N}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+    ),
+    "check": (
+        ("check", "--help"),
+        CHECK_USAGE + "\n"
+        "positional arguments:\n"
+        "  speeds       integer speeds, any order\n"
+        "\n"
+        "options:\n"
+        "  -h, --help   show this help message and exit\n"
+        "  --normalize  divide speeds by their gcd first\n"
+        "  --json       emit one JSON document\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, expected", HELP.values(), ids=HELP.keys())
+def test_help_bytes(monkeypatch, capsys, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "enumerate", "4", "--out", str(tmp_path / "no-dir" / "x.csv"))
     assert code == 2
