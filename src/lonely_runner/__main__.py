@@ -1,5 +1,5 @@
 """``python -m lonely_runner`` entry point."""
 
-from .cli import run
+from .cli import main
 
-run()
+raise SystemExit(main())

@@ -4,13 +4,14 @@ Subcommands map one-to-one onto the library: ``check`` (exact oracle
 verdict), ``classify`` (rule triple), ``polytope`` (planar cell
 geometry), ``dyadic`` (grid search), ``enumerate`` (census sweep), and
 ``count-coprime`` (closed-form census).  Exit codes: 0 success, 1
-invalid input, 2 internal error.
+invalid input or bad usage, 2 internal error.
 
 All data goes to stdout and is byte-identical across runs on the same
-input; timing diagnostics go to stderr.  Each subcommand builds one
-dict of library values (fractions, speed vectors, dataclasses) and
-prints it once: ``--json`` as a single JSON document, otherwise as
-key: value lines rendered from the same values, so the two forms
+input; timing diagnostics go to stderr.  Each subcommand returns one
+dict of library values (fractions, speed vectors, dataclasses), and
+:func:`main` alone prints it, once, and sets the exit code: ``--json``
+as a single JSON document, otherwise as key: value lines (or the
+command's own lines) rendered from the same values, so the two forms
 cannot drift apart.  ``check``'s suitable set is the one lazy value:
 both forms write it interval by interval as the oracle yields it.
 """
@@ -32,20 +33,12 @@ from . import enumeration, model, oracle, polyhedron
 from .classify import classify as run_classify
 from .model import SpeedVector, format_rational
 
-__all__ = ["main", "run"]
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad usage; this CLI reserves 2 for bugs."""
-
-    def error(self, message: str) -> None:
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+__all__ = ["main"]
 
 
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lonely-runner", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="lonely-runner", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def vector_command(name: str, help_text: str) -> argparse.ArgumentParser:
@@ -163,7 +156,7 @@ def _emit(obj: dict, as_json: bool, lines: list[str] | None = None) -> None:
         write("\n".join(lines) + "\n")
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> tuple[dict, list[str] | None]:
     n = _vector_from_args(args)
     # The limits, and the guard against a set that starts after 1/2, act
     # on the first draw, before anything is printed.
@@ -178,30 +171,26 @@ def _cmd_check(args: argparse.Namespace) -> int:
         "lattice_witness": None if earliest is None else oracle.lattice_witness_from_time(n, earliest),
         "suitable_set": chain(() if first is None else (first,), intervals),
     }
-    _emit(obj, args.json)
-    return 0
+    return obj, None
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> tuple[dict, list[str] | None]:
     n = _vector_from_args(args)
-    _emit(vars(run_classify(n, with_oracle=args.with_oracle)), args.json)
-    return 0
+    return vars(run_classify(n, with_oracle=args.with_oracle)), None
 
 
-def _cmd_polytope(args: argparse.Namespace) -> int:
+def _cmd_polytope(args: argparse.Namespace) -> tuple[dict, list[str] | None]:
     n = _vector_from_args(args)
     geom = polyhedron.q_geometry(n)
-    obj = {"vector": n, **vars(geom)}
     lines = [f"vector: {n}"]
     lines += [f"halfplane: {_text(h.a1)}*x1 + {_text(h.a2)}*x2 <= {_text(h.b)}" for h in geom.halfplanes]
     lines.append("vertices: " + " ".join(f"({_text(x1)}, {_text(x2)})" for x1, x2 in geom.vertices))
     lines.append("landmarks: " + " ".join(f"{name}={_text(v)}" for name, v in vars(geom.landmarks).items()))
     lines += [f"{name}: {_text(v)}" for name, v in vars(geom.lemma_widths).items()]
-    _emit(obj, args.json, lines)
-    return 0
+    return {"vector": n, **vars(geom)}, lines
 
 
-def _cmd_dyadic(args: argparse.Namespace) -> int:
+def _cmd_dyadic(args: argparse.Namespace) -> tuple[dict, list[str] | None]:
     n = _vector_from_args(args)
     den = dyadic_mod.dyadic_denominator(n)
     m = dyadic_mod.find_dyadic_time(n)
@@ -212,11 +201,10 @@ def _cmd_dyadic(args: argparse.Namespace) -> int:
         "m": m,
         "time": None if m is None else Fraction(m, den),
     }
-    _emit(obj, args.json)
-    return 0
+    return obj, None
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, list[str] | None]:
     start = time.perf_counter()
     summary = enumeration.sweep(
         args.max_speed,
@@ -226,21 +214,18 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         out=args.out,
         fmt=args.format,
     )
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
-    _emit(vars(summary), args.json)
-    print(f"elapsed_ms={elapsed_ms}", file=sys.stderr)
-    return 0
+    print(f"elapsed_ms={int((time.perf_counter() - start) * 1000)}", file=sys.stderr)
+    return vars(summary), None
 
 
-def _cmd_count_coprime(args: argparse.Namespace) -> int:
+def _cmd_count_coprime(args: argparse.Namespace) -> tuple[dict, list[str] | None]:
     count = enumeration.coprime_count_moebius(args.max_speed)
     obj = {
         "max_speed": args.max_speed,
         "total_vectors": (1 << args.max_speed) - 1,
         "coprime_vectors": count,
     }
-    _emit(obj, args.json, [str(count)])
-    return 0
+    return obj, [str(count)]
 
 
 _COMMANDS = {
@@ -254,15 +239,16 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        # argparse exits on usage errors (1, via _Parser) and --help (0);
-        # surface both as return codes so main stays a plain function.
-        return exc.code if isinstance(exc.code, int) else 1
+        # argparse exits with 2 on bad usage, which this CLI reserves for
+        # bugs, and with 0 after --help.
+        return 1 if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
+        obj, lines = _COMMANDS[args.command](args)
+        _emit(obj, args.json, lines)
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -274,7 +260,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - reserved for bugs
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-
-
-def run() -> None:
-    raise SystemExit(main())
