@@ -64,13 +64,19 @@ def _moebius(count: Callable[[int], int], limit: int) -> int:
     return sum(mu[d] * count(limit // d) for d in range(1, limit + 1))
 
 
+def _check_max_speed(max_speed: int, limit: int) -> None:
+    if not isinstance(max_speed, int) or isinstance(max_speed, bool):
+        raise ValueError(f"max_speed must be an int, got {max_speed!r}")
+    if not 1 <= max_speed <= limit:
+        raise ValueError(f"max_speed must be in [1, {limit}], got {max_speed}")
+
+
 def coprime_count_moebius(max_speed: int) -> int:
     """Number of nonempty subsets of {1..max_speed} with gcd 1.
 
     Closed form sum_d mu(d) (2^floor(max_speed/d) - 1); no enumeration.
     """
-    if not 1 <= max_speed <= _MAX_MOEBIUS:
-        raise ValueError(f"max_speed must be in [1, {_MAX_MOEBIUS}], got {max_speed}")
+    _check_max_speed(max_speed, _MAX_MOEBIUS)
     return _moebius(lambda m: (1 << m) - 1, max_speed)
 
 
@@ -121,7 +127,6 @@ def _census(
     closed-form summary of :func:`_rule_census` with those two counts.
     """
     gcd, sweep_arcs, grid_hit = math.gcd, oracle._sweep, dyadic._grid_hit
-    sweeps = with_oracle or with_dyadic
     as_json = fmt == "json"
     bits, missing, quote, comma = (("false", "true"), "null", '"', ", ") if as_json else ("01", "", "", ";")
     names = [str(s) for s in range(max_speed + 1)]
@@ -134,25 +139,22 @@ def _census(
         coprime = gcd(*speeds) == 1
         if require_coprime and not coprime:
             continue
-        if sweeps:
+        if with_oracle or with_dyadic:
             intervals = sweep_arcs(speeds)
             first = next(intervals, None)
-            if first is not None:
-                oracle_ct += 1
+            oracle_ct += first is not None
             if with_dyadic:
                 dyadic_m = None if first is None else grid_hit(itertools.chain((first,), intervals), speeds)
-                if dyadic_m is not None:
-                    dyadic_ct += 1
+                dyadic_ct += dyadic_m is not None
         if write is not None:
             k = len(speeds)
             thm1, thm2, slow_fast = _rules(speeds[0], speeds[min(1, k - 1)], speeds[min(2, k - 1)], speeds[-1], k)
             if with_oracle:
-                if first is None:
-                    is_instance, earliest = bits[0], missing
-                else:
+                is_instance, earliest = bits[first is not None], missing
+                if first is not None:
                     num, den = first[0], first[1]
                     g = gcd(num, den)
-                    is_instance, earliest = bits[1], f"{quote}{num // g}/{den // g}{quote}"
+                    earliest = f"{quote}{num // g}/{den // g}{quote}"
             text = comma.join(map(names.__getitem__, speeds))
             any_rule = bits[thm1 or thm2 or slow_fast]
             hit = missing if dyadic_m is None else dyadic_m
@@ -247,8 +249,7 @@ def sweep(
     number of records against the limit of 2^24, are checked before
     the file is opened.
     """
-    if not 1 <= max_speed <= _MAX_SWEEP:
-        raise ValueError(f"max_speed must be in [1, {_MAX_SWEEP}], got {max_speed}")
+    _check_max_speed(max_speed, _MAX_SWEEP)
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     if out is None:

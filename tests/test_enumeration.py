@@ -162,7 +162,7 @@ def test_summary_holds_only_the_counts():
     ]
 
 
-def test_iter_vector_records_order_and_fields():
+def test_census_records_order_and_fields():
     records = census_records(3)
     assert [r["speeds"] for r in records] == [[1], [2], [2, 1], [3], [3, 1], [3, 2], [3, 2, 1]]
     assert [r["coprime"] for r in records] == [True, False, True, False, True, True, True]
@@ -171,7 +171,7 @@ def test_iter_vector_records_order_and_fields():
     assert [r["speeds"] for r in coprime_only] == [[1], [2, 1], [3, 1], [3, 2], [3, 2, 1]]
 
 
-def test_iter_vector_records_with_oracle_and_dyadic():
+def test_census_records_with_oracle_and_dyadic():
     records = census_records(4, with_oracle=True, with_dyadic=True)
     assert all(r["is_instance"] for r in records)
     assert all(r["dyadic_m"] is not None for r in records)
@@ -180,7 +180,7 @@ def test_iter_vector_records_with_oracle_and_dyadic():
     assert by_speeds[(4, 3, 2)]["dyadic_m"] == 16
 
 
-def test_shared_join_matches_separate_paths():
+def test_shared_sweep_matches_separate_paths():
     # The census reads the earliest time and the dyadic hit off one sweep.
     # The independent arc intersection gives the earliest time, a sweep of
     # its own gives the hit, and on N = 7 so does the literal grid loop.
@@ -196,7 +196,7 @@ def test_shared_join_matches_separate_paths():
             assert record["dyadic_m"] == brute_dyadic_m(n, grid, grid)
 
 
-def test_vector_record_serialization(tmp_path):
+def test_record_serialization(tmp_path):
     # (4, 3, 2) is mask 0b1110, the second-to-last of the 15 records at N = 4.
     path = tmp_path / "records.csv"
     sweep(4, out=path)
@@ -316,6 +316,18 @@ def test_sweep_checks_max_speed(tmp_path):
     with pytest.raises(ValueError, match="max_speed"):
         sweep(0, out=path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("max_speed", [True, False, 3.0, 5.0, Fraction(4), "4", None], ids=repr)
+def test_census_refuses_a_max_speed_that_is_not_an_int(tmp_path, max_speed):
+    path = tmp_path / "records.csv"
+    with pytest.raises(ValueError, match="max_speed must be an int"):
+        sweep(max_speed, out=path)
+    assert not path.exists()
+    with pytest.raises(ValueError, match="max_speed must be an int"):
+        sweep(max_speed)
+    with pytest.raises(ValueError, match="max_speed must be an int"):
+        coprime_count_moebius(max_speed)
 
 
 def test_sweep_checks_max_speed_at_the_call(tmp_path):
