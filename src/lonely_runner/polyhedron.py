@@ -119,8 +119,8 @@ def contains(n: Iterable[int], x: Sequence[Fraction | int]) -> bool:
     k = n.k
     for i in range(k):
         for j in range(i + 1, k):
-            g = n[j] * x[i] - n[i] * x[j]
-            if not Fraction(n[i] - k * n[j], k + 1) <= g <= Fraction(k * n[i] - n[j], k + 1):
+            # P(n)'s bounds on n_j x_i - n_i x_j, times k + 1, are integers.
+            if not n[i] - k * n[j] <= (k + 1) * (n[j] * x[i] - n[i] * x[j]) <= k * n[i] - n[j]:
                 return False
     return True
 

@@ -248,6 +248,17 @@ def certify_first_intervals(n: SpeedVector, intervals: Sequence[tuple[Fraction, 
         t = hi
 
 
+def fraction_contains(n: SpeedVector, x: Sequence[Fraction | int]) -> bool:
+    """Membership of x in P(n), with each pair's bounds built as the Fractions the definition writes."""
+    k = n.k
+    for i in range(k):
+        for j in range(i + 1, k):
+            g = n[j] * x[i] - n[i] * x[j]
+            if not Fraction(n[i] - k * n[j], k + 1) <= g <= Fraction(k * n[i] - n[j], k + 1):
+                return False
+    return True
+
+
 def zero_pad(n: SpeedVector, p: Sequence[int]) -> tuple[int, ...]:
     """The point p of a window on the first coordinates, padded with zeros to dimension k."""
     return tuple(p) + (0,) * (n.k - len(p))

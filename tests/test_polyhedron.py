@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     brute_integer_points_in_region,
     descending_subsets,
+    fraction_contains,
     halfplane_lhs,
     halfplane_vertices,
     p1_window,
@@ -45,6 +46,25 @@ def test_contains_frozen_examples():
     assert contains(SpeedVector([4, 3, 2]), (0, 0, 0))
     assert not contains(SpeedVector([5, 1]), (0, 0))
     assert contains(SpeedVector([2, 1]), (0, 0))
+
+
+@pytest.mark.parametrize("top", [50, 10**4, 10**9])
+def test_contains_matches_the_fraction_form(top):
+    # Points t*n plus offsets in steps of 1/(k+1) fall on both sides of
+    # each pair's bounds and on the bounds themselves (offsets -k and -1).
+    rng = random.Random(top)
+    verdicts = set()
+    for _ in range(300):
+        n = SpeedVector(rng.sample(range(1, top + 1), rng.randint(2, 7)))
+        k = n.k
+        t = F(rng.randrange(10**6), 10**6)
+        ints = tuple(round(t * s) + rng.randint(-1, 1) for s in n)
+        fracs = tuple(t * s + F(rng.randint(-k - 1, k + 1), k + 1) for s in n)
+        for x in (ints, fracs):
+            verdict = contains(n, x)
+            assert verdict == fraction_contains(n, x), (n, x)
+            verdicts.add(verdict)
+    assert verdicts == {False, True}
 
 
 INVALID_SPEEDS = [(), (0,), (-1, 2), (5, 5, 3), (3, True, 1)]
