@@ -65,6 +65,7 @@ def _moebius(count: Callable[[int], int], limit: int) -> int:
 
 
 def _check_max_speed(max_speed: int, limit: int) -> None:
+    """ValueError unless max_speed is an int, not a bool, in [1, limit]."""
     if not isinstance(max_speed, int) or isinstance(max_speed, bool):
         raise ValueError(f"max_speed must be an int, got {max_speed!r}")
     if not 1 <= max_speed <= limit:
