@@ -36,9 +36,11 @@ __all__ = [
 def _rules(n1: int, n2: int, n3: int, nk: int, k: int) -> tuple[bool, bool, bool]:
     """Rule triple from the extremes n_1 > n_2 > n_3 > ... > n_k of k speeds.
 
-    The rules read nothing else, which is what lets the census count
-    them without visiting the speeds in between.  n_2 is read only when
-    k >= 2, n_3 only when k >= 4.
+    The rules read nothing else.  n_2 is read only when k >= 2, n_3
+    only when k >= 4.  The census counts them in closed form, each
+    solved for its threshold in one speed; the tests check those
+    thresholds against this function, which stays the rules' one
+    definition.
     """
     thm1 = k >= 4 and n2 * (k * nk - n3) >= (k + 1) * n3 * nk
     thm2 = k >= 2 and n2 <= k * nk and nk <= n1 % ((k + 1) * nk) <= k * nk

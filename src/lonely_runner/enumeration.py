@@ -16,15 +16,15 @@ would give.  A file of more than 2^24 records (about 1 GB) is refused
 before it is opened.
 
 Every summary takes its total, coprime and rule counts from a closed
-form, and a rules-only summary visits no vector.  The rules read only
-the extremes (n_1, n_2, n_3, n_k) and k, so each pattern of extremes
-is counted once with the number of ways to choose the speeds between
-n_3 and n_k.  The number of coprime subsets has a closed form by Mobius
-inversion over the common divisor (subsets of {1..N} with gcd
-divisible by d are in bijection with subsets of {1..N/d}), which is
-what :func:`coprime_count_moebius` computes.  The rules are
-homogeneous in the speeds, so their coprime counts go through the same
-inversion.
+form.  A rules-only summary visits no vector, so it runs to N = 62
+where the per-vector loop stops at 32: each rule is a threshold in one
+speed, and binomial sums over (n_k, k, n_1) count the subsets that fire
+it (see :func:`_rule_census`).  The number of coprime subsets has a
+closed form by Mobius inversion over the common divisor (subsets of
+{1..N} with gcd divisible by d are in bijection with subsets of
+{1..N/d}), which is what :func:`coprime_count_moebius` computes.  The
+rules are homogeneous in the speeds, so their coprime counts go through
+the same inversion.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import dyadic, oracle
 from .classify import _rules
@@ -179,27 +179,28 @@ def _census(
     )
 
 
-def _patterns(n1: int, binom: list[list[int]]) -> Iterator[tuple[int, int, int, int, int]]:
-    """(n2, n3, nk, k, weight) for the subsets of {1..n1} with top speed n1.
-
-    Subsets of one to three speeds are listed one by one (a missing n_2
-    or n_3 repeats n_k, as :func:`evaluate_rules` reads it); one of
-    k >= 4 speeds is listed by its extremes, weighted by
-    C(n3 - nk - 1, k - 4), the number of ways to choose the k - 4
-    speeds strictly between n_3 and n_k.
-    """
-    yield n1, n1, n1, 1, 1
-    for n2 in range(1, n1):
-        yield n2, n2, n2, 2, 1
-        for n3 in range(1, n2):
-            yield n2, n3, n3, 3, 1
-            for nk in range(1, n3):
-                for middle, weight in enumerate(binom[n3 - nk - 1]):
-                    yield n2, n3, nk, middle + 4, weight
-
-
 def _rule_census(max_speed: int, require_coprime: bool) -> EnumerationSummary:
     """The rules-only summary of :func:`sweep` in closed form, visiting no vector.
+
+    Each rule of :func:`classify._rules` is a threshold in at most one
+    speed besides n_1, n_k and k:
+
+    * slow_fast is n_1 <= k n_k;
+    * thm2 is n_2 <= k n_k and M, where M is
+      n_k <= n_1 mod ((k+1) n_k) <= k n_k;
+    * thm1 (k >= 4) is n_3 <= T(n_2) = floor(k n_k n_2 / (n_2 + (k+1) n_k)),
+      its inequality n_2 (k n_k - n_3) >= (k+1) n_3 n_k solved for n_3.
+
+    By the hockey-stick identity, the subsets of k >= 2 speeds with top
+    n_1 and bottom n_k number C(n_1 - n_k - 1, k - 2); those among them
+    with n_2 <= U number C(U - n_k, k - 2); those with second speed n_2
+    and n_3 <= U number C(U - n_k, k - 3), where C(x, j) = 0 for x < j.
+    For each (n_k, k), the prefix P(n) = sum over n_2 <= n of
+    C(min(T(n_2), n_2 - 1) - n_k, k - 3) gives thm1's count P(n_1 - 1)
+    at every n_1, in O(N^3) in all.  slow_fast implies thm2 and M.
+    Without slow_fast, thm2 fires on the subsets with n_2 <= k n_k if M
+    holds, so any_rule adds thm1's count over n_2 > k n_k,
+    P(n_1 - 1) - P(k n_k), to thm2's; if M fails, any_rule is thm1.
 
     Running totals over the top speed give the counts F(m) =
     (thm1, thm2, slow_fast, any_rule) over the subsets of {1..m} for
@@ -207,24 +208,41 @@ def _rule_census(max_speed: int, require_coprime: bool) -> EnumerationSummary:
     subset with gcd d fires the rules of the subset divided by d, and
     the coprime counts are sum_d mu(d) F(max_speed // d).
     """
-    binom = [[math.comb(gap, j) for j in range(gap + 1)] for gap in range(max_speed)]
-    prefix = [(0, 0, 0, 0)]
-    for n1 in range(1, max_speed + 1):
-        thm1_ct, thm2_ct, slow_ct, any_ct = prefix[-1]
-        for n2, n3, nk, k, weight in _patterns(n1, binom):
-            thm1, thm2, slow_fast = _rules(n1, n2, n3, nk, k)
-            if thm1:
-                thm1_ct += weight
-            if thm2:
-                thm2_ct += weight
-            if slow_fast:
-                slow_ct += weight
-            if thm1 or thm2 or slow_fast:
-                any_ct += weight
-        prefix.append((thm1_ct, thm2_ct, slow_ct, any_ct))
-    counts = prefix[max_speed]
+    comb = math.comb
+    # Counts over the subsets with top speed n1; the one-speed subset {n1} fires slow_fast alone.
+    thm1_at, thm2_at = [0] * (max_speed + 1), [0] * (max_speed + 1)
+    slow_at = [0] + [1] * max_speed
+    any_at = list(slow_at)
+    for nk in range(1, max_speed):
+        for k in range(2, max_speed - nk + 2):
+            width, window = k * nk, (k + 1) * nk
+            thm1_upto = [0] * max_speed  # P(n) for n < max_speed; 0 for k < 4
+            if k >= 4:
+                total = 0
+                for n2 in range(nk + 1, max_speed):
+                    top3 = min(width * n2 // (n2 + window), n2 - 1) - nk
+                    if top3 >= k - 3:
+                        total += comb(top3, k - 3)
+                    thm1_upto[n2] = total
+            for n1 in range(nk + k - 1, max_speed + 1):
+                every = comb(n1 - nk - 1, k - 2)
+                thm1 = thm1_upto[n1 - 1]
+                thm1_at[n1] += thm1
+                if n1 <= width:
+                    slow_at[n1] += every
+                    thm2_at[n1] += every
+                    any_at[n1] += every
+                elif nk <= n1 % window <= width:
+                    thm2 = comb(width - nk, k - 2)
+                    thm2_at[n1] += thm2
+                    any_at[n1] += thm2 + thm1 - thm1_upto[width]
+                else:
+                    any_at[n1] += thm1
+    columns = [list(itertools.accumulate(column)) for column in (thm1_at, thm2_at, slow_at, any_at)]
     if require_coprime:
-        counts = [_moebius(column.__getitem__, max_speed) for column in zip(*prefix)]
+        counts = [_moebius(column.__getitem__, max_speed) for column in columns]
+    else:
+        counts = [column[max_speed] for column in columns]
     total, coprime = (1 << max_speed) - 1, coprime_count_moebius(max_speed)
     return EnumerationSummary(max_speed, total, coprime, *counts, None, None)
 
@@ -246,17 +264,20 @@ def sweep(
     come from the closed form; only the oracle and dyadic counts visit
     the vectors, in the per-vector loop.  Given ``out``, the same loop
     also writes one record per classified vector, masks ascending, to
-    that file as ``fmt`` (csv or json).  Both arguments, and the
-    number of records against the limit of 2^24, are checked before
-    the file is opened.
+    that file as ``fmt`` (csv or json).  ``max_speed`` may be up to 62
+    for the rules-only summary, which visits no vector, and up to 32
+    when the loop runs.  It is checked first, then the format and the
+    number of records against the limit of 2^24, all before the file
+    is opened.
     """
-    _check_max_speed(max_speed, _MAX_SWEEP)
+    rules_only = out is None and not (with_oracle or with_dyadic)
+    _check_max_speed(max_speed, _MAX_MOEBIUS if rules_only else _MAX_SWEEP)
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    if out is None:
-        if with_oracle or with_dyadic:
-            return _census(max_speed, require_coprime, with_oracle, with_dyadic, None)
+    if rules_only:
         return _rule_census(max_speed, require_coprime)
+    if out is None:
+        return _census(max_speed, require_coprime, with_oracle, with_dyadic, None)
     records = coprime_count_moebius(max_speed) if require_coprime else (1 << max_speed) - 1
     if records > _MAX_RECORDS:
         raise ValueError(f"a record file of {records} records is over the limit {_MAX_RECORDS}")

@@ -398,12 +398,12 @@ def test_enumerate_out_is_one_pass(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert "total_vectors: 63" in out
     assert len(sweeps) == 63
-    # The closed-form summary calls the rules once per pattern of extremes;
-    # the records call them once per vector.
-    per_vector = len(rules)
+    # The records call the rules once per vector; the closed-form summary
+    # counts them from their thresholds and never calls them.
+    assert len(rules) == 63
     rules.clear()
     enumeration.sweep(6)
-    assert per_vector - len(rules) == 63
+    assert rules == []
 
 
 @pytest.mark.parametrize("coprime", [False, True])
@@ -619,7 +619,7 @@ def test_duplicate_after_normalize_ok_but_bad_vector_exits_1(capsys):
 
 
 def test_out_of_range_enumerate_exits_1(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "enumerate", "40")
+    code, _, err = run_cli(capsys, "enumerate", "63")
     assert code == 1
     assert "max_speed" in err
     out_file = tmp_path / "records.csv"
@@ -649,10 +649,10 @@ def test_enumerate_out_refuses_more_than_2_24_records(tmp_path, monkeypatch, cap
 def test_rules_only_enumerate_checks_arguments_first(monkeypatch, capsys):
     # sweep rejects max_speed before the closed form starts.
     monkeypatch.setattr(enumeration, "_rule_census", lambda *args: pytest.fail("arguments are checked first"))
-    code, out, err = run_cli(capsys, "enumerate", "40")
+    code, out, err = run_cli(capsys, "enumerate", "63")
     assert (code, out) == (1, "")
     assert "max_speed" in err
-    for max_speed in (0, 33):
+    for max_speed in (0, 63):
         with pytest.raises(ValueError, match="max_speed"):
             enumeration.sweep(max_speed)
 

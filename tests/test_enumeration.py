@@ -15,7 +15,7 @@ from helpers import (
     scaled_suitable_set,
 )
 from lonely_runner import oracle
-from lonely_runner.classify import evaluate_rules
+from lonely_runner.classify import _rules, evaluate_rules
 from lonely_runner.dyadic import dyadic_denominator, find_dyadic_time
 from lonely_runner.enumeration import (
     EnumerationSummary,
@@ -52,7 +52,7 @@ def test_coprime_rule_counts_sum_to_all_rule_counts():
     # The rules are homogeneous in the speeds, so each rule count over all
     # subsets of {1..N} sums the coprime counts at N // d over every d.
     columns = ("thm1_count", "thm2_count", "slow_fast_count", "any_rule_count")
-    for max_speed in range(1, 25):
+    for max_speed in [*range(1, 25), 32, 40, 48, 56, 62]:
         coprime = [sweep(max_speed // d, require_coprime=True) for d in range(1, max_speed + 1)]
         everything = sweep(max_speed)
         for column in columns:
@@ -110,7 +110,9 @@ def test_sweep_domain_checks():
     with pytest.raises(ValueError):
         sweep(0)
     with pytest.raises(ValueError):
-        sweep(33)
+        sweep(63)
+    with pytest.raises(ValueError):
+        sweep(33, with_oracle=True)
 
 
 @pytest.mark.parametrize("require_coprime", [False, True])
@@ -126,6 +128,48 @@ def test_closed_form_gives_the_n20_coprime_census():
     assert closed.coprime_vectors == 1047479
     counts = (closed.thm1_count, closed.thm2_count, closed.slow_fast_count, closed.any_rule_count)
     assert counts == (2686, 436220, 428275, 437288)
+
+
+def test_closed_form_gives_the_n62_census():
+    # Frozen from the earlier census, which counted each pattern of extremes by calling the rules.
+    closed = sweep(62, require_coprime=True)
+    assert closed.total_vectors == (1 << 62) - 1
+    assert closed.coprime_vectors == 4611686016278852387
+    counts = (closed.thm1_count, closed.thm2_count, closed.slow_fast_count, closed.any_rule_count)
+    assert counts == (3165720747385, 1843783819799845093, 1827095605651328488, 1843783820235711460)
+    everything = sweep(62)
+    counts = (everything.thm1_count, everything.thm2_count, everything.slow_fast_count, everything.any_rule_count)
+    assert counts == (3165721037468, 1843783820662627937, 1827095606504829732, 1843783821098524160)
+
+
+def extremes_patterns(max_top):
+    """(n1, n2, n3, nk, k) for every subset of {1..max_top}, as _rules reads it.
+
+    A missing n_2 or n_3 repeats n_k; k >= 4 ranges over every size that
+    fits k - 4 speeds strictly between n_3 and n_k.
+    """
+    for n1 in range(1, max_top + 1):
+        yield n1, n1, n1, n1, 1
+        for n2 in range(1, n1):
+            yield n1, n2, n2, n2, 2
+            for n3 in range(1, n2):
+                yield n1, n2, n3, n3, 3
+                for nk in range(1, n3):
+                    for k in range(4, n3 - nk + 4):
+                        yield n1, n2, n3, nk, k
+
+
+def test_rule_thresholds_match_the_rules():
+    # The closed-form census counts each rule as a threshold in one speed;
+    # _rules, which the records call, is the definition they must agree with.
+    for n1, n2, n3, nk, k in extremes_patterns(24):
+        modular = nk <= n1 % ((k + 1) * nk) <= k * nk
+        thresholds = (
+            k >= 4 and n3 <= k * nk * n2 // (n2 + (k + 1) * nk),
+            k >= 2 and n2 <= k * nk and modular,
+            n1 <= k * nk,
+        )
+        assert _rules(n1, n2, n3, nk, k) == thresholds, (n1, n2, n3, nk, k)
 
 
 def test_sweep_require_coprime_counts():
