@@ -51,8 +51,12 @@ class SpeedVector(tuple):
         return "(" + ",".join(str(s) for s in self) + ")"
 
 
-def normalize(n: SpeedVector) -> SpeedVector:
-    """The speeds of n divided by their gcd, so the result has gcd 1."""
+def normalize(n: Iterable[int]) -> SpeedVector:
+    """The speeds n, in any order, divided by their gcd, so the result has gcd 1.
+
+    Invalid speeds raise ValueError, as SpeedVector does.
+    """
+    n = SpeedVector(n)
     g = math.gcd(*n)
     return SpeedVector(s // g for s in n)
 

@@ -18,15 +18,15 @@ we work with a bounded window into P(n) on the first two coordinates:
 the hexagonal cell Q cut out by six half-planes (box bounds on x_1 and
 x_2 plus a slant band on n_2 x_1 - n_1 x_2).  These are P(n)'s pair
 constraints with x_3 = ... = x_k = 0: x_1 or x_2 against a padded
-coordinate gives its box bound (see _box), and the pair (1, 2) gives
-the band.  The window is useful one way round: an integer point of Q
-zero-pads to an integer point of P(n) whenever n_3 <= k n_k (and an
-integer x_1 of the one-coordinate window whenever n_2 <= k n_k).  That
-is how the width and modular rules of ``classify`` certify instances,
-and the tests take this route to confirm them a second way.
-Everything is exact rational arithmetic.  The band cuts at most two
-corners off the box (see _clip), so Q's vertices have a closed form,
-and its landmarks and lemma widths are read off the box bounds.
+coordinate gives its box bound, tightest against x_k below and x_3
+above, and the pair (1, 2) gives the band.  The window is useful one
+way round: an integer point of Q zero-pads to an integer point of P(n)
+whenever n_3 <= k n_k (and an integer x_1 of the one-coordinate window
+whenever n_2 <= k n_k).  That is how the width and modular rules of
+``classify`` certify instances, and the tests take this route to
+confirm them a second way.  Everything is exact rational arithmetic.
+The band cuts at most two corners off the box, so Q's vertices have a
+closed form, and its landmarks and lemma widths are read off the box.
 """
 
 from __future__ import annotations
@@ -125,82 +125,33 @@ def contains(n: Iterable[int], x: Sequence[Fraction | int]) -> bool:
     return True
 
 
-def _box(n: SpeedVector, i: int) -> tuple[Fraction, Fraction]:
-    """Bounds (lo, hi) on x_i, i in {1, 2}, in the planar window of P(n).
-
-    They are P(n)'s constraint on the pair (i, j) with the padded x_j = 0,
-    (n_i - k n_j)/(k+1) <= n_j x_i <= (k n_i - n_j)/(k+1) for every
-    j >= 3, which is tightest at j = k below and at j = 3 above.
-    """
-    k = n.k
-    ni, nk, n3 = n[i - 1], n[k - 1], n[2]
-    return Fraction(ni - k * nk, (k + 1) * nk), Fraction(k * ni - n3, (k + 1) * n3)
-
-
-def _q_bounds(n: SpeedVector) -> tuple[Fraction, ...]:
-    """Box bounds (lo1, hi1, lo2, hi2) on x_1, x_2, band bounds (lo5, hi5) on n_2 x_1 - n_1 x_2."""
-    if n.k < 3:
-        raise ValueError("the 2D cell needs k >= 3")
-    k, n1, n2 = n.k, n[0], n[1]
-    return (*_box(n, 1), *_box(n, 2), Fraction(n1 - k * n2, k + 1), Fraction(k * n1 - n2, k + 1))
-
-
-def _landmarks(n: SpeedVector, bounds: tuple[Fraction, ...]) -> QLandmarks:
-    """The landmarks of Q as offsets of its box bounds, the _q_bounds of n."""
-    lo1, _, lo2, hi2 = bounds[:4]
-    k = n.k
-    inset = Fraction(k - 1, k + 1)
-    slab = Fraction(2 * n[1], (k + 1) * n[0])
-    return QLandmarks(lo2 + 1, lo2 + slab, hi2 - slab, lo2 + inset, hi2 - inset, lo1 + 1)
-
-
-def _clip(n: SpeedVector, bounds: tuple[Fraction, ...]) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Vertices of Q in CCW order from the lexicographically smallest; () when empty.
-
-    bounds are the _q_bounds of n.  At the box corner (lo1, lo2),
-    g = n_2 x_1 - n_1 x_2 is (k-1) n_1/(k+1) above lo5 and (k-1) n_2/(k+1)
-    below hi5, and at (hi1, hi2) the margins swap, so Q is empty only with
-    the box.  As g rises with x_1 and falls with x_2, only hi5 can cut the
-    corner (hi1, lo2) and only lo5 the corner (lo1, hi2): on each edge at
-    such a corner the vertex is the band's crossing clamped to the edge,
-    and repeats are dropped.  A nonempty box has lo2 < hi2 (the x_2 width is
-    at most 0 only when the x_1 width is negative, as n_1 > n_2), so Q
-    keeps its first vertex and spans the whole x_2 range [lo2, hi2].
-    """
-    lo1, hi1, lo2, hi2, lo5, hi5 = bounds
-    if lo1 > hi1 or lo2 > hi2:
-        return ()
-    n1, n2 = n[0], n[1]
-    cycle = [
-        (lo1, lo2),
-        (min(hi1, (hi5 + n1 * lo2) / n2), lo2),
-        (hi1, max(lo2, (n2 * hi1 - hi5) / n1)),
-        (hi1, hi2),
-        (max(lo1, (lo5 + n1 * hi2) / n2), hi2),
-        (lo1, min(hi2, (n2 * lo1 - lo5) / n1)),
-    ]
-    return tuple(p for i, p in enumerate(cycle) if p != cycle[i - 1])
-
-
 def q_geometry(n: Iterable[int]) -> QGeometry:
     """The planar cell Q of the speeds n, in any order, for k >= 3 (the bounds involve n_3).
 
     The half-planes come in the order x1 lower, x1 upper, x2 lower, x2
     upper, slant lower, slant upper, where the slant constraints bound
     n_2 x_1 - n_1 x_2.  Points of Q zero-pad into P(n) when
-    n_3 <= k * n_k.  The lemma widths are None exactly
-    when their region is empty, decided from the x_2 range [lo2, hi2]
-    of Q (see _clip), not by the sign of the closed form: Q cut to
-    x_2 >= alpha is empty when alpha is above the range, and Q cut to
-    the slab [beta, gamma] when beta > gamma, as the slab sits the
-    positive inset 2 n_2/((k+1) n_1) inside the range.
+    n_3 <= k * n_k.  The lemma widths are None exactly when their region
+    is empty, decided from the x_2 range [lo2, hi2] of Q, which Q spans
+    whenever the box is nonempty, not by the sign of the closed form: Q
+    cut to x_2 >= alpha is empty when alpha is above the range, and Q
+    cut to the slab [beta, gamma] when beta > gamma, as the slab sits
+    the positive inset 2 n_2/((k+1) n_1) inside the range.
     """
     n = SpeedVector(n)
-    bounds = _q_bounds(n)
-    lo1, hi1, lo2, hi2, lo5, hi5 = bounds
-    lm = _landmarks(n, bounds)
-    vertices = _clip(n, bounds)
-    n1, n2 = n[0], n[1]
+    if n.k < 3:
+        raise ValueError("the 2D cell needs k >= 3")
+    k, n1, n2, n3, nk = n.k, n[0], n[1], n[2], n[-1]
+    # Box bounds on x_1 and x_2: P(n)'s constraint on the pair (i, j) with
+    # the padded x_j = 0, (n_i - k n_j)/(k+1) <= n_j x_i <= (k n_i - n_j)/(k+1)
+    # for every j >= 3, is tightest at j = k below and at j = 3 above.
+    lo1, hi1 = Fraction(n1 - k * nk, (k + 1) * nk), Fraction(k * n1 - n3, (k + 1) * n3)
+    lo2, hi2 = Fraction(n2 - k * nk, (k + 1) * nk), Fraction(k * n2 - n3, (k + 1) * n3)
+    # Band bounds on n_2 x_1 - n_1 x_2, from the pair (1, 2).
+    lo5, hi5 = Fraction(n1 - k * n2, k + 1), Fraction(k * n1 - n2, k + 1)
+    inset = Fraction(k - 1, k + 1)
+    slab = Fraction(2 * n2, (k + 1) * n1)
+    lm = QLandmarks(lo2 + 1, lo2 + slab, hi2 - slab, lo2 + inset, hi2 - inset, lo1 + 1)
     one = Fraction(1)
     halfplanes = (
         HalfPlane(-one, _ZERO, -lo1),
@@ -210,8 +161,28 @@ def q_geometry(n: Iterable[int]) -> QGeometry:
         HalfPlane(Fraction(-n2), Fraction(n1), -lo5),
         HalfPlane(Fraction(n2), Fraction(-n1), hi5),
     )
+    vertices = ()
     widths = LemmaWidths(None, None, None, None)
-    if vertices:
+    if lo1 <= hi1 and lo2 <= hi2:
+        # At the box corner (lo1, lo2), g = n_2 x_1 - n_1 x_2 is
+        # (k-1) n_1/(k+1) above lo5 and (k-1) n_2/(k+1) below hi5, and at
+        # (hi1, hi2) the margins swap, so Q is empty only with the box.  As
+        # g rises with x_1 and falls with x_2, only hi5 can cut the corner
+        # (hi1, lo2) and only lo5 the corner (lo1, hi2): on each edge at such
+        # a corner the vertex is the band's crossing clamped to the edge, and
+        # repeats are dropped.  A nonempty box has lo2 < hi2 (the x_2 width
+        # is at most 0 only when the x_1 width is negative, as n_1 > n_2), so
+        # Q keeps its first vertex, the lexicographic minimum, and spans the
+        # whole x_2 range [lo2, hi2].
+        cycle = [
+            (lo1, lo2),
+            (min(hi1, (hi5 + n1 * lo2) / n2), lo2),
+            (hi1, max(lo2, (n2 * hi1 - hi5) / n1)),
+            (hi1, hi2),
+            (max(lo1, (lo5 + n1 * hi2) / n2), hi2),
+            (lo1, min(hi2, (n2 * lo1 - lo5) / n1)),
+        ]
+        vertices = tuple(p for i, p in enumerate(cycle) if p != cycle[i - 1])
         widths = LemmaWidths(
             hi1 - lo1,
             hi2 - lo2,

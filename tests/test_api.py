@@ -90,3 +90,25 @@ def test_only_named_private_names_cross_modules():
                 if node.value.id in modules:
                     found.add((path.stem, f"{modules[node.value.id]}.{node.attr}"))
     assert found == allowed
+
+
+def test_every_private_definition_is_used_in_the_library():
+    # A private function or class that only the tests call belongs in
+    # tests/helpers.py; a use inside its own body does not count.
+    trees = {path.stem: ast.parse(path.read_text()) for path in Path(lonely_runner.__path__[0]).glob("*.py")}
+    definitions = [
+        (stem, node)
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _private(node.name)
+    ]
+    assert definitions
+    for stem, definition in definitions:
+        inside = {id(node) for node in ast.walk(definition)}
+        used = any(
+            definition.name in (getattr(node, "id", None), getattr(node, "attr", None))
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in inside
+        )
+        assert used, f"{stem}.{definition.name} is used by no other library code"

@@ -230,21 +230,12 @@ def test_vector_commands_build_the_suitable_set_once(monkeypatch, capsys, argv, 
     assert len(builds) == 1
 
 
-def test_polytope_clips_q_once(monkeypatch, capsys):
-    # The vertices come from one clip; the lemma widths read the box bounds.
-    clips = counting(monkeypatch, polyhedron, "_clip")
+def test_polytope_builds_q_once(monkeypatch, capsys):
+    # Q's bounds, landmarks, vertices and widths all come from one call.
+    builds = counting(monkeypatch, polyhedron, "q_geometry")
     code, _, _ = run_cli(capsys, "polytope", "17", "16", "7", "6", "5", "4", "2")
     assert code == 0
-    assert len(clips) == 1
-
-
-def test_polytope_builds_the_box_and_landmarks_once(monkeypatch, capsys):
-    bounds = counting(monkeypatch, polyhedron, "_q_bounds")
-    landmarks = counting(monkeypatch, polyhedron, "_landmarks")
-    code, _, _ = run_cli(capsys, "polytope", "17", "16", "7", "6", "5", "4", "2")
-    assert code == 0
-    assert len(bounds) == 1
-    assert len(landmarks) == 1
+    assert len(builds) == 1
 
 
 def test_check_keeps_the_reflection_guard(monkeypatch, capsys):

@@ -93,6 +93,19 @@ def test_normalize_is_canonical(speeds, c):
     assert normalize(SpeedVector(c * s for s in speeds)) == n
 
 
+def test_normalize_reads_speeds_through_speed_vector():
+    # Any order comes out sorted, and invalid speeds raise as SpeedVector does.
+    assert normalize([2, 6, 4]) == (3, 2, 1)
+    for speeds, message in [
+        ([0], "positive integers, got 0"),
+        ([True, 2], "positive integers, got True"),
+        ([2, 2], "duplicate speed 2"),
+        ([], "empty"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            normalize(speeds)
+
+
 def test_format_rational_always_has_denominator():
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(2) == "2/1"

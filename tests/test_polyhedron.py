@@ -5,6 +5,8 @@ from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_integer_points_in_region,
@@ -273,6 +275,32 @@ def test_q_vertices_are_complete():
         geom = q_geometry(SpeedVector(speeds))
         assert set(geom.vertices) == halfplane_vertices(geom.halfplanes), speeds
         assert not geom.vertices or geom.vertices[0] == min(geom.vertices), speeds
+
+
+@st.composite
+def huge_q_vectors(draw):
+    # A floor near the top gives slow runners within a factor k of the
+    # fastest (Q nonempty, points pad into P(n)); a floor near 1 gives
+    # empty cells.
+    k = draw(st.integers(3, 7))
+    top = draw(st.integers(k, 10**9))
+    floor = draw(st.integers(1, top - k + 1))
+    return SpeedVector(draw(st.lists(st.integers(floor, top), min_size=k, max_size=k, unique=True)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(huge_q_vectors())
+def test_q_vertices_are_complete_at_huge_speeds(n):
+    # The crossings of the boundary lines, and P(n)'s integer form of its
+    # pair constraints, share no code with Q's closed-form vertices.
+    geom = q_geometry(n)
+    verts = geom.vertices
+    assert set(verts) == halfplane_vertices(geom.halfplanes)
+    assert not verts or verts[0] == min(verts)
+    for x1, x2 in verts:
+        assert sum(halfplane_lhs(h, x1, x2) == h.b for h in geom.halfplanes) >= 2
+    if n[2] <= n.k * n[-1]:
+        assert all(contains(n, zero_pad(n, v)) for v in verts)
 
 
 def test_width_of_a_point_is_zero():
