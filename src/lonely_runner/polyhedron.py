@@ -161,8 +161,6 @@ def q_geometry(n: Iterable[int]) -> QGeometry:
         HalfPlane(Fraction(-n2), Fraction(n1), -lo5),
         HalfPlane(Fraction(n2), Fraction(-n1), hi5),
     )
-    vertices = ()
-    widths = LemmaWidths(None, None, None, None)
     if lo1 <= hi1 and lo2 <= hi2:
         # At the box corner (lo1, lo2), g = n_2 x_1 - n_1 x_2 is
         # (k-1) n_1/(k+1) above lo5 and (k-1) n_2/(k+1) below hi5, and at
@@ -189,4 +187,6 @@ def q_geometry(n: Iterable[int]) -> QGeometry:
             hi2 - lm.alpha if lm.alpha <= hi2 else None,
             lm.gamma - lm.beta if lm.beta <= lm.gamma else None,
         )
+    else:
+        vertices, widths = (), LemmaWidths(None, None, None, None)
     return QGeometry(halfplanes, vertices, lm, widths)

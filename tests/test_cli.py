@@ -238,6 +238,28 @@ def test_polytope_builds_q_once(monkeypatch, capsys):
     assert len(builds) == 1
 
 
+def test_polytope_clips_q_once(monkeypatch, capsys):
+    # The vertices come from one clip of the box by six half-planes.
+    halfplanes = counting(monkeypatch, polyhedron, "HalfPlane")
+    cells = counting(monkeypatch, polyhedron, "QGeometry")
+    code, out, _ = run_cli(capsys, "polytope", "17", "16", "7", "6", "5", "4", "2")
+    assert code == 0
+    assert "vertices: (" in out
+    assert len(halfplanes) == 6
+    assert len(cells) == 1
+
+
+def test_polytope_builds_the_box_and_landmarks_once(monkeypatch, capsys):
+    # The landmarks and the lemma widths, read off the box, are built once.
+    landmarks = counting(monkeypatch, polyhedron, "QLandmarks")
+    widths = counting(monkeypatch, polyhedron, "LemmaWidths")
+    code, out, _ = run_cli(capsys, "polytope", "17", "16", "7", "6", "5", "4", "2")
+    assert code == 0
+    assert "wq_e1: None" not in out
+    assert len(landmarks) == 1
+    assert len(widths) == 1
+
+
 def test_check_keeps_the_reflection_guard(monkeypatch, capsys):
     # A suitable set that starts after 1/2 cannot be symmetric; check
     # reports it as an internal error instead of printing a witness.
