@@ -1,9 +1,8 @@
 """Sufficient-condition classifiers for lonely runner instances.
 
-Three integer-arithmetic rules, evaluated together by ``evaluate_rules``
-and reported by ``classify``.  Each is sound (a positive answer always
-means the vector is an instance, confirmed against the exact oracle in
-the test suite):
+Three integer-arithmetic rules, which ``classify`` evaluates and reports
+together.  Each is sound (a positive answer always means the vector is
+an instance, confirmed against the exact oracle in the test suite):
 
 * thm1: for k >= 4, the condition n_2 (k/n_3 - 1/n_k) >= k+1
   (evaluated cross-multiplied, no division) makes the planar cell Q of
@@ -26,11 +25,7 @@ from typing import Iterable
 from . import oracle
 from .model import SpeedVector
 
-__all__ = [
-    "ClassificationReport",
-    "evaluate_rules",
-    "classify",
-]
+__all__ = ["ClassificationReport", "classify"]
 
 
 def _rules(n1: int, n2: int, n3: int, nk: int, k: int) -> tuple[bool, bool, bool]:
@@ -46,17 +41,6 @@ def _rules(n1: int, n2: int, n3: int, nk: int, k: int) -> tuple[bool, bool, bool
     thm2 = k >= 2 and n2 <= k * nk and nk <= n1 % ((k + 1) * nk) <= k * nk
     slow_fast = n1 <= k * nk
     return thm1, thm2, slow_fast
-
-
-def evaluate_rules(speeds: Iterable[int]) -> tuple[bool, bool, bool]:
-    """Rule triple (thm1, thm2, slow_fast) for the speeds, in any order.
-
-    Rules whose shape requirements are not met (k too small) are simply
-    False.  Invalid speeds raise ValueError, as SpeedVector does.
-    """
-    n = SpeedVector(speeds)
-    k = n.k
-    return _rules(n[0], n[min(1, k - 1)], n[min(2, k - 1)], n[-1], k)
 
 
 @dataclass(frozen=True)
@@ -83,10 +67,11 @@ def classify(n: Iterable[int], with_oracle: bool = False) -> ClassificationRepor
     ValueError, as SpeedVector does.
     """
     n = SpeedVector(n)
-    thm1, thm2, slow_fast = evaluate_rules(n)
+    k = n.k
+    thm1, thm2, slow_fast = _rules(n[0], n[min(1, k - 1)], n[min(2, k - 1)], n[-1], k)
     any_rule = thm1 or thm2 or slow_fast
     earliest = oracle.earliest_suitable_time(n) if with_oracle else None
-    witness_time = Fraction(n.k, (n.k + 1) * n[0]) if slow_fast else earliest
+    witness_time = Fraction(k, (k + 1) * n[0]) if slow_fast else earliest
     witness_point = None
     if witness_time is not None:
         witness_point = oracle.lattice_witness_from_time(n, witness_time)

@@ -31,7 +31,7 @@ from itertools import chain
 from . import dyadic as dyadic_mod
 from . import enumeration, model, oracle, polyhedron
 from .classify import classify as run_classify
-from .model import SpeedVector, format_rational
+from .model import SpeedVector
 
 __all__ = ["main"]
 
@@ -94,7 +94,7 @@ def _vector_from_args(args: argparse.Namespace) -> SpeedVector:
 def _plain(value: object) -> object:
     """``json.dumps`` default for the library values in an output dict."""
     if isinstance(value, Fraction):
-        return format_rational(value)
+        return _text(value)
     if is_dataclass(value):
         return vars(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -107,7 +107,8 @@ def _text(value: object) -> str:
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, Fraction):
-        return format_rational(value)
+        # Reduced, with a positive denominator and n/1 for an integer, so Fraction reads each back.
+        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, tuple):
         return "(" + ",".join(map(_text, value)) + ")"
     return str(value)

@@ -9,18 +9,14 @@ problem being decided.  :func:`normalize` divides out the common
 factor, which yields the canonical representative of the
 scale-invariance class (speeds c*n and n have the same suitable times
 up to the substitution t -> t/c).
-
-:func:`format_rational` is the one text form of a rational that the
-CLI prints.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable
 
-__all__ = ["SpeedVector", "normalize", "format_rational"]
+__all__ = ["SpeedVector", "normalize"]
 
 
 class SpeedVector(tuple):
@@ -59,13 +55,3 @@ def normalize(n: Iterable[int]) -> SpeedVector:
     n = SpeedVector(n)
     g = math.gcd(*n)
     return SpeedVector(s // g for s in n)
-
-
-def format_rational(q: Fraction | int) -> str:
-    """Render a rational as ``numerator/denominator``, integers included.
-
-    Integers come out as ``n/1`` so that every serialized rational has
-    the same shape, which ``Fraction`` reads back.  Both types carry a
-    reduced numerator and a positive denominator, so nothing is rebuilt.
-    """
-    return f"{q.numerator}/{q.denominator}"

@@ -124,16 +124,14 @@ def _suitable_quads(n: SpeedVector) -> Iterator[tuple[int, int, int, int]]:
     gcd = math.gcd
     lower = array("q")
     for a, b, c, d in _sweep(n):
-        if 2 * a > b:
-            raise RuntimeError(f"suitable set of {n} lost reflection symmetry: [{a}/{b}, {c}/{d}] starts after 1/2")
         g, h = gcd(a, b), gcd(c, d)
         quad = a // g, b // g, c // h, d // h
         if 2 * c < d:
             lower.extend(quad)
         elif a * d + b * c != b * d:
             raise RuntimeError(
-                f"suitable set of {n} lost reflection symmetry: [{a}/{b}, {c}/{d}] holds 1/2 "
-                "but is not its own mirror"
+                f"suitable set of {n} lost reflection symmetry: [{a}/{b}, {c}/{d}] does not end "
+                "before 1/2 and is not its own mirror"
             )
         yield quad
     for i in range(len(lower) - 4, -1, -4):

@@ -18,10 +18,10 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import lonely_runner
-from lonely_runner.classify import evaluate_rules
+from lonely_runner.classify import classify
 from lonely_runner.dyadic import find_dyadic_time
 from lonely_runner.enumeration import EnumerationSummary, _census
-from lonely_runner.model import SpeedVector, format_rational
+from lonely_runner.model import SpeedVector
 from lonely_runner.oracle import earliest_suitable_time, is_suitable
 from lonely_runner.polyhedron import HalfPlane, contains, q_geometry
 
@@ -94,7 +94,7 @@ def reference_record_file(
 
     Every subset in ascending bitmask order, each record a dict of typed
     values that ``csv.writer`` or ``json.dumps`` (rationals through
-    ``format_rational``) serializes.  Shares no formatting code with the
+    ``_rational``) serializes.  Shares no formatting code with the
     library's writer.
     """
     records = []
@@ -103,7 +103,8 @@ def reference_record_file(
         coprime = math.gcd(*speeds) == 1
         if require_coprime and not coprime:
             continue
-        thm1, thm2, slow_fast = evaluate_rules(speeds)
+        report = classify(speeds)
+        thm1, thm2, slow_fast = report.thm1, report.thm2, report.slow_fast
         earliest = earliest_suitable_time(speeds) if with_oracle else None
         records.append(
             {
@@ -120,7 +121,7 @@ def reference_record_file(
             }
         )
     if fmt == "json":
-        return ("[" + ",\n".join(json.dumps(r, default=format_rational) for r in records) + "]\n").encode()
+        return ("[" + ",\n".join(json.dumps(r, default=_rational) for r in records) + "]\n").encode()
     text = io.StringIO(newline="")
     writer = csv.writer(text)
     writer.writerow(records[0].keys())
@@ -133,8 +134,13 @@ def _csv_cell(value: list[int] | bool | int | Fraction | None) -> str | int:
     if isinstance(value, list):
         return ";".join(map(str, value))
     if isinstance(value, Fraction):
-        return format_rational(value)
+        return _rational(value)
     return "" if value is None else int(value)
+
+
+def _rational(q: Fraction) -> str:
+    """A rational as the record files write it: numerator/denominator, reduced."""
+    return f"{q.numerator}/{q.denominator}"
 
 
 def grid_denominator(n: SpeedVector) -> int:

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from helpers import descending_subsets, q_integer_point, record_tally, width, zero_pad
-from lonely_runner.classify import classify, evaluate_rules
+from lonely_runner.classify import classify
 from lonely_runner.cli import main
 from lonely_runner.dyadic import dyadic_denominator, find_dyadic_time
 from lonely_runner.enumeration import coprime_count_moebius, sweep
@@ -81,8 +81,7 @@ def test_criterion_04_rule_soundness_to_14():
     for speeds in descending_subsets(14):
         if math.gcd(*speeds) != 1:
             continue
-        thm1, thm2, slow_fast = evaluate_rules(speeds)
-        if not (thm1 or thm2 or slow_fast):
+        if not classify(speeds).any_rule:
             continue
         checked += 1
         if not is_instance(SpeedVector(speeds)):

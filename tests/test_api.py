@@ -23,6 +23,33 @@ def test_package_all_is_the_union_of_module_alls():
     assert set(lonely_runner.__all__) == union
 
 
+def test_public_names_are_pinned():
+    # A change to the public surface has to show up as an edit here.
+    assert sorted(lonely_runner.__all__) == [
+        "ClassificationReport",
+        "EnumerationSummary",
+        "HalfPlane",
+        "LemmaWidths",
+        "QGeometry",
+        "QLandmarks",
+        "SpeedVector",
+        "classify",
+        "contains",
+        "coprime_count_moebius",
+        "dyadic_denominator",
+        "dyadic_exponent",
+        "earliest_suitable_time",
+        "find_dyadic_time",
+        "is_instance",
+        "is_suitable",
+        "lattice_witness_from_time",
+        "normalize",
+        "q_geometry",
+        "suitable_set",
+        "sweep",
+    ]
+
+
 def test_every_public_name_resolves():
     for module in library_modules():
         for name in module.__all__:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import certify_first_intervals, descending_subsets, p1_window, q_integer_point, zero_pad
-from lonely_runner.classify import classify, evaluate_rules
+from lonely_runner.classify import classify
 from lonely_runner.cli import main
 from lonely_runner.model import SpeedVector
 from lonely_runner.oracle import earliest_suitable_time, is_instance, is_suitable
@@ -17,24 +17,24 @@ F = Fraction
 
 
 def test_rule_thm1_frozen():
-    assert evaluate_rules((17, 16, 7, 6, 5, 4, 2))[0]
-    assert not evaluate_rules((10, 4, 3, 1))[0]
+    assert classify((17, 16, 7, 6, 5, 4, 2)).thm1
+    assert not classify((10, 4, 3, 1)).thm1
     # Needs k >= 4.
-    assert not evaluate_rules((9, 8, 7))[0]
+    assert not classify((9, 8, 7)).thm1
 
 
 def test_rule_thm2_frozen():
-    assert evaluate_rules((20, 14, 8, 6, 5, 4, 2))[1]
+    assert classify((20, 14, 8, 6, 5, 4, 2)).thm2
     # n_2 = 16 > k n_k = 14 breaks the first condition.
-    assert not evaluate_rules((17, 16, 7, 6, 5, 4, 2))[1]
+    assert not classify((17, 16, 7, 6, 5, 4, 2)).thm2
     # k = 1 is false by convention.
-    assert not evaluate_rules((5,))[1]
+    assert not classify((5,)).thm2
 
 
 def test_rule_slow_fast_frozen():
-    assert evaluate_rules((4, 3, 2))[2]
+    assert classify((4, 3, 2)).slow_fast
     assert classify(SpeedVector([4, 3, 2])).witness_time == F(3, 16)
-    assert not evaluate_rules((17, 16, 7, 6, 5, 4, 2))[2]
+    assert not classify((17, 16, 7, 6, 5, 4, 2)).slow_fast
 
 
 @pytest.mark.parametrize("speeds", sorted(descending_subsets(9)))
@@ -71,13 +71,17 @@ def test_classify_reads_speeds_through_speed_vector():
             classify(speeds)
 
 
-def test_evaluate_rules_reads_speeds_through_speed_vector():
+def test_classify_rule_triple_reads_speeds_through_speed_vector():
     # Ascending speeds used to be read as if descending, so (2, ..., 17)
     # came back (False, False, True), and a repeated speed went through.
-    assert evaluate_rules((2, 4, 5, 6, 7, 16, 17)) == evaluate_rules((17, 16, 7, 6, 5, 4, 2)) == (True, False, False)
+    def triple(speeds):
+        report = classify(speeds)
+        return report.thm1, report.thm2, report.slow_fast
+
+    assert triple((2, 4, 5, 6, 7, 16, 17)) == triple((17, 16, 7, 6, 5, 4, 2)) == (True, False, False)
     for speeds in [(), (0,), (3, 3, 1), (3, 0), (3, True)]:
         with pytest.raises(ValueError):
-            evaluate_rules(speeds)
+            triple(speeds)
 
 
 def test_classify_slow_fast_witness_is_free():
@@ -106,8 +110,7 @@ def test_rules_sound_on_small_sweep():
     # any_rule must imply instance; the acceptance suite runs the
     # larger n_1 <= 14 version of this check.
     for speeds in descending_subsets(10):
-        thm1, thm2, slow_fast = evaluate_rules(speeds)
-        if thm1 or thm2 or slow_fast:
+        if classify(speeds).any_rule:
             assert is_instance(SpeedVector(speeds))
 
 
@@ -167,7 +170,8 @@ def slow_fast_vectors(draw):
 
 def _confirm_rule_verdicts(speeds):
     n = SpeedVector(speeds)
-    thm1, thm2, slow_fast = evaluate_rules(speeds)
+    report = classify(speeds)
+    thm1, thm2, slow_fast = report.thm1, report.thm2, report.slow_fast
     if not (thm1 or thm2 or slow_fast):
         return thm1, thm2, slow_fast
     t = earliest_suitable_time(n)

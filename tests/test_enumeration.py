@@ -15,7 +15,7 @@ from helpers import (
     scaled_suitable_set,
 )
 from lonely_runner import oracle
-from lonely_runner.classify import _rules, evaluate_rules
+from lonely_runner.classify import _rules, classify
 from lonely_runner.dyadic import dyadic_denominator, find_dyadic_time
 from lonely_runner.enumeration import (
     EnumerationSummary,
@@ -95,7 +95,8 @@ def test_sweep_matches_independent_recount():
     summary = sweep(7)
     thm1 = thm2 = slow = any_rule = 0
     for speeds in descending_subsets(7):
-        a, b, c = evaluate_rules(speeds)
+        report = classify(speeds)
+        a, b, c = report.thm1, report.thm2, report.slow_fast
         thm1 += a
         thm2 += b
         slow += c

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lonely_runner import cli
-from lonely_runner.model import SpeedVector, format_rational, normalize
+from lonely_runner.model import SpeedVector, normalize
 
 
 def test_speed_vector_basics():
@@ -106,13 +106,13 @@ def test_normalize_reads_speeds_through_speed_vector():
             normalize(speeds)
 
 
-def test_format_rational_always_has_denominator():
-    assert format_rational(Fraction(3, 4)) == "3/4"
-    assert format_rational(2) == "2/1"
-    assert format_rational(Fraction(-1, 2)) == "-1/2"
-    assert format_rational(Fraction(2, 4)) == "1/2"
+def test_text_of_a_rational_always_has_denominator():
+    assert cli._text(Fraction(3, 4)) == "3/4"
+    assert cli._text(Fraction(2)) == "2/1"
+    assert cli._text(Fraction(-1, 2)) == "-1/2"
+    assert cli._text(Fraction(2, 4)) == "1/2"
 
 
 @given(st.fractions(max_denominator=10**6))
 def test_parse_format_roundtrip(q):
-    assert Fraction(format_rational(q)) == q
+    assert Fraction(cli._text(q)) == q
