@@ -41,23 +41,25 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lonely-runner", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def vector_command(name: str, help_text: str) -> argparse.ArgumentParser:
+    def vector_command(name: str, help_text: str, run: Callable) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("speeds", type=int, nargs="+", help="integer speeds, any order")
         p.add_argument("--normalize", action="store_true", help="divide speeds by their gcd first")
         p.add_argument("--json", action="store_true", help="emit one JSON document")
         return p
 
-    vector_command("check", "exact oracle verdict and witnesses")
+    vector_command("check", "exact oracle verdict and witnesses", _cmd_check)
 
-    p = vector_command("classify", "sufficient-condition rule triple")
+    p = vector_command("classify", "sufficient-condition rule triple", _cmd_classify)
     p.add_argument("--with-oracle", action="store_true", help="also run the exact oracle")
 
-    vector_command("polytope", "half-planes, vertices, landmarks, widths of the planar cell Q")
+    vector_command("polytope", "half-planes, vertices, landmarks, widths of the planar cell Q", _cmd_polytope)
 
-    vector_command("dyadic", "minimal suitable time on the dyadic grid")
+    vector_command("dyadic", "minimal suitable time on the dyadic grid", _cmd_dyadic)
 
     p = sub.add_parser("enumerate", help="census sweep over all subsets of {1..N}")
+    p.set_defaults(run=_cmd_enumerate)
     p.add_argument("max_speed", type=int, metavar="N")
     p.add_argument("--require-coprime", action="store_true", help="classify only coprime vectors")
     p.add_argument("--with-oracle", action="store_true", help="run the exact oracle per vector")
@@ -67,6 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit the summary as JSON")
 
     p = sub.add_parser("count-coprime", help="closed-form count of coprime subsets of {1..N}")
+    p.set_defaults(run=_cmd_count_coprime)
     p.add_argument("max_speed", type=int, metavar="N")
     p.add_argument("--json", action="store_true", help="emit one JSON document")
 
@@ -229,16 +232,6 @@ def _cmd_count_coprime(args: argparse.Namespace) -> tuple[dict, list[str] | None
     return obj, [str(count)]
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "classify": _cmd_classify,
-    "polytope": _cmd_polytope,
-    "dyadic": _cmd_dyadic,
-    "enumerate": _cmd_enumerate,
-    "count-coprime": _cmd_count_coprime,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -247,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         # bugs, and with 0 after --help.
         return 1 if exc.code else 0
     try:
-        obj, lines = _COMMANDS[args.command](args)
+        obj, lines = args.run(args)
         _emit(obj, args.json, lines)
         return 0
     except ValueError as exc:

@@ -63,8 +63,8 @@ def dyadic_denominator(n: Iterable[int]) -> int:
 def _grid_hit(intervals: Iterable[tuple[int, int, int, int]], speeds: Sequence[int]) -> int | None:
     """First grid numerator m with m/D in one of the sweep's intervals, else None.
 
-    D is the _denominator of speeds: a SpeedVector, or the tuple the
-    census decodes from a mask.
+    D is the _denominator of speeds: a SpeedVector, or the descending
+    tuple the census picks out of each subset.
     """
     den = _denominator(speeds)
     for lo_num, lo_den, hi_num, hi_den in intervals:

@@ -1,12 +1,13 @@
 """Census sweep over all speed subsets of {1..N}.
 
 Bitmask i (1 <= i < 2^N) encodes the subset whose bit j-1 means speed
-j; decoding a mask yields the descending speed tuple, which the oracle's
-bad-arc sweep takes as it is.  The per-vector loop runs once over the
-masks in ascending order and counts the vectors that the exact oracle
-or the dyadic grid search decides.  One sweep per vector serves both:
-the start of its first interval is the earliest suitable time, and the
-dyadic grid walk resumes the same iterator from there.  When :func:`sweep`
+j.  The per-vector loop walks the subsets once in ascending mask order,
+each as the 0/1 choice over the speeds N..1 that picks out its
+descending speed tuple, which the oracle's bad-arc sweep takes as it is.
+It counts the vectors that the exact oracle or the dyadic grid search
+decides.  One sweep per vector serves both: the start of its first
+interval is the earliest suitable time, and the dyadic grid walk
+resumes the same iterator from there.  When :func:`sweep`
 writes a record file, the same loop writes one line per vector, which
 also carries the vector's coprimality and rule triple.  The line is one
 format string over integers the loop already holds: the speeds through
@@ -100,17 +101,6 @@ class EnumerationSummary:
     dyadic_verified_count: int | None
 
 
-def _decode(mask: int) -> tuple[int, ...]:
-    """Descending speed tuple of a subset bitmask (bit j-1 <-> speed j)."""
-    speeds = []
-    while mask:
-        low = mask & -mask
-        speeds.append(low.bit_length())
-        mask ^= low
-    speeds.reverse()
-    return tuple(speeds)
-
-
 def _census(
     max_speed: int,
     require_coprime: bool,
@@ -119,7 +109,7 @@ def _census(
     write: Callable[[str], object] | None,
     fmt: str = "csv",
 ) -> EnumerationSummary:
-    """The one per-vector loop, over every mask in ascending order.
+    """The one per-vector loop, over every nonempty subset in ascending mask order.
 
     Counts oracle instances and dyadic hits, and hands ``write`` one
     record line per classified vector when it is given: a CSV row, or
@@ -127,16 +117,18 @@ def _census(
     The format's tokens are chosen before the loop.  Returns the
     closed-form summary of :func:`_rule_census` with those two counts.
     """
-    gcd, sweep_arcs, grid_hit = math.gcd, oracle._sweep, dyadic._grid_hit
+    gcd, sweep_arcs, grid_hit, compress = math.gcd, oracle._sweep, dyadic._grid_hit, itertools.compress
     as_json = fmt == "json"
     bits, missing, quote, comma = (("false", "true"), "null", '"', ", ") if as_json else ("01", "", "", ";")
-    names = [str(s) for s in range(max_speed + 1)]
+    descending = range(max_speed, 0, -1)
+    names = [str(s) for s in descending]
     separator = ""
     first = dyadic_m = None  # reassigned per vector only when their pass is on
     is_instance = earliest = missing
     oracle_ct = dyadic_ct = 0
-    for mask in range(1, 1 << max_speed):
-        speeds = _decode(mask)
+    # product's last place, speed 1, varies fastest, so the subsets come in ascending mask order.
+    for chosen in itertools.islice(itertools.product((0, 1), repeat=max_speed), 1, None):
+        speeds = (*compress(descending, chosen),)
         coprime = gcd(*speeds) == 1
         if require_coprime and not coprime:
             continue
@@ -156,7 +148,7 @@ def _census(
                     num, den = first[0], first[1]
                     g = gcd(num, den)
                     earliest = f"{quote}{num // g}/{den // g}{quote}"
-            text = comma.join(map(names.__getitem__, speeds))
+            text = comma.join(compress(names, chosen))
             any_rule = bits[thm1 or thm2 or slow_fast]
             hit = missing if dyadic_m is None else dyadic_m
             if as_json:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -793,22 +794,30 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
 
 
 def test_broken_pipe_exits_0(monkeypatch, capsys):
-    def boom(args):
+    def boom(n):
         raise BrokenPipeError()
 
-    monkeypatch.setitem(cli._COMMANDS, "check", boom)
+    monkeypatch.setattr(oracle, "_suitable_quads", boom)
     assert main(["check", "2", "1"]) == 0
 
 
 def test_internal_error_exits_2(monkeypatch, capsys):
-    def boom(args):
+    def boom(n):
         raise RuntimeError("synthetic")
 
-    monkeypatch.setitem(cli._COMMANDS, "check", boom)
+    monkeypatch.setattr(oracle, "_suitable_quads", boom)
     code = main(["check", "2", "1"])
     captured = capsys.readouterr()
     assert code == 2
     assert "internal error" in captured.err
+
+
+def test_every_subcommand_carries_a_handler():
+    parser = cli._build_parser()
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    assert set(sub.choices) == {"check", "classify", "polytope", "dyadic", "enumerate", "count-coprime"}
+    for name, subparser in sub.choices.items():
+        assert callable(subparser.get_default("run")), name
 
 
 def console_script_target(name):

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -326,6 +328,37 @@ def test_export_matches_the_reference_writer(tmp_path, fmt, flags):
     for max_speed in range(1, 9):
         sweep(max_speed, **flags, out=path, fmt=fmt)
         assert path.read_bytes() == reference_record_file(max_speed, fmt=fmt, **flags), max_speed
+
+
+# sha256 of the N = 14 record files with the oracle and dyadic passes on, and their sizes in bytes.
+N14_RECORD_FILES = {
+    "csv": (665_284, "b31ac38a5a2b0b2eae07e99107f2b9af356b28047ccf91fd7d6e0426e7363a17"),
+    "json": (3_166_748, "9674f89d2efc2a0ecd55689b7269475c29e8160e73ec9070af257254a1386090"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_export_n14_record_file_frozen(tmp_path, fmt):
+    # The reference writer stops at N = 8; these bytes pin every N = 14 record.
+    path = tmp_path / f"records.{fmt}"
+    sweep(14, with_oracle=True, with_dyadic=True, out=path, fmt=fmt)
+    data = path.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == N14_RECORD_FILES[fmt]
+
+
+def test_census_loop_holds_no_vector_past_its_turn():
+    # Each speed tuple is freed by reference counting as the loop moves on,
+    # so the peak is a few KB; tuples left to the cyclic collector would
+    # pile up to about 1 MB at N = 14.  The warm-up call fills the caches
+    # that the first call of a process allocates.
+    sweep(6, with_oracle=True)
+    tracemalloc.start()
+    try:
+        sweep(14, with_oracle=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
