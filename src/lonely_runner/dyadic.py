@@ -16,8 +16,8 @@ take the first grid numerator at or after each interval start.  That
 yields the same minimal m as the literal ascending loop, and the walk
 stops at the first interval that holds a grid point.  The walk is
 :func:`_grid_hit`, which takes any iterator of sweep intervals: the
-census feeds it the sweep it already opened for the earliest time, so
-one sweep serves both.
+census feeds it the first interval its witness table gives, and the
+sweep only when that interval is a single point off the grid.
 
 The sweep yields only the intervals that start at or before 1/2, and
 that is enough: the grid is symmetric (D - m is a grid numerator) and

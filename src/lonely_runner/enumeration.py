@@ -3,16 +3,18 @@
 Bitmask i (1 <= i < 2^N) encodes the subset whose bit j-1 means speed
 j.  The per-vector loop walks the subsets once in ascending mask order,
 each as the 0/1 choice over the speeds N..1 that picks out its
-descending speed tuple, which the oracle's bad-arc sweep takes as it is.
-It counts the vectors that the exact oracle or the dyadic grid search
-decides.  One sweep per vector serves both: the start of its first
-interval is the earliest suitable time, and the dyadic grid walk
-resumes the same iterator from there.  When :func:`sweep`
+descending speed tuple.  It counts the vectors that the exact oracle or
+the dyadic grid search decides, and decides them from a table of
+witness times built once per k (see :func:`_witnesses`): the first
+entry whose speed mask holds the vector's is its earliest suitable
+time, and that time gives the dyadic hit too, save for the few vectors
+whose first suitable interval is a single point off the grid, which
+fall back to the oracle's bad-arc sweep.  When :func:`sweep`
 writes a record file, the same loop writes one line per vector, which
 also carries the vector's coprimality and rule triple.  The line is one
 format string over integers the loop already holds: the speeds through
-a table of their decimal strings, the earliest time's sweep endpoint
-reduced by one gcd.  It has the bytes ``csv.writer`` and ``json.dumps``
+a table of their decimal strings, the earliest time as the table's
+reduced fraction.  It has the bytes ``csv.writer`` and ``json.dumps``
 would give.  A file of more than 2^24 records (about 1 GB) is refused
 before it is opened.
 
@@ -34,6 +36,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable
 
 from . import dyadic, oracle
@@ -101,6 +104,42 @@ class EnumerationSummary:
     dyadic_verified_count: int | None
 
 
+def _witnesses(max_speed: int, k: int) -> list[tuple[int, int, int, int]]:
+    """Candidate earliest times of k speeds from {1..max_speed}, ascending, as (a, b, fit, tight).
+
+    The candidates are the bad-arc ends a/b = (m (k+1) + 1) / ((k+1) s)
+    of the oracle module docstring, for every speed s <= max_speed, with
+    a/b <= 1/2, reduced.  Bit s-1 of ``fit`` is set when a/b suits
+    speed s, that is (k+1) min(r, b - r) >= b with r = s a mod b; bit
+    s-1 of ``tight`` when the good window of s ends at a/b, that is
+    (k+1) r = k b, so that s enters a bad arc just after a/b.
+
+    For a vector of k such speeds with mask ``mask``, the first entry
+    with ``mask & fit == mask`` is its earliest suitable time, and no
+    such entry means it is no instance.  Proof: every such entry is a
+    suitable time, by the definition alone.  The suitable set is a
+    union of closed intervals, each of which starts where a bad arc of
+    one of the vector's speeds ends, and it is symmetric under
+    t -> 1 - t, so an earliest suitable time, if there is one, is such
+    an arc end at most 1/2, and it is in the list.  An entry is dropped
+    when its ``fit`` has fewer than k bits, or lies inside the ``fit``
+    of an earlier kept entry: no k-speed mask can then match it first.
+    """
+    kp1 = k + 1
+    ends = {Fraction(m, kp1 * s) for s in range(1, max_speed + 1) for m in range(1, kp1 * s // 2 + 1, kp1)}
+    kept = []
+    for t in sorted(ends):
+        a, b = t.numerator, t.denominator
+        fit = tight = 0
+        for s in range(max_speed, 0, -1):
+            r = s * a % b
+            fit = fit << 1 | (kp1 * min(r, b - r) >= b)
+            tight = tight << 1 | (kp1 * r == k * b)
+        if fit.bit_count() >= k and all(fit & earlier != fit for _, _, earlier, _ in kept):
+            kept.append((a, b, fit, tight))
+    return kept
+
+
 def _census(
     max_speed: int,
     require_coprime: bool,
@@ -116,38 +155,55 @@ def _census(
     for ``fmt`` json an object, each after the first preceded by ",\n".
     The format's tokens are chosen before the loop.  Returns the
     closed-form summary of :func:`_rule_census` with those two counts.
+
+    The verdict and the earliest time a/b come from the first match in
+    the vector's table of :func:`_witnesses`.  Every grid point below
+    a/b is unsuitable, so the dyadic hit is m = ceil(a D / b) when m/D
+    is suitable.  It is when no speed of the vector is tight at a/b:
+    the first suitable interval then has positive length, and the grid
+    lemma of the dyadic module puts m/D <= 1/2 inside it.  It is when
+    a D / b is an integer, m/D then being a/b itself.  Otherwise the
+    interval is the single point a/b, off the grid, and the search
+    walks the oracle's sweep from the start; at N = 14 that happens for
+    43 of the 16,383 vectors.  All three go through ``dyadic._grid_hit``.
     """
     gcd, sweep_arcs, grid_hit, compress = math.gcd, oracle._sweep, dyadic._grid_hit, itertools.compress
     as_json = fmt == "json"
     bits, missing, quote, comma = (("false", "true"), "null", '"', ", ") if as_json else ("01", "", "", ";")
     descending = range(max_speed, 0, -1)
     names = [str(s) for s in descending]
+    decide = with_oracle or with_dyadic
+    tables = [[]] + [_witnesses(max_speed, k) for k in range(1, max_speed + 1)] if decide else []
     separator = ""
-    first = dyadic_m = None  # reassigned per vector only when their pass is on
+    a = dyadic_m = None  # reassigned per vector only when their pass is on
     is_instance = earliest = missing
     oracle_ct = dyadic_ct = 0
     # product's last place, speed 1, varies fastest, so the subsets come in ascending mask order.
-    for chosen in itertools.islice(itertools.product((0, 1), repeat=max_speed), 1, None):
+    walk = itertools.islice(itertools.product((0, 1), repeat=max_speed), 1, None)
+    for mask, chosen in enumerate(walk, 1):
         speeds = (*compress(descending, chosen),)
         coprime = gcd(*speeds) == 1
         if require_coprime and not coprime:
             continue
-        if with_oracle or with_dyadic:
-            intervals = sweep_arcs(speeds)
-            first = next(intervals, None)
-            oracle_ct += first is not None
+        if decide:
+            for a, b, fit, tight in tables[len(speeds)]:
+                if mask & fit == mask:
+                    break
+            else:
+                a = None
+            oracle_ct += a is not None
             if with_dyadic:
-                dyadic_m = None if first is None else grid_hit(itertools.chain((first,), intervals), speeds)
+                dyadic_m = None
+                if a is not None:
+                    first = (a, b, a, b) if mask & tight else (a, b, 1, 2)
+                    dyadic_m = grid_hit((first,), speeds) or grid_hit(sweep_arcs(speeds), speeds)
                 dyadic_ct += dyadic_m is not None
         if write is not None:
             k = len(speeds)
             thm1, thm2, slow_fast = _rules(speeds[0], speeds[min(1, k - 1)], speeds[min(2, k - 1)], speeds[-1], k)
             if with_oracle:
-                is_instance, earliest = bits[first is not None], missing
-                if first is not None:
-                    num, den = first[0], first[1]
-                    g = gcd(num, den)
-                    earliest = f"{quote}{num // g}/{den // g}{quote}"
+                is_instance = bits[a is not None]
+                earliest = missing if a is None else f"{quote}{a}/{b}{quote}"
             text = comma.join(compress(names, chosen))
             any_rule = bits[thm1 or thm2 or slow_fast]
             hit = missing if dyadic_m is None else dyadic_m

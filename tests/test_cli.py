@@ -406,12 +406,15 @@ def test_large_speed_verdicts(capsys, argv):
 
 def test_enumerate_out_is_one_pass(tmp_path, monkeypatch, capsys):
     rules = counting(monkeypatch, enumeration, "_rules")
+    tables = counting(monkeypatch, enumeration, "_witnesses")
     sweeps = counting(monkeypatch, oracle, "_sweep")
     out_file = tmp_path / "records.csv"
     code, out, _ = run_cli(capsys, "enumerate", "6", "--with-oracle", "--with-dyadic", "--out", str(out_file))
     assert code == 0
     assert "total_vectors: 63" in out
-    assert len(sweeps) == 63
+    # One witness table per k decides every vector; no vector at N = 6 needs the sweep.
+    assert sorted(tables) == [(6, k) for k in range(1, 7)]
+    assert sweeps == []
     # The records call the rules once per vector; the closed-form summary
     # counts them from their thresholds and never calls them.
     assert len(rules) == 63

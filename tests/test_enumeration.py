@@ -16,7 +16,7 @@ from helpers import (
     reference_record_file,
     scaled_suitable_set,
 )
-from lonely_runner import oracle
+from lonely_runner import enumeration, oracle
 from lonely_runner.classify import _rules, classify
 from lonely_runner.dyadic import dyadic_denominator, find_dyadic_time
 from lonely_runner.enumeration import (
@@ -228,9 +228,10 @@ def test_census_records_with_oracle_and_dyadic():
 
 
 def test_shared_sweep_matches_separate_paths():
-    # The census reads the earliest time and the dyadic hit off one sweep.
-    # The independent arc intersection gives the earliest time, a sweep of
-    # its own gives the hit, and on N = 7 so does the literal grid loop.
+    # The census reads the earliest time and the dyadic hit off its witness
+    # tables, and walks a sweep only for a single-point first interval off
+    # the grid.  The independent arc intersection gives the earliest time,
+    # a sweep of its own gives the hit, and on N = 7 so does the literal grid loop.
     records = census_records(10, with_oracle=True, with_dyadic=True)
     assert len(records) == 1023
     for record in records:
@@ -241,6 +242,52 @@ def test_shared_sweep_matches_separate_paths():
         if n[0] <= 7:
             grid = dyadic_denominator(n)
             assert record["dyadic_m"] == brute_dyadic_m(n, grid, grid)
+
+
+@pytest.mark.parametrize("max_speed", range(1, 13))
+def test_witness_tables_hold_suitable_times(max_speed):
+    # Each entry is a reduced time in (0, 1/2], ascending; a speed in fit is
+    # suitable there beside k - 1 others from fit, a speed outside it is not,
+    # and a tight speed sits at the top of its good window.
+    for k in range(1, max_speed + 1):
+        table = enumeration._witnesses(max_speed, k)
+        times = [Fraction(a, b) for a, b, _, _ in table]
+        assert [(t.numerator, t.denominator) for t in times] == [(a, b) for a, b, _, _ in table]
+        assert times == sorted(set(times)) and 0 < times[0] and times[-1] <= Fraction(1, 2)
+        for t, (_, _, fit, tight) in zip(times, table):
+            fitting = [s for s in range(1, max_speed + 1) if fit >> (s - 1) & 1]
+            assert len(fitting) >= k and tight & fit == tight
+            for s in range(1, max_speed + 1):
+                others = [x for x in fitting if x != s][: k - 1]
+                assert oracle.is_suitable([s, *others], t) == (s in fitting), (k, t, s)
+                assert (tight >> (s - 1) & 1) == (s * t * (k + 1) % (k + 1) == k), (k, t, s)
+
+
+@pytest.mark.parametrize("max_speed", [*range(1, 13), 16])
+def test_witness_census_matches_the_oracle(max_speed):
+    # Every mask: the table's first match is the sweep's earliest time and
+    # gives the dyadic search's hit, and the coprime census is its sub-list.
+    records = census_records(max_speed, with_oracle=True, with_dyadic=True)
+    assert len(records) == (1 << max_speed) - 1
+    for record in records:
+        n = record["speeds"]
+        assert record["is_instance"] and Fraction(record["earliest_time"]) == oracle.earliest_suitable_time(n)
+        assert record["dyadic_m"] == find_dyadic_time(n)
+    coprime = census_records(max_speed, require_coprime=True, with_oracle=True, with_dyadic=True)
+    assert coprime == [record for record in records if record["coprime"]]
+
+
+def test_witness_census_falls_back_to_the_sweep(monkeypatch):
+    # At N = 10 one vector has a single-point first interval, [2/15, 2/15],
+    # off its grid of denominator 1600: the census walks its sweep to m = 392.
+    sweeps = []
+    original = oracle._sweep
+    monkeypatch.setattr(oracle, "_sweep", lambda speeds: sweeps.append(speeds) or original(speeds))
+    records = census_records(10, with_oracle=True, with_dyadic=True)
+    assert sweeps == [(10, 9, 6, 2)]
+    (record,) = [r for r in records if r["speeds"] == [10, 9, 6, 2]]
+    assert (record["earliest_time"], record["dyadic_m"]) == ("2/15", 392)
+    assert find_dyadic_time((10, 9, 6, 2)) == 392 and dyadic_denominator((10, 9, 6, 2)) == 1600
 
 
 def test_record_serialization(tmp_path):
@@ -363,7 +410,9 @@ def test_census_loop_holds_no_vector_past_its_turn():
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_export_writes_non_instance_records(tmp_path, monkeypatch, fmt):
-    # Every small vector is an instance, so the sweep is patched to yield nothing.
+    # Every small vector is an instance, so the witness tables are patched
+    # to hold no entry and the sweep to yield nothing.
+    monkeypatch.setattr(enumeration, "_witnesses", lambda max_speed, k: [])
     monkeypatch.setattr(oracle, "_sweep", lambda speeds: iter([]))
     path = tmp_path / f"records.{fmt}"
     summary = sweep(4, with_oracle=True, with_dyadic=True, out=path, fmt=fmt)
