@@ -277,14 +277,27 @@ def test_witness_census_matches_the_oracle(max_speed):
     assert coprime == [record for record in records if record["coprime"]]
 
 
-def test_witness_census_falls_back_to_the_sweep(monkeypatch):
-    # At N = 10 one vector has a single-point first interval, [2/15, 2/15],
-    # off its grid of denominator 1600: the census walks its sweep to m = 392.
+@pytest.mark.parametrize("max_speed", [10, 14])
+def test_witness_census_falls_back_to_the_sweep(monkeypatch, max_speed):
+    # The census searches the grid from scratch only when the first suitable
+    # interval is a single point a/b off the grid, a D / b not an integer:
+    # 1 vector at N = 10 and 43 at N = 14, derived here from the sweep alone.
+    # At N = 10 it is (10, 9, 6, 2), [2/15, 2/15] off its grid of denominator
+    # 1600, whose search runs on to m = 392.
+    expected = []
+    for mask in range(1, 1 << max_speed):
+        speeds = tuple(s for s in range(max_speed, 0, -1) if mask >> (s - 1) & 1)
+        first = next(oracle._sweep(speeds), None)
+        if first is not None:
+            lo_num, lo_den, hi_num, hi_den = first
+            if lo_num * hi_den == hi_num * lo_den and lo_num * dyadic_denominator(speeds) % lo_den:
+                expected.append(speeds)
+    assert len(expected) == {10: 1, 14: 43}[max_speed]
     sweeps = []
     original = oracle._sweep
-    monkeypatch.setattr(oracle, "_sweep", lambda speeds: sweeps.append(speeds) or original(speeds))
-    records = census_records(10, with_oracle=True, with_dyadic=True)
-    assert sweeps == [(10, 9, 6, 2)]
+    monkeypatch.setattr(oracle, "_sweep", lambda speeds: sweeps.append(tuple(speeds)) or original(speeds))
+    records = census_records(max_speed, with_oracle=True, with_dyadic=True)
+    assert sweeps == expected
     (record,) = [r for r in records if r["speeds"] == [10, 9, 6, 2]]
     assert (record["earliest_time"], record["dyadic_m"]) == ("2/15", 392)
     assert find_dyadic_time((10, 9, 6, 2)) == 392 and dyadic_denominator((10, 9, 6, 2)) == 1600
