@@ -10,14 +10,14 @@ So the search never walks past the first such interval, and the open
 question, whether m exists for every coprime instance, is left to the
 *tight* ones, whose suitable set holds no interval of positive length.
 
-Implementation: instead of testing m = 1, 2, ... one by one, walk the
-suitable intervals in ascending order (the oracle's bad-arc sweep) and
-take the first grid numerator at or after each interval start.  That
-yields the same minimal m as the literal ascending loop, and the walk
-stops at the first interval that holds a grid point.  The walk is
-:func:`_grid_hit`, which takes any iterator of sweep intervals: the
-census feeds it the first interval its witness table gives, and the
-sweep only when that interval is a single point off the grid.
+Implementation: instead of testing m = 1, 2, ... one by one,
+:func:`find_dyadic_time` walks the suitable intervals in ascending
+order (the oracle's bad-arc sweep) and takes the first grid numerator
+at or after each interval start.  That yields the same minimal m as
+the literal ascending loop, and the walk stops at the first interval
+that holds a grid point.  The census takes that numerator from its
+first interval itself, and calls :func:`find_dyadic_time` only when
+that interval is a single point off the grid.
 
 The sweep yields only the intervals that start at or before 1/2, and
 that is enough: the grid is symmetric (D - m is a grid numerator) and
@@ -60,22 +60,6 @@ def dyadic_denominator(n: Iterable[int]) -> int:
     return _denominator(SpeedVector(n))
 
 
-def _grid_hit(intervals: Iterable[tuple[int, int, int, int]], speeds: Sequence[int]) -> int | None:
-    """First grid numerator m with m/D in one of the sweep's intervals, else None.
-
-    D is the _denominator of speeds: a SpeedVector, or the descending
-    tuple the census picks out of each subset.
-    """
-    den = _denominator(speeds)
-    for lo_num, lo_den, hi_num, hi_den in intervals:
-        # Smallest m with m/den >= lo; the intervals start in (0, 1/2],
-        # so 1 <= m_lo <= ceil(den/2).
-        m_lo = -((-lo_num * den) // lo_den)
-        if m_lo <= (hi_num * den) // hi_den:
-            return m_lo
-    return None
-
-
 def find_dyadic_time(n: Iterable[int]) -> int | None:
     """Minimal m in [1, D] with m/D suitable, or None when no grid time is.
 
@@ -83,4 +67,11 @@ def find_dyadic_time(n: Iterable[int]) -> int | None:
     speeds raise ValueError, as SpeedVector does.
     """
     n = SpeedVector(n)
-    return _grid_hit(oracle._sweep(n), n)
+    den = _denominator(n)
+    for lo_num, lo_den, hi_num, hi_den in oracle._sweep(n):
+        # Smallest m with m/den >= lo; the intervals start in (0, 1/2],
+        # so 1 <= m_lo <= ceil(den/2).
+        m_lo = -((-lo_num * den) // lo_den)
+        if m_lo <= (hi_num * den) // hi_den:
+            return m_lo
+    return None

@@ -9,7 +9,7 @@ witness times built once per k (see :func:`_witnesses`): the first
 entry whose speed mask holds the vector's is its earliest suitable
 time, and that time gives the dyadic hit too, save for the few vectors
 whose first suitable interval is a single point off the grid, which
-fall back to the oracle's bad-arc sweep.  When :func:`sweep`
+fall back to :func:`dyadic.find_dyadic_time`.  When :func:`sweep`
 writes a record file, the same loop writes one line per vector, which
 also carries the vector's coprimality and rule triple.  The line is one
 format string over integers the loop already holds: the speeds through
@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
-from . import dyadic, oracle
+from . import dyadic
 from .classify import _rules
 
 __all__ = [
@@ -163,11 +163,11 @@ def _census(
     the first suitable interval then has positive length, and the grid
     lemma of the dyadic module puts m/D <= 1/2 inside it.  It is when
     a D / b is an integer, m/D then being a/b itself.  Otherwise the
-    interval is the single point a/b, off the grid, and the search
-    walks the oracle's sweep from the start; at N = 14 that happens for
-    43 of the 16,383 vectors.  All three go through ``dyadic._grid_hit``.
+    interval is the single point a/b, off the grid, and
+    :func:`dyadic.find_dyadic_time` searches from the start; at N = 14
+    that happens for 43 of the 16,383 vectors.
     """
-    gcd, sweep_arcs, grid_hit, compress = math.gcd, oracle._sweep, dyadic._grid_hit, itertools.compress
+    gcd, denominator, compress = math.gcd, dyadic._denominator, itertools.compress
     as_json = fmt == "json"
     bits, missing, quote, comma = (("false", "true"), "null", '"', ", ") if as_json else ("01", "", "", ";")
     descending = range(max_speed, 0, -1)
@@ -195,8 +195,10 @@ def _census(
             if with_dyadic:
                 dyadic_m = None
                 if a is not None:
-                    first = (a, b, a, b) if mask & tight else (a, b, 1, 2)
-                    dyadic_m = grid_hit((first,), speeds) or grid_hit(sweep_arcs(speeds), speeds)
+                    den = denominator(speeds)
+                    dyadic_m = -(-a * den // b)
+                    if mask & tight and dyadic_m * b != a * den:
+                        dyadic_m = dyadic.find_dyadic_time(speeds)
                 dyadic_ct += dyadic_m is not None
         if write is not None:
             k = len(speeds)

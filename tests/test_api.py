@@ -98,8 +98,7 @@ def test_only_named_private_names_cross_modules():
         ("cli", "oracle._suitable_quads"),
         ("dyadic", "oracle._sweep"),
         ("enumeration", "classify._rules"),
-        ("enumeration", "oracle._sweep"),
-        ("enumeration", "dyadic._grid_hit"),
+        ("enumeration", "dyadic._denominator"),
     }
     found = set()
     for path in sorted(Path(lonely_runner.__path__[0]).glob("*.py")):

@@ -118,8 +118,9 @@ def test_grid_lemma_at_huge_speeds(speeds):
 @given(st.lists(st.integers(1, 10**9), min_size=1, max_size=7, unique=True))
 def test_dyadic_hit_is_minimal_at_huge_speeds(speeds):
     # No grid point lies in the intervals the search passes before its hit.
-    # The walk reads the sweep's intervals as Fractions, not through
-    # _grid_hit, and the intervals it passes are certified by the definition.
+    # The walk reads the sweep's intervals as Fractions, not through the
+    # integer loop of find_dyadic_time, and the intervals it passes are
+    # certified by the definition.
     n = SpeedVector(speeds)
     den = dyadic_denominator(n)
     passed, m = [], None

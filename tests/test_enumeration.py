@@ -229,9 +229,10 @@ def test_census_records_with_oracle_and_dyadic():
 
 def test_shared_sweep_matches_separate_paths():
     # The census reads the earliest time and the dyadic hit off its witness
-    # tables, and walks a sweep only for a single-point first interval off
-    # the grid.  The independent arc intersection gives the earliest time,
-    # a sweep of its own gives the hit, and on N = 7 so does the literal grid loop.
+    # tables, and calls find_dyadic_time only for a single-point first
+    # interval off the grid.  The independent arc intersection gives the
+    # earliest time, find_dyadic_time gives the hit, and on N = 7 so does
+    # the literal grid loop.
     records = census_records(10, with_oracle=True, with_dyadic=True)
     assert len(records) == 1023
     for record in records:
