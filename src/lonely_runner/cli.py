@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def vector_command(name: str, help_text: str, run: Callable) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=run)
+        p.set_defaults(run=lambda args: run(_vector_from_args(args), args))
         p.add_argument("speeds", type=int, nargs="+", help="integer speeds, any order")
         p.add_argument("--normalize", action="store_true", help="divide speeds by their gcd first")
         p.add_argument("--json", action="store_true", help="emit one JSON document")
@@ -160,8 +160,7 @@ def _emit(obj: dict, as_json: bool, lines: list[str] | None = None) -> None:
         write("\n".join(lines) + "\n")
 
 
-def _cmd_check(args: argparse.Namespace) -> tuple[dict, list[str] | None]:
-    n = _vector_from_args(args)
+def _cmd_check(n: SpeedVector, args: argparse.Namespace) -> tuple[dict, list[str] | None]:
     # The limits, and the guard against a set that starts after 1/2, act
     # on the first draw, before anything is printed.
     intervals = oracle._suitable_quads(n)
@@ -178,13 +177,11 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, list[str] | None]:
     return obj, None
 
 
-def _cmd_classify(args: argparse.Namespace) -> tuple[dict, list[str] | None]:
-    n = _vector_from_args(args)
+def _cmd_classify(n: SpeedVector, args: argparse.Namespace) -> tuple[dict, list[str] | None]:
     return vars(run_classify(n, with_oracle=args.with_oracle)), None
 
 
-def _cmd_polytope(args: argparse.Namespace) -> tuple[dict, list[str] | None]:
-    n = _vector_from_args(args)
+def _cmd_polytope(n: SpeedVector, args: argparse.Namespace) -> tuple[dict, list[str] | None]:
     geom = polyhedron.q_geometry(n)
     lines = [f"vector: {n}"]
     lines += [f"halfplane: {_text(h.a1)}*x1 + {_text(h.a2)}*x2 <= {_text(h.b)}" for h in geom.halfplanes]
@@ -194,8 +191,7 @@ def _cmd_polytope(args: argparse.Namespace) -> tuple[dict, list[str] | None]:
     return {"vector": n, **vars(geom)}, lines
 
 
-def _cmd_dyadic(args: argparse.Namespace) -> tuple[dict, list[str] | None]:
-    n = _vector_from_args(args)
+def _cmd_dyadic(n: SpeedVector, args: argparse.Namespace) -> tuple[dict, list[str] | None]:
     den = dyadic_mod.dyadic_denominator(n)
     m = dyadic_mod.find_dyadic_time(n)
     obj = {

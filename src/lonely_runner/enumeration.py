@@ -157,7 +157,9 @@ def _census(
     closed-form summary of :func:`_rule_census` with those two counts.
 
     The verdict and the earliest time a/b come from the first match in
-    the vector's table of :func:`_witnesses`.  Every grid point below
+    the vector's table of :func:`_witnesses`, which every mode scans:
+    each k's table is empty when neither pass is on, and a record's
+    oracle fields stay empty without the oracle.  Every grid point below
     a/b is unsuitable, so the dyadic hit is m = ceil(a D / b) when m/D
     is suitable.  It is when no speed of the vector is tight at a/b:
     the first suitable interval then has positive length, and the grid
@@ -172,11 +174,8 @@ def _census(
     bits, missing, quote, comma = (("false", "true"), "null", '"', ", ") if as_json else ("01", "", "", ";")
     descending = range(max_speed, 0, -1)
     names = [str(s) for s in descending]
-    decide = with_oracle or with_dyadic
-    tables = [[]] + [_witnesses(max_speed, k) for k in range(1, max_speed + 1)] if decide else []
+    tables = [[]] + [_witnesses(max_speed, k) if with_oracle or with_dyadic else [] for k in range(1, max_speed + 1)]
     separator = ""
-    a = dyadic_m = None  # reassigned per vector only when their pass is on
-    is_instance = earliest = missing
     oracle_ct = dyadic_ct = 0
     # product's last place, speed 1, varies fastest, so the subsets come in ascending mask order.
     walk = itertools.islice(itertools.product((0, 1), repeat=max_speed), 1, None)
@@ -185,27 +184,24 @@ def _census(
         coprime = gcd(*speeds) == 1
         if require_coprime and not coprime:
             continue
-        if decide:
-            for a, b, fit, tight in tables[len(speeds)]:
-                if mask & fit == mask:
-                    break
-            else:
-                a = None
-            oracle_ct += a is not None
-            if with_dyadic:
-                dyadic_m = None
-                if a is not None:
-                    den = denominator(speeds)
-                    dyadic_m = -(-a * den // b)
-                    if mask & tight and dyadic_m * b != a * den:
-                        dyadic_m = dyadic.find_dyadic_time(speeds)
-                dyadic_ct += dyadic_m is not None
+        for a, b, fit, tight in tables[len(speeds)]:
+            if mask & fit == mask:
+                break
+        else:
+            a = None
+        oracle_ct += a is not None
+        dyadic_m = None
+        if with_dyadic and a is not None:
+            den = denominator(speeds)
+            dyadic_m = -(-a * den // b)
+            if mask & tight and dyadic_m * b != a * den:
+                dyadic_m = dyadic.find_dyadic_time(speeds)
+            dyadic_ct += dyadic_m is not None
         if write is not None:
             k = len(speeds)
             thm1, thm2, slow_fast = _rules(speeds[0], speeds[min(1, k - 1)], speeds[min(2, k - 1)], speeds[-1], k)
-            if with_oracle:
-                is_instance = bits[a is not None]
-                earliest = missing if a is None else f"{quote}{a}/{b}{quote}"
+            is_instance = bits[a is not None] if with_oracle else missing
+            earliest = f"{quote}{a}/{b}{quote}" if with_oracle and a is not None else missing
             text = comma.join(compress(names, chosen))
             any_rule = bits[thm1 or thm2 or slow_fast]
             hit = missing if dyadic_m is None else dyadic_m

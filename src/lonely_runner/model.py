@@ -27,7 +27,12 @@ class SpeedVector(tuple):
     def __new__(cls, speeds: Iterable[int]) -> SpeedVector:
         if type(speeds) is cls:  # checked when it was made, and immutable
             return speeds
-        self = super().__new__(cls, sorted(speeds, reverse=True))
+        speeds = [*speeds]
+        try:
+            speeds = sorted(speeds, reverse=True)
+        except TypeError:
+            pass  # some speed is not an int; the checks below name the first one that is not a positive int
+        self = super().__new__(cls, speeds)
         if len(self) == 0:
             raise ValueError("speed vector must not be empty")
         for s in self:

@@ -59,7 +59,6 @@ from .model import SpeedVector
 
 __all__ = [
     "suitable_set",
-    "is_instance",
     "earliest_suitable_time",
     "is_suitable",
     "lattice_witness_from_time",
@@ -146,14 +145,6 @@ def suitable_set(n: Iterable[int]) -> list[tuple[Fraction, Fraction]]:
     last hi < 1.  Invalid speeds raise ValueError, as SpeedVector does.
     """
     return [(Fraction(a, b), Fraction(c, d)) for a, b, c, d in _suitable_quads(SpeedVector(n))]
-
-
-def is_instance(n: Iterable[int]) -> bool:
-    """True when some suitable time exists for the speeds n, in any order.
-
-    Invalid speeds raise ValueError, as SpeedVector does.
-    """
-    return next(_sweep(SpeedVector(n)), None) is not None
 
 
 def earliest_suitable_time(n: Iterable[int]) -> Fraction | None:

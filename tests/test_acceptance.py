@@ -18,7 +18,6 @@ from lonely_runner.enumeration import coprime_count_moebius, sweep
 from lonely_runner.model import SpeedVector
 from lonely_runner.oracle import (
     earliest_suitable_time,
-    is_instance,
     is_suitable,
     lattice_witness_from_time,
     suitable_set,
@@ -84,7 +83,7 @@ def test_criterion_04_rule_soundness_to_14():
         if not classify(speeds).any_rule:
             continue
         checked += 1
-        if not is_instance(SpeedVector(speeds)):
+        if earliest_suitable_time(SpeedVector(speeds)) is None:
             violations += 1
     assert violations == 0
     assert checked > 0
@@ -127,7 +126,7 @@ def test_criterion_07_dyadic_witness_to_12():
         if math.gcd(*speeds) != 1:
             continue
         n = SpeedVector(speeds)
-        if not is_instance(n):
+        if earliest_suitable_time(n) is None:
             continue
         m = find_dyadic_time(n)
         assert m is not None, speeds

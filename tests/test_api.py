@@ -40,7 +40,6 @@ def test_public_names_are_pinned():
         "dyadic_exponent",
         "earliest_suitable_time",
         "find_dyadic_time",
-        "is_instance",
         "is_suitable",
         "lattice_witness_from_time",
         "normalize",
@@ -138,3 +137,30 @@ def test_every_private_definition_is_used_in_the_library():
             if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in inside
         )
         assert used, f"{stem}.{definition.name} is used by no other library code"
+
+
+def _docstrings_and_comments(source):
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    comments = [tok.string for tok in tokens if tok.type == tokenize.COMMENT]
+    docstrings = [
+        ast.get_docstring(node, clean=False) or ""
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+    ]
+    return "\n".join(comments + docstrings)
+
+
+def test_prose_names_resolve():
+    # Every ``module.name`` that the README, the demos or the library's
+    # own docstrings and comments give must still exist; ``module.py`` is a file.
+    root = Path(__file__).resolve().parents[1]
+    package = Path(lonely_runner.__path__[0])
+    modules = {path.stem for path in package.glob("*.py") if not path.stem.startswith("_")}
+    texts = {"README.md": (root / "README.md").read_text()}
+    texts |= {path.name: path.read_text() for path in sorted((root / "demos").glob("*.py"))}
+    texts |= {path.name: _docstrings_and_comments(path.read_text()) for path in sorted(package.glob("*.py"))}
+    pattern = re.compile(rf"\b({'|'.join(modules)})\.(?!py\b)(\w+)")
+    found = [(where, *match.groups()) for where, text in texts.items() for match in pattern.finditer(text)]
+    assert found
+    for where, module, name in found:
+        assert hasattr(importlib.import_module(f"lonely_runner.{module}"), name), f"{where}: {module}.{name}"

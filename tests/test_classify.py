@@ -10,7 +10,7 @@ from helpers import certify_first_intervals, descending_subsets, p1_window, q_in
 from lonely_runner.classify import classify
 from lonely_runner.cli import main
 from lonely_runner.model import SpeedVector
-from lonely_runner.oracle import earliest_suitable_time, is_instance, is_suitable
+from lonely_runner.oracle import earliest_suitable_time, is_suitable
 from lonely_runner.polyhedron import contains
 
 F = Fraction
@@ -111,7 +111,7 @@ def test_rules_sound_on_small_sweep():
     # larger n_1 <= 14 version of this check.
     for speeds in descending_subsets(10):
         if classify(speeds).any_rule:
-            assert is_instance(SpeedVector(speeds))
+            assert earliest_suitable_time(SpeedVector(speeds)) is not None
 
 
 def test_reported_witnesses_are_suitable():

@@ -722,14 +722,18 @@ def test_missing_arguments_exit_1(capsys):
     assert run_cli(capsys)[0] == 1
 
 
+# Python 3.13's argparse keeps " ..." on the line of the subcommand choices; 3.10-3.12 wrap it.
 TOP_USAGE = (
     "usage: lonely-runner [-h]\n"
+    "                     {check,classify,polytope,dyadic,enumerate,count-coprime} ...\n"
+    if sys.version_info >= (3, 13)
+    else "usage: lonely-runner [-h]\n"
     "                     {check,classify,polytope,dyadic,enumerate,count-coprime}\n"
     "                     ...\n"
 )
 CHECK_USAGE = "usage: lonely-runner check [-h] [--normalize] [--json] speeds [speeds ...]\n"
 
-# argparse's own bytes at 80 columns, as Python 3.10 and 3.11 print them:
+# argparse's own bytes at 80 columns, as Python 3.10 to 3.13 print them:
 # bad usage is the usage line and one error line on stderr, exit 1.
 USAGE_ERRORS = {
     "check-without-speeds": (
@@ -794,6 +798,10 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "enumerate", "4", "--out", str(tmp_path / "no-dir" / "x.csv"))
     assert code == 2
     assert "cannot write" in err
+    if os.path.exists("/dev/full"):  # it opens, and then every write fails: a full disk must not exit 0
+        code, out, err = run_cli(capsys, "enumerate", "10", "--out", "/dev/full")
+        assert (code, out) == (2, "")
+        assert "cannot write /dev/full" in err
 
 
 def test_broken_pipe_exits_0(monkeypatch, capsys):

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import itertools
 import json
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -450,6 +451,9 @@ def test_export_rejects_bad_format(tmp_path):
 def test_export_wraps_os_errors(tmp_path):
     with pytest.raises(OSError, match="cannot write"):
         sweep(3, out=tmp_path / "missing-dir" / "out.json", fmt="json")
+    if os.path.exists("/dev/full"):  # it opens, and then every write fails, as on a full disk
+        with pytest.raises(OSError, match="cannot write"):
+            sweep(10, out="/dev/full")
 
 
 def test_sweep_checks_max_speed(tmp_path):
