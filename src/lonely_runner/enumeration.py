@@ -2,21 +2,24 @@
 
 Bitmask i (1 <= i < 2^N) encodes the subset whose bit j-1 means speed
 j.  The per-vector loop walks the subsets once in ascending mask order,
-each as the 0/1 choice over the speeds N..1 that picks out its
-descending speed tuple.  It counts the vectors that the exact oracle or
-the dyadic grid search decides, and decides them from a table of
-witness times built once per k (see :func:`_witnesses`): the first
-entry whose speed mask holds the vector's is its earliest suitable
-time, and that time gives the dyadic hit too, save for the few vectors
-whose first suitable interval is a single point off the grid, which
-fall back to :func:`dyadic.find_dyadic_time`.  When :func:`sweep`
-writes a record file, the same loop writes one line per vector, which
-also carries the vector's coprimality and rule triple.  The line is one
-format string over integers the loop already holds: the speeds through
-a table of their decimal strings, the earliest time as the table's
-reduced fraction.  It has the bytes ``csv.writer`` and ``json.dumps``
-would give.  A file of more than 2^24 records (about 1 GB) is refused
-before it is opened.
+as a high half (the speeds above N // 2) outside and a low half inside.
+What a vector's record reads of its speeds (their text, gcd, count,
+extremes and grid base) comes from a table over the 2^(N//2) low halves
+and from values computed once per high half, so no row builds its speed
+tuple.  The loop counts the vectors that the exact oracle or the dyadic
+grid search decides, and decides them from a table of witness times
+built once per k (see :func:`_witnesses`): the first entry whose speed
+mask holds the vector's is its earliest suitable time, and that time
+gives the dyadic hit too, save for the few vectors whose first suitable
+interval is a single point off the grid, which fall back to
+:func:`dyadic.find_dyadic_time`.  When :func:`sweep` writes a record
+file, the same loop formats one line per vector, which also carries the
+vector's coprimality and rule triple, and writes the lines of each high
+half as one chunk.  The line is one format string over values the loop
+already holds: the speeds as the high half's text joined to the low
+half's, the earliest time as the table's reduced fraction.  It has the
+bytes ``csv.writer`` and ``json.dumps`` would give.  A file of more
+than 2^24 records (about 1 GB) is refused before it is opened.
 
 Every summary takes its total, coprime and rule counts from a closed
 form.  A rules-only summary visits no vector, so it runs to N = 62
@@ -36,7 +39,6 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable
 
 from . import dyadic
@@ -125,11 +127,16 @@ def _witnesses(max_speed: int, k: int) -> list[tuple[int, int, int, int]]:
     when its ``fit`` has fewer than k bits, or lies inside the ``fit``
     of an earlier kept entry: no k-speed mask can then match it first.
     """
-    kp1 = k + 1
-    ends = {Fraction(m, kp1 * s) for s in range(1, max_speed + 1) for m in range(1, kp1 * s // 2 + 1, kp1)}
+    kp1, gcd = k + 1, math.gcd
+    ends = set()
+    for s in range(1, max_speed + 1):
+        for m in range(1, kp1 * s // 2 + 1, kp1):
+            g = gcd(m, kp1 * s)
+            ends.add((m // g, kp1 * s // g))
+    # Every denominator divides (k+1) s for some s, so a/b ranks as the integer a (scale / b).
+    scale = kp1 * math.lcm(*range(1, max_speed + 1))
     kept = []
-    for t in sorted(ends):
-        a, b = t.numerator, t.denominator
+    for a, b in sorted(ends, key=lambda end: end[0] * (scale // end[1])):
         fit = tight = 0
         for s in range(max_speed, 0, -1):
             r = s * a % b
@@ -138,6 +145,16 @@ def _witnesses(max_speed: int, k: int) -> list[tuple[int, int, int, int]]:
         if fit.bit_count() >= k and all(fit & earlier != fit for _, _, earlier, _ in kept):
             kept.append((a, b, fit, tight))
     return kept
+
+
+def _speeds(mask: int, low: int = 0) -> tuple[int, ...]:
+    """The speeds low + j for the set bits j - 1 of mask, descending.
+
+    Built from a list, so the tuple is made at its size: ``tuple()`` of
+    a generator resizes a guess, which strands a block per call on the
+    interpreter's tuple free lists.
+    """
+    return (*[low + j for j in range(mask.bit_length(), 0, -1) if mask >> j - 1 & 1],)
 
 
 def _census(
@@ -151,17 +168,29 @@ def _census(
     """The one per-vector loop, over every nonempty subset in ascending mask order.
 
     Counts oracle instances and dyadic hits, and hands ``write`` one
-    record line per classified vector when it is given: a CSV row, or
-    for ``fmt`` json an object, each after the first preceded by ",\n".
-    The format's tokens are chosen before the loop.  Returns the
+    chunk of record lines per high half (below) when it is given: CSV
+    rows, or for ``fmt`` json objects, each after the first preceded by
+    ",\n".  The format's tokens are chosen before the loop.  Returns the
     closed-form summary of :func:`_rule_census` with those two counts.
+
+    The mask splits at bit h = max_speed // 2 into a low half, speeds
+    1..h, and a high half, the rest, and the loop runs ``for hi: for
+    lo:``, which keeps the masks ascending.  A vector's speeds are the
+    high half's followed by the low half's, so what a record reads of
+    them is the two halves' values joined: its speed text, its gcd, its
+    size k, its extremes n_1, n_2, n_3, n_k and the grid base 2^e n_1 of
+    D = 2^e (k+1) n_1.  Each is tabled once over the 2^h low halves and
+    computed once per high half, so a row builds no speed tuple; only
+    the dyadic fallback below builds one.
 
     The verdict and the earliest time a/b come from the first match in
     the vector's table of :func:`_witnesses`, which every mode scans:
     each k's table is empty when neither pass is on, and a record's
-    oracle fields stay empty without the oracle.  Every grid point below
-    a/b is unsuitable, so the dyadic hit is m = ceil(a D / b) when m/D
-    is suitable.  It is when no speed of the vector is tight at a/b:
+    oracle fields stay empty without the oracle.  Each high half first
+    keeps, for each k, the entries whose ``fit`` holds its bits, so a row
+    scans only those and tests its low bits alone.  Every grid point
+    below a/b is unsuitable, so the dyadic hit is m = ceil(a D / b) when
+    m/D is suitable.  It is when no speed of the vector is tight at a/b:
     the first suitable interval then has positive length, and the grid
     lemma of the dyadic module puts m/D <= 1/2 inside it.  It is when
     a D / b is an integer, m/D then being a/b itself.  Otherwise the
@@ -169,54 +198,75 @@ def _census(
     :func:`dyadic.find_dyadic_time` searches from the start; at N = 14
     that happens for 43 of the 16,383 vectors.
     """
-    gcd, denominator, compress = math.gcd, dyadic._denominator, itertools.compress
+    gcd, denominator = math.gcd, dyadic._denominator
     as_json = fmt == "json"
-    bits, missing, quote, comma = (("false", "true"), "null", '"', ", ") if as_json else ("01", "", "", ";")
-    descending = range(max_speed, 0, -1)
-    names = [str(s) for s in descending]
+    bits, missing, quote, comma, joiner = (
+        (("false", "true"), "null", '"', ", ", ",\n") if as_json else ("01", "", "", ";", "")
+    )
     tables = [[]] + [_witnesses(max_speed, k) if with_oracle or with_dyadic else [] for k in range(1, max_speed + 1)]
+    half = max_speed // 2
+    low = range(1 << half)
+    low_gcd = [gcd(*_speeds(lo)) for lo in low]
+    low_k = [lo.bit_count() for lo in low]
+    # D = 2^e (k+1) n_1 is k + 1 times this grid base, by the fastest speed; 0 stands for no speed.
+    grid = [0] + [denominator((s,)) >> 1 for s in range(1, max_speed + 1)]
+    if write is not None:
+        low_tail = [comma + comma.join(map(str, _speeds(lo))) if lo else "" for lo in low]
+        # Padded with the last speed, the first three are n_1, n_2, n_3 as _rules reads them at any k;
+        # a vector's are its high half's when that has three speeds, else the high half's followed by these.
+        low_top = [(speeds + speeds[-1:] * 2)[:3] for speeds in map(_speeds, low)]
+        low_last = [(lo & -lo).bit_length() for lo in low]
     separator = ""
     oracle_ct = dyadic_ct = 0
-    # product's last place, speed 1, varies fastest, so the subsets come in ascending mask order.
-    walk = itertools.islice(itertools.product((0, 1), repeat=max_speed), 1, None)
-    for mask, chosen in enumerate(walk, 1):
-        speeds = (*compress(descending, chosen),)
-        coprime = gcd(*speeds) == 1
-        if require_coprime and not coprime:
-            continue
-        for a, b, fit, tight in tables[len(speeds)]:
-            if mask & fit == mask:
-                break
-        else:
-            a = None
-        oracle_ct += a is not None
-        dyadic_m = None
-        if with_dyadic and a is not None:
-            den = denominator(speeds)
-            dyadic_m = -(-a * den // b)
-            if mask & tight and dyadic_m * b != a * den:
-                dyadic_m = dyadic.find_dyadic_time(speeds)
-            dyadic_ct += dyadic_m is not None
+    for hi in range(1 << max_speed - half):
+        high = _speeds(hi, half)
+        hi_k, hi_gcd, hi_base, hi_bits = len(high), gcd(*high), grid[high[0] if high else 0], hi << half
+        scans = [[entry for entry in tables[hi_k + j] if entry[2] >> half & hi == hi] for j in range(half + 1)]
         if write is not None:
-            k = len(speeds)
-            thm1, thm2, slow_fast = _rules(speeds[0], speeds[min(1, k - 1)], speeds[min(2, k - 1)], speeds[-1], k)
-            is_instance = bits[a is not None] if with_oracle else missing
-            earliest = f"{quote}{a}/{b}{quote}" if with_oracle and a is not None else missing
-            text = comma.join(compress(names, chosen))
-            any_rule = bits[thm1 or thm2 or slow_fast]
-            hit = missing if dyadic_m is None else dyadic_m
-            if as_json:
-                write(
-                    f'{separator}{{"speeds": [{text}], "k": {k}, "coprime": {bits[coprime]}, "thm1": {bits[thm1]}, '
-                    f'"thm2": {bits[thm2]}, "slow_fast": {bits[slow_fast]}, "any_rule": {any_rule}, '
-                    f'"is_instance": {is_instance}, "earliest_time": {earliest}, "dyadic_m": {hit}}}'
-                )
-                separator = ",\n"
+            prefix, texts = (comma.join(map(str, high)), low_tail) if hi else ("", [t[len(comma) :] for t in low_tail])
+            head, hi_last = (high + high[-1:] * 2)[:3], high[-1] if high else 0
+        rows = []
+        for lo in low[not hi :]:  # hi = lo = 0 is the empty set
+            coprime = gcd(hi_gcd, low_gcd[lo]) == 1
+            if require_coprime and not coprime:
+                continue
+            j = low_k[lo]
+            k = hi_k + j
+            for a, b, fit, tight in scans[j]:
+                if lo & fit == lo:
+                    break
             else:
-                write(
-                    f"{text},{k},{bits[coprime]},{bits[thm1]},{bits[thm2]},{bits[slow_fast]},{any_rule},"
-                    f"{is_instance},{earliest},{hit}\r\n"
-                )
+                a = None
+            oracle_ct += a is not None
+            dyadic_m = None
+            if with_dyadic and a is not None:
+                den = (hi_base or grid[lo.bit_length()]) * (k + 1)
+                dyadic_m = -(-a * den // b)
+                if (hi_bits | lo) & tight and dyadic_m * b != a * den:
+                    dyadic_m = dyadic.find_dyadic_time(_speeds(hi_bits | lo))
+                dyadic_ct += dyadic_m is not None
+            if write is not None:
+                n1, n2, n3 = head if hi_k >= 3 or not lo else (high + low_top[lo])[:3]
+                thm1, thm2, slow_fast = _rules(n1, n2, n3, low_last[lo] or hi_last, k)
+                is_instance = bits[a is not None] if with_oracle else missing
+                earliest = f"{quote}{a}/{b}{quote}" if with_oracle and a is not None else missing
+                any_rule = bits[thm1 or thm2 or slow_fast]
+                hit = missing if dyadic_m is None else dyadic_m
+                if as_json:
+                    rows.append(
+                        f'{{"speeds": [{prefix}{texts[lo]}], "k": {k}, "coprime": {bits[coprime]}, '
+                        f'"thm1": {bits[thm1]}, "thm2": {bits[thm2]}, "slow_fast": {bits[slow_fast]}, '
+                        f'"any_rule": {any_rule}, "is_instance": {is_instance}, "earliest_time": {earliest}, '
+                        f'"dyadic_m": {hit}}}'
+                    )
+                else:
+                    rows.append(
+                        f"{prefix}{texts[lo]},{k},{bits[coprime]},{bits[thm1]},{bits[thm2]},{bits[slow_fast]},"
+                        f"{any_rule},{is_instance},{earliest},{hit}\r\n"
+                    )
+        if rows:
+            write(separator + joiner.join(rows))
+            separator = joiner
     summary = _rule_census(max_speed, require_coprime)
     return replace(
         summary,

@@ -31,6 +31,7 @@ __all__ = [
     "census_records",
     "record_tally",
     "reference_record_file",
+    "reference_witnesses",
     "grid_denominator",
     "scaled_suitable_set",
     "suitability_probe_points",
@@ -141,6 +142,27 @@ def _csv_cell(value: list[int] | bool | int | Fraction | None) -> str | int:
 def _rational(q: Fraction) -> str:
     """A rational as the record files write it: numerator/denominator, reduced."""
     return f"{q.numerator}/{q.denominator}"
+
+
+def reference_witnesses(max_speed: int, k: int) -> list[tuple[int, int, int, int]]:
+    """The witness table of ``enumeration._witnesses``, from ``Fraction`` arithmetic alone.
+
+    The bad-arc ends m / ((k+1) s), m = 1 mod k+1, up to 1/2 are sorted
+    as rationals.  Speed s suits t when s t is at least 1/(k+1) from
+    every integer, and is tight when s t sits k/(k+1) past one.  An end
+    is kept when its fit has k speeds or more and no earlier kept fit
+    holds it.
+    """
+    kp1 = k + 1
+    ends = {Fraction(m, kp1 * s) for s in range(1, max_speed + 1) for m in range(1, kp1 * s // 2 + 1, kp1)}
+    kept: list[tuple[int, int, int, int]] = []
+    for t in sorted(ends):
+        phases = [s * t % 1 for s in range(1, max_speed + 1)]
+        fit = sum(1 << i for i, phase in enumerate(phases) if min(phase, 1 - phase) >= Fraction(1, kp1))
+        tight = sum(1 << i for i, phase in enumerate(phases) if phase == Fraction(k, kp1))
+        if fit.bit_count() >= k and not any(fit & earlier == fit for _, _, earlier, _ in kept):
+            kept.append((t.numerator, t.denominator, fit, tight))
+    return kept
 
 
 def grid_denominator(n: SpeedVector) -> int:

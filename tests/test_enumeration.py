@@ -15,6 +15,7 @@ from helpers import (
     descending_subsets,
     record_tally,
     reference_record_file,
+    reference_witnesses,
     scaled_suitable_set,
 )
 from lonely_runner import enumeration, oracle
@@ -265,6 +266,14 @@ def test_witness_tables_hold_suitable_times(max_speed):
                 assert (tight >> (s - 1) & 1) == (s * t * (k + 1) % (k + 1) == k), (k, t, s)
 
 
+@pytest.mark.parametrize("max_speed", range(1, 21))
+def test_witness_tables_match_the_fraction_reference(max_speed):
+    # The tables rank their ends by an integer key over a common denominator;
+    # the reference sorts Fractions and tests each speed by the definition.
+    for k in range(1, max_speed + 1):
+        assert enumeration._witnesses(max_speed, k) == reference_witnesses(max_speed, k), k
+
+
 @pytest.mark.parametrize("max_speed", [*range(1, 13), 16])
 def test_witness_census_matches_the_oracle(max_speed):
     # Every mask: the table's first match is the sweep's earliest time and
@@ -397,6 +406,12 @@ N14_RECORD_FILES = {
     "csv": (665_284, "b31ac38a5a2b0b2eae07e99107f2b9af356b28047ccf91fd7d6e0426e7363a17"),
     "json": (3_166_748, "9674f89d2efc2a0ecd55689b7269475c29e8160e73ec9070af257254a1386090"),
 }
+# The same at N = 15, where the low half of the mask (speeds 1..7) is the smaller one: the coprime
+# census with both passes as CSV, and the rules-only records as JSON.
+N15_RECORD_FILES = {
+    "csv": (1_379_120, "fdb5edff71affc1424235479667813d80e428db49094d933ff9c479a7b4174d1"),
+    "json": (6_369_421, "7661043c095d81e3a8ce3a953a561a1de1800b939ec06216fc44028f5438c763"),
+}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -408,11 +423,25 @@ def test_export_n14_record_file_frozen(tmp_path, fmt):
     assert (len(data), hashlib.sha256(data).hexdigest()) == N14_RECORD_FILES[fmt]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_export_n15_record_file_frozen(tmp_path, fmt):
+    path = tmp_path / f"records.{fmt}"
+    if fmt == "csv":
+        sweep(15, require_coprime=True, with_oracle=True, with_dyadic=True, out=path, fmt=fmt)
+    else:
+        sweep(15, out=path, fmt=fmt)
+    data = path.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == N15_RECORD_FILES[fmt]
+
+
 def test_census_loop_holds_no_vector_past_its_turn():
-    # Each speed tuple is freed by reference counting as the loop moves on,
-    # so the peak is a few KB; tuples left to the cyclic collector would
-    # pile up to about 1 MB at N = 14.  The warm-up call fills the caches
-    # that the first call of a process allocates.
+    # The loop keeps the witness tables (about 44 KB at N = 14), a few
+    # tables over the 128 low halves and, per high half, the witness
+    # entries it scans, as references.  Without a record file a row builds
+    # no tuple, and what a high half builds is freed by reference counting
+    # as the loop moves on; tuples left to the cyclic collector would pile
+    # up to about 1 MB.  The warm-up call fills the caches that the first
+    # call of a process allocates.
     sweep(6, with_oracle=True)
     tracemalloc.start()
     try:
@@ -421,6 +450,22 @@ def test_census_loop_holds_no_vector_past_its_turn():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**10
+
+
+def test_record_file_is_written_one_high_half_at_a_time(tmp_path):
+    # The N = 16 CSV file is about 2.9 MB.  The loop holds its tables and
+    # the rows of one high half, 256 of them, and writes them as one chunk,
+    # so the peak reads about 145 KB on Python 3.10 to 3.13, the witness
+    # tables 67 KB of it; a writer that buffered the file would pass 3 MB.
+    path = tmp_path / "records.csv"
+    sweep(6, with_oracle=True, with_dyadic=True, out=path)
+    tracemalloc.start()
+    try:
+        sweep(16, with_oracle=True, with_dyadic=True, out=path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**10
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
