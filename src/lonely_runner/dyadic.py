@@ -32,7 +32,7 @@ they refuse invalid ones and take them in any order.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import oracle
 from .model import SpeedVector
@@ -45,9 +45,9 @@ def _exponent(n1: int) -> int:
     return (n1 - 1).bit_length() + 1
 
 
-def _denominator(n: Sequence[int]) -> int:
-    """2^e (k+1) n_1 with e = _exponent(n_1), for speeds n read unchecked, fastest first."""
-    return (1 << _exponent(n[0])) * (len(n) + 1) * n[0]
+def _denominator(n1: int, k: int) -> int:
+    """2^e (k+1) n_1 with e = _exponent(n_1), for k speeds whose fastest is n1, read unchecked."""
+    return (1 << _exponent(n1)) * (k + 1) * n1
 
 
 def dyadic_exponent(n: Iterable[int]) -> int:
@@ -57,7 +57,8 @@ def dyadic_exponent(n: Iterable[int]) -> int:
 
 def dyadic_denominator(n: Iterable[int]) -> int:
     """Grid denominator 2^e (k+1) n_1 with e = dyadic_exponent(n)."""
-    return _denominator(SpeedVector(n))
+    n = SpeedVector(n)
+    return _denominator(n[0], len(n))
 
 
 def find_dyadic_time(n: Iterable[int]) -> int | None:
@@ -67,7 +68,7 @@ def find_dyadic_time(n: Iterable[int]) -> int | None:
     speeds raise ValueError, as SpeedVector does.
     """
     n = SpeedVector(n)
-    den = _denominator(n)
+    den = _denominator(n[0], len(n))
     for lo_num, lo_den, hi_num, hi_den in oracle._sweep(n):
         # Smallest m with m/den >= lo; the intervals start in (0, 1/2],
         # so 1 <= m_lo <= ceil(den/2).

@@ -3,8 +3,8 @@
 Bitmask i (1 <= i < 2^N) encodes the subset whose bit j-1 means speed
 j.  The per-vector loop walks the subsets once in ascending mask order,
 as a high half (the speeds above N // 2) outside and a low half inside.
-What a vector's record reads of its speeds (their text, gcd, count,
-extremes and grid base) comes from a table over the 2^(N//2) low halves
+What a vector's record reads of its speeds (their text, gcd, count
+and extremes) comes from a table over the 2^(N//2) low halves
 and from values computed once per high half, so no row builds its speed
 tuple.  The loop counts the vectors that the exact oracle or the dyadic
 grid search decides, and decides them from a table of witness times
@@ -178,10 +178,10 @@ def _census(
     lo:``, which keeps the masks ascending.  A vector's speeds are the
     high half's followed by the low half's, so what a record reads of
     them is the two halves' values joined: its speed text, its gcd, its
-    size k, its extremes n_1, n_2, n_3, n_k and the grid base 2^e n_1 of
-    D = 2^e (k+1) n_1.  Each is tabled once over the 2^h low halves and
-    computed once per high half, so a row builds no speed tuple; only
-    the dyadic fallback below builds one.
+    size k and its extremes n_1, n_2, n_3, n_k.  Each is tabled once
+    over the 2^h low halves and computed once per high half, and the
+    grid denominator D is tabled by n_1 and k, so a row builds no speed
+    tuple; only the dyadic fallback below builds one.
 
     The verdict and the earliest time a/b come from the first match in
     the vector's table of :func:`_witnesses`, which every mode scans:
@@ -208,8 +208,8 @@ def _census(
     low = range(1 << half)
     low_gcd = [gcd(*_speeds(lo)) for lo in low]
     low_k = [lo.bit_count() for lo in low]
-    # D = 2^e (k+1) n_1 is k + 1 times this grid base, by the fastest speed; 0 stands for no speed.
-    grid = [0] + [denominator((s,)) >> 1 for s in range(1, max_speed + 1)]
+    # The grid denominator D by fastest speed n_1 and size k.
+    grid = [[denominator(s, k) for k in range(max_speed + 1)] for s in range(max_speed + 1)]
     if write is not None:
         low_tail = [comma + comma.join(map(str, _speeds(lo))) if lo else "" for lo in low]
         # Padded with the last speed, the first three are n_1, n_2, n_3 as _rules reads them at any k;
@@ -220,7 +220,7 @@ def _census(
     oracle_ct = dyadic_ct = 0
     for hi in range(1 << max_speed - half):
         high = _speeds(hi, half)
-        hi_k, hi_gcd, hi_base, hi_bits = len(high), gcd(*high), grid[high[0] if high else 0], hi << half
+        hi_k, hi_gcd, hi_top, hi_bits = len(high), gcd(*high), high[0] if high else 0, hi << half
         scans = [[entry for entry in tables[hi_k + j] if entry[2] >> half & hi == hi] for j in range(half + 1)]
         if write is not None:
             prefix, texts = (comma.join(map(str, high)), low_tail) if hi else ("", [t[len(comma) :] for t in low_tail])
@@ -240,7 +240,7 @@ def _census(
             oracle_ct += a is not None
             dyadic_m = None
             if with_dyadic and a is not None:
-                den = (hi_base or grid[lo.bit_length()]) * (k + 1)
+                den = grid[hi_top or lo.bit_length()][k]
                 dyadic_m = -(-a * den // b)
                 if (hi_bits | lo) & tight and dyadic_m * b != a * den:
                     dyadic_m = dyadic.find_dyadic_time(_speeds(hi_bits | lo))
