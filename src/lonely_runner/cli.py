@@ -117,47 +117,44 @@ def _text(value: object) -> str:
     return str(value)
 
 
-def _write_intervals(write: Callable[[str], object], intervals: Iterator[tuple], form: str, sep: str) -> None:
-    """Write reduced (lo_num, lo_den, hi_num, hi_den) intervals one by one, as they are drawn."""
-    lead = ""
-    for quad in intervals:
-        write(lead + form.format(*quad))
-        lead = sep
+# Per form, text and then JSON: the lead before the first key, the separator before each later one, the end,
+# the key and value writers, and an interval list's open, item, separator and close.
+_FORMS = (
+    ("", "\n", "\n", str, _text, ("", "[{}/{}, {}/{}]", " ", "")),
+    ("{", ", ", "}\n", json.dumps, functools.partial(json.dumps, default=_plain),
+     ("[", '["{}/{}", "{}/{}"]', ", ", "]")),
+)
 
 
 def _emit(obj: dict, as_json: bool, lines: list[str] | None = None) -> None:
-    """Print obj as one JSON document, or as text.
+    """Print obj as one JSON document, or as text, in one walk over its keys.
 
     The text is one ``key: value`` line per key unless the command
-    passes its own ``lines``, built from the same values.  A value that
+    passes its own ``lines``, built from the same values.  Both forms
+    walk obj with the tokens of their row of ``_FORMS``.  A value that
     is an iterator of reduced intervals (``check``'s suitable set) is
-    written as it is drawn, so neither form holds the whole set; the
-    bytes are those ``json.dumps`` would give for a list of
-    ``[lo, hi]`` string pairs.
+    written interval by interval as it is drawn, so neither form holds
+    the whole set; the JSON bytes are those ``json.dumps`` would give
+    for a list of ``[lo, hi]`` string pairs.
     """
     write = sys.stdout.write
-    if as_json:
-        lead = "{"
-        for key, value in obj.items():
-            write(f"{lead}{json.dumps(key)}: ")
-            if isinstance(value, Iterator):
-                write("[")
-                _write_intervals(write, value, '["{}/{}", "{}/{}"]', ", ")
-                write("]")
-            else:
-                write(json.dumps(value, default=_plain))
-            lead = ", "
-        write("}\n")
-    elif lines is None:
-        for key, value in obj.items():
-            write(f"{key}: ")
-            if isinstance(value, Iterator):
-                _write_intervals(write, value, "[{}/{}, {}/{}]", " ")
-            else:
-                write(_text(value))
-            write("\n")
-    else:
+    if lines is not None and not as_json:
         write("\n".join(lines) + "\n")
+        return
+    lead, separator, end, key_text, value_text, (open_list, item, comma, close_list) = _FORMS[as_json]
+    for key, value in obj.items():
+        write(f"{lead}{key_text(key)}: ")
+        if isinstance(value, Iterator):
+            write(open_list)
+            gap = ""
+            for quad in value:
+                write(gap + item.format(*quad))
+                gap = comma
+            write(close_list)
+        else:
+            write(value_text(value))
+        lead = separator
+    write(end)
 
 
 def _cmd_check(n: SpeedVector, args: argparse.Namespace) -> tuple[dict, list[str] | None]:

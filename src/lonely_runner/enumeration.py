@@ -13,13 +13,17 @@ mask holds the vector's is its earliest suitable time, and that time
 gives the dyadic hit too, save for the few vectors whose first suitable
 interval is a single point off the grid, which fall back to
 :func:`dyadic.find_dyadic_time`.  When :func:`sweep` writes a record
-file, the same loop formats one line per vector, which also carries the
-vector's coprimality and rule triple, and writes the lines of each high
-half as one chunk.  The line is one format string over values the loop
-already holds: the speeds as the high half's text joined to the low
-half's, the earliest time as the table's reduced fraction.  It has the
-bytes ``csv.writer`` and ``json.dumps`` would give.  A file of more
-than 2^24 records (about 1 GB) is refused before it is opened.
+file, the same loop formats one record per vector, which also carries
+the vector's coprimality and rule triple, and writes the records of
+each high half as one chunk.  Each format is a row of data in
+``_FORMATS``: its header and footer, the text before each field, and its
+tokens for false and true, the empty value, the quote around a time and
+the separators.  So both formats take one path: a record is one
+f-string that interleaves that text with values the loop already holds,
+the speeds as the high half's text joined to the low half's and the
+earliest time as the table's reduced fraction.  It has the bytes
+``csv.writer`` and ``json.dumps`` would give.  A file of more than 2^24
+records (about 1 GB) is refused before it is opened.
 
 Every summary takes its total, coprime and rule counts from a closed
 form.  A rules-only summary visits no vector, so it runs to N = 62
@@ -53,8 +57,16 @@ __all__ = [
 _MAX_SWEEP = 32
 _MAX_MOEBIUS = 62  # 2^62 subsets still fit comfortably in a machine word
 _MAX_RECORDS = 1 << 24  # a record file of about 1 GB: rows average 44 bytes at N = 16 and grow with N
-# Rows end in \r\n, as csv.writer ends them.
-_CSV_HEADER = "speeds,k,coprime,thm1,thm2,slow_fast,any_rule,is_instance,earliest_time,dyadic_m\r\n"
+_FIELDS = tuple("speeds k coprime thm1 thm2 slow_fast any_rule is_instance earliest_time dyadic_m".split())
+_KEYS = [f'"{name}": ' for name in _FIELDS]
+# Per record format: its header and footer, the text before each field and after the last, (false, true),
+# the empty value, the quote around a time, and the separators between speeds and between records.
+# CSV rows end in \r\n, as csv.writer ends them.
+_FORMATS = {
+    "csv": (",".join(_FIELDS) + "\r\n", "", ("", *[","] * 9, "\r\n"), "01", "", "", ";", ""),
+    "json": ("[", "]\n", ("{" + _KEYS[0] + "[", "], " + _KEYS[1], *[", " + key for key in _KEYS[2:]], "}"),
+             ("false", "true"), "null", '"', ", ", ",\n"),
+}
 
 
 def _moebius(count: Callable[[int], int], limit: int) -> int:
@@ -168,10 +180,11 @@ def _census(
     """The one per-vector loop, over every nonempty subset in ascending mask order.
 
     Counts oracle instances and dyadic hits, and hands ``write`` one
-    chunk of record lines per high half (below) when it is given: CSV
-    rows, or for ``fmt`` json objects, each after the first preceded by
-    ",\n".  The format's tokens are chosen before the loop.  Returns the
-    closed-form summary of :func:`_rule_census` with those two counts.
+    chunk of records per high half (below) when it is given, each record
+    after the first preceded by the record separator of ``fmt``.  The
+    loop unpacks the row ``_FORMATS[fmt]`` once, so both formats share
+    the one f-string that builds a record.  Returns the closed-form
+    summary of :func:`_rule_census` with those two counts.
 
     The mask splits at bit h = max_speed // 2 into a low half, speeds
     1..h, and a high half, the rest, and the loop runs ``for hi: for
@@ -199,10 +212,7 @@ def _census(
     that happens for 43 of the 16,383 vectors.
     """
     gcd, denominator = math.gcd, dyadic._denominator
-    as_json = fmt == "json"
-    bits, missing, quote, comma, joiner = (
-        (("false", "true"), "null", '"', ", ", ",\n") if as_json else ("01", "", "", ";", "")
-    )
+    _, _, (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, end), bits, missing, quote, comma, joiner = _FORMATS[fmt]
     tables = [[]] + [_witnesses(max_speed, k) if with_oracle or with_dyadic else [] for k in range(1, max_speed + 1)]
     half = max_speed // 2
     low = range(1 << half)
@@ -252,18 +262,10 @@ def _census(
                 earliest = f"{quote}{a}/{b}{quote}" if with_oracle and a is not None else missing
                 any_rule = bits[thm1 or thm2 or slow_fast]
                 hit = missing if dyadic_m is None else dyadic_m
-                if as_json:
-                    rows.append(
-                        f'{{"speeds": [{prefix}{texts[lo]}], "k": {k}, "coprime": {bits[coprime]}, '
-                        f'"thm1": {bits[thm1]}, "thm2": {bits[thm2]}, "slow_fast": {bits[slow_fast]}, '
-                        f'"any_rule": {any_rule}, "is_instance": {is_instance}, "earliest_time": {earliest}, '
-                        f'"dyadic_m": {hit}}}'
-                    )
-                else:
-                    rows.append(
-                        f"{prefix}{texts[lo]},{k},{bits[coprime]},{bits[thm1]},{bits[thm2]},{bits[slow_fast]},"
-                        f"{any_rule},{is_instance},{earliest},{hit}\r\n"
-                    )
+                rows.append(
+                    f"{t0}{prefix}{texts[lo]}{t1}{k}{t2}{bits[coprime]}{t3}{bits[thm1]}{t4}{bits[thm2]}{t5}"
+                    f"{bits[slow_fast]}{t6}{any_rule}{t7}{is_instance}{t8}{earliest}{t9}{hit}{end}"
+                )
         if rows:
             write(separator + joiner.join(rows))
             separator = joiner
@@ -368,7 +370,7 @@ def sweep(
     """
     rules_only = out is None and not (with_oracle or with_dyadic)
     _check_max_speed(max_speed, _MAX_MOEBIUS if rules_only else _MAX_SWEEP)
-    if fmt not in ("csv", "json"):
+    if fmt not in _FORMATS:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     if rules_only:
         return _rule_census(max_speed, require_coprime)
@@ -377,12 +379,12 @@ def sweep(
     records = coprime_count_moebius(max_speed) if require_coprime else (1 << max_speed) - 1
     if records > _MAX_RECORDS:
         raise ValueError(f"a record file of {records} records is over the limit {_MAX_RECORDS}")
+    header, footer, *_ = _FORMATS[fmt]
     try:
         with open(out, "w", newline="") as handle:
-            handle.write("[" if fmt == "json" else _CSV_HEADER)
+            handle.write(header)
             summary = _census(max_speed, require_coprime, with_oracle, with_dyadic, handle.write, fmt)
-            if fmt == "json":
-                handle.write("]\n")
+            handle.write(footer)
     except OSError as exc:
         raise OSError(f"cannot write {out}: {exc}") from exc
     return summary

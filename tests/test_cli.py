@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -8,11 +9,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import child_env, descending_subsets, scaled_suitable_set
 from lonely_runner import cli, dyadic, enumeration, model, oracle, polyhedron
@@ -829,6 +832,55 @@ def test_every_subcommand_carries_a_handler():
     assert set(sub.choices) == {"check", "classify", "polytope", "dyadic", "enumerate", "count-coprime"}
     for name, subparser in sub.choices.items():
         assert callable(subparser.get_default("run")), name
+
+
+def test_format_choices_are_the_record_formats():
+    parser = cli._build_parser()
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    (fmt,) = [action for action in sub.choices["enumerate"]._actions if action.dest == "format"]
+    assert tuple(fmt.choices) == tuple(enumeration._FORMATS)
+
+
+def assert_forms_agree(argv):
+    """The --json keys, in order, are the text form's ``key:`` prefixes; returns both documents.
+
+    Stdout is captured without capsys, which hypothesis refuses.
+    """
+    text, document = io.StringIO(), io.StringIO()
+    for out, extra in ((text, ()), (document, ("--json",))):
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert main([*argv, *extra]) == 0, (argv, extra)
+    text, document = text.getvalue(), document.getvalue()
+    assert text.endswith("\n") and document.endswith("}\n"), argv
+    lines = dict(line.split(": ", 1) for line in text[:-1].split("\n"))
+    obj = json.loads(document)
+    assert list(obj) == list(lines), argv
+    return lines, obj
+
+
+speed_lists = st.lists(st.integers(1, 40), min_size=1, max_size=5).map(lambda speeds: [str(s) for s in speeds])
+
+
+@settings(max_examples=60, deadline=None)
+@given(speeds=speed_lists, normalize=st.booleans())
+def test_check_forms_agree(speeds, normalize):
+    lines, obj = assert_forms_agree(["check", *speeds, *(["--normalize"] if normalize else [])])
+    assert lines["suitable_set"].count("[") == len(obj["suitable_set"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from([["classify", "--with-oracle"], ["dyadic"]]), speeds=speed_lists)
+def test_vector_command_forms_agree(command, speeds):
+    assert_forms_agree([command[0], *speeds, *command[1:]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    max_speed=st.integers(1, 10),
+    flags=st.sets(st.sampled_from(["--require-coprime", "--with-oracle", "--with-dyadic"])),
+)
+def test_enumerate_forms_agree(max_speed, flags):
+    assert_forms_agree(["enumerate", str(max_speed), *sorted(flags)])
 
 
 def console_script_target(name):

@@ -468,6 +468,22 @@ def test_record_file_is_written_one_high_half_at_a_time(tmp_path):
     assert peak < 256 * 2**10
 
 
+def test_json_record_file_is_written_one_high_half_at_a_time(tmp_path):
+    # The N = 16 JSON file is about 13 MB, and its rows are about four
+    # times as long as the CSV ones, so one high half's chunk is too.  The
+    # peak reads about 300 KB on Python 3.11 and 3.13; a writer that
+    # buffered the file would pass 13 MB.
+    path = tmp_path / "records.json"
+    sweep(6, with_oracle=True, with_dyadic=True, out=path, fmt="json")
+    tracemalloc.start()
+    try:
+        sweep(16, with_oracle=True, with_dyadic=True, out=path, fmt="json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 384 * 2**10
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_export_writes_non_instance_records(tmp_path, monkeypatch, fmt):
     # Every small vector is an instance, so the witness tables are patched
