@@ -14,13 +14,16 @@ an instance, confirmed against the exact oracle in the test suite):
 * slow_fast: n_1 <= k n_k, in which case t = k/((k+1) n_1) is
   suitable.  Unlike the other two this rule is exact for its witness:
   that particular time is suitable if and only if the condition holds.
+
+``_rules`` decides all three and their OR, any_rule, from a vector's
+fastest speeds, unpadded, and n_k, for ``classify`` and the census alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import oracle
 from .model import SpeedVector
@@ -28,19 +31,22 @@ from .model import SpeedVector
 __all__ = ["ClassificationReport", "classify"]
 
 
-def _rules(n1: int, n2: int, n3: int, nk: int, k: int) -> tuple[bool, bool, bool]:
-    """Rule triple from the extremes n_1 > n_2 > n_3 > ... > n_k of k speeds.
+def _rules(top: Sequence[int], nk: int, k: int) -> tuple[bool, bool, bool, bool]:
+    """(thm1, thm2, slow_fast, any_rule) of k speeds n_1 > n_2 > ... > n_k.
 
-    The rules read nothing else.  n_2 is read only when k >= 2, n_3
-    only when k >= 4.  The census counts them in closed form, each
+    ``top`` holds the fastest speeds, descending, and nk is n_k.  The
+    rules read nothing else: n_1 = top[0] always, n_2 = top[1] only when
+    k >= 2 and n_3 = top[2] only when k >= 4, so ``top`` may stop at the
+    k-th speed and a short vector needs no padding.  any_rule is the OR
+    of the three.  The census counts the rules in closed form, each
     solved for its threshold in one speed; the tests check those
     thresholds against this function, which stays the rules' one
     definition.
     """
-    thm1 = k >= 4 and n2 * (k * nk - n3) >= (k + 1) * n3 * nk
-    thm2 = k >= 2 and n2 <= k * nk and nk <= n1 % ((k + 1) * nk) <= k * nk
-    slow_fast = n1 <= k * nk
-    return thm1, thm2, slow_fast
+    thm1 = k >= 4 and top[1] * (k * nk - top[2]) >= (k + 1) * top[2] * nk
+    thm2 = k >= 2 and top[1] <= k * nk and nk <= top[0] % ((k + 1) * nk) <= k * nk
+    slow_fast = top[0] <= k * nk
+    return thm1, thm2, slow_fast, thm1 or thm2 or slow_fast
 
 
 @dataclass(frozen=True)
@@ -68,8 +74,7 @@ def classify(n: Iterable[int], with_oracle: bool = False) -> ClassificationRepor
     """
     n = SpeedVector(n)
     k = n.k
-    thm1, thm2, slow_fast = _rules(n[0], n[min(1, k - 1)], n[min(2, k - 1)], n[-1], k)
-    any_rule = thm1 or thm2 or slow_fast
+    thm1, thm2, slow_fast, any_rule = _rules(n, n[-1], k)
     earliest = oracle.earliest_suitable_time(n) if with_oracle else None
     witness_time = Fraction(k, (k + 1) * n[0]) if slow_fast else earliest
     witness_point = None

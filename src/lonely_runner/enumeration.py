@@ -14,7 +14,7 @@ gives the dyadic hit too, save for the few vectors whose first suitable
 interval is a single point off the grid, which fall back to
 :func:`dyadic.find_dyadic_time`.  When :func:`sweep` writes a record
 file, the same loop formats one record per vector, which also carries
-the vector's coprimality and rule triple, and writes the records of
+the vector's coprimality and rule verdicts, and writes the records of
 each high half as one chunk.  Each format is a row of data in
 ``_FORMATS``: its header and footer, the text before each field, and its
 tokens for false and true, the empty value, the quote around a time and
@@ -191,10 +191,11 @@ def _census(
     lo:``, which keeps the masks ascending.  A vector's speeds are the
     high half's followed by the low half's, so what a record reads of
     them is the two halves' values joined: its speed text, its gcd, its
-    size k and its extremes n_1, n_2, n_3, n_k.  Each is tabled once
-    over the 2^h low halves and computed once per high half, and the
-    grid denominator D is tabled by n_1 and k, so a row builds no speed
-    tuple; only the dyadic fallback below builds one.
+    size k, its slowest speed and its fastest three (all, unpadded, if it
+    has fewer), which :func:`classify._rules` reads for the rule fields.
+    Each is tabled once over the 2^h low halves and computed once per
+    high half, and the grid denominator D is tabled by n_1 and k, so a
+    row builds no speed tuple; only the dyadic fallback below builds one.
 
     The verdict and the earliest time a/b come from the first match in
     the vector's table of :func:`_witnesses`, which every mode scans:
@@ -222,9 +223,8 @@ def _census(
     grid = [[denominator(s, k) for k in range(max_speed + 1)] for s in range(max_speed + 1)]
     if write is not None:
         low_tail = [comma + comma.join(map(str, _speeds(lo))) if lo else "" for lo in low]
-        # Padded with the last speed, the first three are n_1, n_2, n_3 as _rules reads them at any k;
-        # a vector's are its high half's when that has three speeds, else the high half's followed by these.
-        low_top = [(speeds + speeds[-1:] * 2)[:3] for speeds in map(_speeds, low)]
+        # A vector's fastest speeds are its high half's when that has three, else the high half's and these.
+        low_top = [_speeds(lo)[:3] for lo in low]
         low_last = [(lo & -lo).bit_length() for lo in low]
     separator = ""
     oracle_ct = dyadic_ct = 0
@@ -234,7 +234,7 @@ def _census(
         scans = [[entry for entry in tables[hi_k + j] if entry[2] >> half & hi == hi] for j in range(half + 1)]
         if write is not None:
             prefix, texts = (comma.join(map(str, high)), low_tail) if hi else ("", [t[len(comma) :] for t in low_tail])
-            head, hi_last = (high + high[-1:] * 2)[:3], high[-1] if high else 0
+            hi_last = high[-1] if high else 0
         rows = []
         for lo in low[not hi :]:  # hi = lo = 0 is the empty set
             coprime = gcd(hi_gcd, low_gcd[lo]) == 1
@@ -256,15 +256,14 @@ def _census(
                     dyadic_m = dyadic.find_dyadic_time(_speeds(hi_bits | lo))
                 dyadic_ct += dyadic_m is not None
             if write is not None:
-                n1, n2, n3 = head if hi_k >= 3 or not lo else (high + low_top[lo])[:3]
-                thm1, thm2, slow_fast = _rules(n1, n2, n3, low_last[lo] or hi_last, k)
+                top = high if hi_k >= 3 else high + low_top[lo]
+                thm1, thm2, slow_fast, any_rule = _rules(top, low_last[lo] or hi_last, k)
                 is_instance = bits[a is not None] if with_oracle else missing
                 earliest = f"{quote}{a}/{b}{quote}" if with_oracle and a is not None else missing
-                any_rule = bits[thm1 or thm2 or slow_fast]
                 hit = missing if dyadic_m is None else dyadic_m
                 rows.append(
                     f"{t0}{prefix}{texts[lo]}{t1}{k}{t2}{bits[coprime]}{t3}{bits[thm1]}{t4}{bits[thm2]}{t5}"
-                    f"{bits[slow_fast]}{t6}{any_rule}{t7}{is_instance}{t8}{earliest}{t9}{hit}{end}"
+                    f"{bits[slow_fast]}{t6}{bits[any_rule]}{t7}{is_instance}{t8}{earliest}{t9}{hit}{end}"
                 )
         if rows:
             write(separator + joiner.join(rows))
@@ -370,7 +369,7 @@ def sweep(
     """
     rules_only = out is None and not (with_oracle or with_dyadic)
     _check_max_speed(max_speed, _MAX_MOEBIUS if rules_only else _MAX_SWEEP)
-    if fmt not in _FORMATS:
+    if not isinstance(fmt, str) or fmt not in _FORMATS:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     if rules_only:
         return _rule_census(max_speed, require_coprime)

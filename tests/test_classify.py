@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import certify_first_intervals, descending_subsets, p1_window, q_integer_point, zero_pad
-from lonely_runner.classify import classify
+from lonely_runner.classify import _rules, classify
 from lonely_runner.cli import main
 from lonely_runner.model import SpeedVector
 from lonely_runner.oracle import earliest_suitable_time, is_suitable
@@ -82,6 +82,33 @@ def test_classify_rule_triple_reads_speeds_through_speed_vector():
     for speeds in [(), (0,), (3, 3, 1), (3, 0), (3, True)]:
         with pytest.raises(ValueError):
             triple(speeds)
+
+
+class _RecordedTop(tuple):
+    """A speed tuple that records each index read from it."""
+
+    def __new__(cls, speeds, reads):
+        self = super().__new__(cls, speeds)
+        self.reads = reads
+        return self
+
+    def __getitem__(self, index):
+        self.reads.add(index)
+        return super().__getitem__(index)
+
+
+def test_rules_read_no_more_than_the_short_vector_holds():
+    # _rules reads n_2 only for k >= 2 and n_3 only for k >= 4, so the
+    # fastest min(k, 3) speeds give the same verdicts as the whole vector,
+    # and both are what classify reports; any_rule is the OR of the three.
+    for n in descending_subsets(10):
+        k = len(n)
+        report = classify(n)
+        fields = (report.thm1, report.thm2, report.slow_fast, report.any_rule)
+        reads = set()
+        assert _rules(_RecordedTop(n[: min(k, 3)], reads), n[-1], k) == _rules(n, n[-1], k) == fields, n
+        assert fields[3] == (fields[0] or fields[1] or fields[2]), n
+        assert reads <= set(range(1 + (k >= 2) + (k >= 4))), (n, reads)
 
 
 def test_classify_slow_fast_witness_is_free():

@@ -150,7 +150,8 @@ def test_closed_form_gives_the_n62_census():
 def extremes_patterns(max_top):
     """(n1, n2, n3, nk, k) for every subset of {1..max_top}, as _rules reads it.
 
-    A missing n_2 or n_3 repeats n_k; k >= 4 ranges over every size that
+    A missing n_2 or n_3 repeats n_k, and the test hands _rules only the
+    first k of n1, n2, n3; k >= 4 ranges over every size that
     fits k - 4 speeds strictly between n_3 and n_k.
     """
     for n1 in range(1, max_top + 1):
@@ -174,7 +175,7 @@ def test_rule_thresholds_match_the_rules():
             k >= 2 and n2 <= k * nk and modular,
             n1 <= k * nk,
         )
-        assert _rules(n1, n2, n3, nk, k) == thresholds, (n1, n2, n3, nk, k)
+        assert _rules((n1, n2, n3)[:k], nk, k)[:3] == thresholds, (n1, n2, n3, nk, k)
 
 
 def test_sweep_require_coprime_counts():
@@ -503,10 +504,12 @@ def test_export_writes_non_instance_records(tmp_path, monkeypatch, fmt):
 
 
 def test_export_rejects_bad_format(tmp_path):
+    # A format that is no string, hashable or not, gets the same error as a bad name.
     path = tmp_path / "records.xml"
-    with pytest.raises(ValueError, match="format"):
-        sweep(3, out=path, fmt="xml")
-    assert not path.exists()
+    for fmt in ["xml", [], {}, 1]:
+        with pytest.raises(ValueError, match="format must be 'csv' or 'json'"):
+            sweep(4, out=path, fmt=fmt)
+        assert not path.exists()
 
 
 def test_export_wraps_os_errors(tmp_path):
