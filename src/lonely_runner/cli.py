@@ -26,10 +26,9 @@ import time
 from collections.abc import Callable, Iterator
 from dataclasses import is_dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, starmap
 
-from . import dyadic as dyadic_mod
-from . import enumeration, model, oracle, polyhedron
+from . import dyadic, enumeration, model, oracle, polyhedron
 from .classify import classify as run_classify
 from .model import SpeedVector
 
@@ -145,11 +144,9 @@ def _emit(obj: dict, as_json: bool, lines: list[str] | None = None) -> None:
     for key, value in obj.items():
         write(f"{lead}{key_text(key)}: ")
         if isinstance(value, Iterator):
-            write(open_list)
-            gap = ""
-            for quad in value:
-                write(gap + item.format(*quad))
-                gap = comma
+            texts = starmap(item.format, value)
+            write(open_list + next(texts, ""))
+            sys.stdout.writelines(comma + text for text in texts)
             write(close_list)
         else:
             write(value_text(value))
@@ -189,11 +186,11 @@ def _cmd_polytope(n: SpeedVector, args: argparse.Namespace) -> tuple[dict, list[
 
 
 def _cmd_dyadic(n: SpeedVector, args: argparse.Namespace) -> tuple[dict, list[str] | None]:
-    den = dyadic_mod.dyadic_denominator(n)
-    m = dyadic_mod.find_dyadic_time(n)
+    den = dyadic.dyadic_denominator(n)
+    m = dyadic.find_dyadic_time(n)
     obj = {
         "vector": n,
-        "exponent": dyadic_mod.dyadic_exponent(n),
+        "exponent": dyadic.dyadic_exponent(n),
         "denominator": den,
         "m": m,
         "time": None if m is None else Fraction(m, den),

@@ -26,8 +26,10 @@ suitable mirror (D - m)/D < 1/2, which one of those intervals holds.
 The minimal m is therefore found there, and m <= ceil(D/2).
 
 The search returns m alone; the grid time is m / dyadic_denominator(n).
-All three public functions read their speeds through SpeedVector, so
-they refuse invalid ones and take them in any order.
+D depends on n_1 and k alone, so the census reads it through
+dyadic_denominator once per pair.  All three public functions read
+their speeds through SpeedVector, so they refuse invalid ones and take
+them in any order.
 """
 
 from __future__ import annotations
@@ -40,25 +42,15 @@ from .model import SpeedVector
 __all__ = ["dyadic_exponent", "dyadic_denominator", "find_dyadic_time"]
 
 
-def _exponent(n1: int) -> int:
-    """Smallest e with 2^(e-1) >= n1."""
-    return (n1 - 1).bit_length() + 1
-
-
-def _denominator(n1: int, k: int) -> int:
-    """2^e (k+1) n_1 with e = _exponent(n_1), for k speeds whose fastest is n1, read unchecked."""
-    return (1 << _exponent(n1)) * (k + 1) * n1
-
-
 def dyadic_exponent(n: Iterable[int]) -> int:
     """Smallest e with 2^(e-1) >= n_1, the fastest of the speeds n."""
-    return _exponent(SpeedVector(n)[0])
+    return (SpeedVector(n)[0] - 1).bit_length() + 1
 
 
 def dyadic_denominator(n: Iterable[int]) -> int:
     """Grid denominator 2^e (k+1) n_1 with e = dyadic_exponent(n)."""
     n = SpeedVector(n)
-    return _denominator(n[0], len(n))
+    return (1 << dyadic_exponent(n)) * (len(n) + 1) * n[0]
 
 
 def find_dyadic_time(n: Iterable[int]) -> int | None:
@@ -68,7 +60,7 @@ def find_dyadic_time(n: Iterable[int]) -> int | None:
     speeds raise ValueError, as SpeedVector does.
     """
     n = SpeedVector(n)
-    den = _denominator(n[0], len(n))
+    den = dyadic_denominator(n)
     for lo_num, lo_den, hi_num, hi_den in oracle._sweep(n):
         # Smallest m with m/den >= lo; the intervals start in (0, 1/2],
         # so 1 <= m_lo <= ceil(den/2).

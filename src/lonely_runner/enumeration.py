@@ -10,12 +10,13 @@ tuple.  The loop counts the vectors that the exact oracle or the dyadic
 grid search decides, and decides them from a table of witness times
 built once per k (see :func:`_witnesses`): the first entry whose speed
 mask holds the vector's is its earliest suitable time, and that time
-gives the dyadic hit too, save for the few vectors whose first suitable
-interval is a single point off the grid, which fall back to
-:func:`dyadic.find_dyadic_time`.  When :func:`sweep` writes a record
-file, the same loop formats one record per vector, which also carries
-the vector's coprimality and rule verdicts, and writes the records of
-each high half as one chunk.  Each format is a row of data in
+gives the dyadic hit too on the grid denominator D, read through
+:func:`dyadic.dyadic_denominator` once per fastest speed and count,
+save for the few vectors whose first suitable interval is a single
+point off the grid, which fall back to :func:`dyadic.find_dyadic_time`.
+When :func:`sweep` writes a record file, the same loop formats one
+record per vector, which also carries the vector's coprimality and
+rule verdicts, and writes the records of each high half as one chunk.  Each format is a row of data in
 ``_FORMATS``: its header and footer, the text before each field, and its
 tokens for false and true, the empty value, the quote around a time and
 the separators.  So both formats take one path: a record is one
@@ -194,8 +195,10 @@ def _census(
     size k, its slowest speed and its fastest three (all, unpadded, if it
     has fewer), which :func:`classify._rules` reads for the rule fields.
     Each is tabled once over the 2^h low halves and computed once per
-    high half, and the grid denominator D is tabled by n_1 and k, so a
-    row builds no speed tuple; only the dyadic fallback below builds one.
+    high half, and the grid denominator D, which reads n_1 and k alone,
+    is tabled by them through :func:`dyadic.dyadic_denominator` on the
+    k speeds n_1, n_1 - 1, ..., so a row builds no speed tuple; only the
+    dyadic fallback below builds one.
 
     The verdict and the earliest time a/b come from the first match in
     the vector's table of :func:`_witnesses`, which every mode scans:
@@ -212,15 +215,15 @@ def _census(
     :func:`dyadic.find_dyadic_time` searches from the start; at N = 14
     that happens for 43 of the 16,383 vectors.
     """
-    gcd, denominator = math.gcd, dyadic._denominator
+    gcd, denominator = math.gcd, dyadic.dyadic_denominator
     _, _, (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, end), bits, missing, quote, comma, joiner = _FORMATS[fmt]
     tables = [[]] + [_witnesses(max_speed, k) if with_oracle or with_dyadic else [] for k in range(1, max_speed + 1)]
     half = max_speed // 2
     low = range(1 << half)
     low_gcd = [gcd(*_speeds(lo)) for lo in low]
     low_k = [lo.bit_count() for lo in low]
-    # The grid denominator D by fastest speed n_1 and size k.
-    grid = [[denominator(s, k) for k in range(max_speed + 1)] for s in range(max_speed + 1)]
+    # The grid denominator D by fastest speed n_1 = s and size k, which the k speeds s, s - 1, ... share.
+    grid = [[0] + [denominator(range(s, s - k, -1)) for k in range(1, s + 1)] for s in range(max_speed + 1)]
     if write is not None:
         low_tail = [comma + comma.join(map(str, _speeds(lo))) if lo else "" for lo in low]
         # A vector's fastest speeds are its high half's when that has three, else the high half's and these.
@@ -370,7 +373,7 @@ def sweep(
     rules_only = out is None and not (with_oracle or with_dyadic)
     _check_max_speed(max_speed, _MAX_MOEBIUS if rules_only else _MAX_SWEEP)
     if not isinstance(fmt, str) or fmt not in _FORMATS:
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+        raise ValueError(f"format must be {' or '.join(map(repr, _FORMATS))}, got {fmt!r}")
     if rules_only:
         return _rule_census(max_speed, require_coprime)
     if out is None:

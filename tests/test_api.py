@@ -97,7 +97,6 @@ def test_only_named_private_names_cross_modules():
         ("cli", "oracle._suitable_quads"),
         ("dyadic", "oracle._sweep"),
         ("enumeration", "classify._rules"),
-        ("enumeration", "dyadic._denominator"),
     }
     found = set()
     for path in sorted(Path(lonely_runner.__path__[0]).glob("*.py")):

@@ -283,6 +283,17 @@ def test_check_guards_the_interval_that_holds_one_half(monkeypatch, capsys):
     assert "reflection symmetry" in err
 
 
+def test_json_output_refuses_a_value_it_cannot_serialize(monkeypatch, capsys):
+    # Only fractions and dataclasses get a JSON form; anything else is a
+    # bug in a command, which main reports as an internal error.
+    with pytest.raises(TypeError, match="^cannot serialize set$"):
+        cli._plain({1})
+    monkeypatch.setattr(enumeration, "coprime_count_moebius", lambda max_speed: {1})
+    code, _, err = run_cli(capsys, "count-coprime", "3", "--json")
+    assert code == 2
+    assert err == "internal error: cannot serialize set\n"
+
+
 def expected_check_stdout(speeds, as_json):
     """check's stdout, built from the arc-list oracle in tests/helpers."""
     n = model.SpeedVector(speeds)
