@@ -23,19 +23,23 @@ the separators.  So both formats take one path: a record is one
 f-string that interleaves that text with values the loop already holds,
 the speeds as the high half's text joined to the low half's and the
 earliest time as the table's reduced fraction.  It has the bytes
-``csv.writer`` and ``json.dumps`` would give.  A file of more than 2^24
-records (about 1 GB) is refused before it is opened.
+``csv.writer`` and ``json.dumps`` would give.
 
 Every summary takes its total, coprime and rule counts from a closed
-form.  A rules-only summary visits no vector, so it runs to N = 62
-where the per-vector loop stops at 32: each rule is a threshold in one
-speed, and binomial sums over (n_k, k, n_1) count the subsets that fire
-it (see :func:`_rule_census`).  The number of coprime subsets has a
+form.  A rules-only summary visits no vector: each rule is a threshold
+in one speed, and binomial sums over (n_k, k, n_1) count the subsets
+that fire it (see :func:`_rule_census`).  The number of coprime subsets has a
 closed form by Mobius inversion over the common divisor (subsets of
 {1..N} with gcd divisible by d are in bijection with subsets of
 {1..N/d}), which is what :func:`coprime_count_moebius` computes.  The
 rules are homogeneous in the speeds, so their coprime counts go through
 the same inversion.
+
+N has three limits, each checked before any work and before a record
+file is opened: N <= 62 for the rules-only summary, N <= 32 for the
+per-vector loop without a record file, and N <= 24 with one, in both
+modes, which is the budget of 2^24 records (about 1 GB of CSV or
+3.6 GB of JSON).
 """
 
 from __future__ import annotations
@@ -57,7 +61,10 @@ __all__ = [
 
 _MAX_SWEEP = 32
 _MAX_MOEBIUS = 62  # 2^62 subsets still fit comfortably in a machine word
-_MAX_RECORDS = 1 << 24  # a record file of about 1 GB: rows average 44 bytes at N = 16 and grow with N
+# The record budget.  Rows average 51 bytes in CSV and 207 in JSON at N = 20 and grow with N, so a file
+# of 2^24 records is about 1 GB of CSV or 3.6 GB of JSON.  It is the bound N <= 24 in both modes: at N = 24
+# the 2^24 - 1 records and the 16,772,858 coprime ones fit, and at N = 25 the 33,550,058 coprime ones do not.
+_MAX_RECORDS = 1 << 24
 _FIELDS = tuple("speeds k coprime thm1 thm2 slow_fast any_rule is_instance earliest_time dyadic_m".split())
 _KEYS = [f'"{name}": ' for name in _FIELDS]
 # Per record format: its header and footer, the text before each field and after the last, (false, true),
@@ -160,14 +167,14 @@ def _witnesses(max_speed: int, k: int) -> list[tuple[int, int, int, int]]:
     return kept
 
 
-def _speeds(mask: int, low: int = 0) -> tuple[int, ...]:
-    """The speeds low + j for the set bits j - 1 of mask, descending.
+def _speeds(mask: int) -> tuple[int, ...]:
+    """The speeds j for the set bits j - 1 of mask, descending.
 
     Built from a list, so the tuple is made at its size: ``tuple()`` of
     a generator resizes a guess, which strands a block per call on the
     interpreter's tuple free lists.
     """
-    return (*[low + j for j in range(mask.bit_length(), 0, -1) if mask >> j - 1 & 1],)
+    return (*[j for j in range(mask.bit_length(), 0, -1) if mask >> j - 1 & 1],)
 
 
 def _census(
@@ -176,7 +183,7 @@ def _census(
     with_oracle: bool,
     with_dyadic: bool,
     write: Callable[[str], object] | None,
-    fmt: str = "csv",
+    fmt: str,
 ) -> EnumerationSummary:
     """The one per-vector loop, over every nonempty subset in ascending mask order.
 
@@ -232,7 +239,7 @@ def _census(
     separator = ""
     oracle_ct = dyadic_ct = 0
     for hi in range(1 << max_speed - half):
-        high = _speeds(hi, half)
+        high = _speeds(hi << half)
         hi_k, hi_gcd, hi_top, hi_bits = len(high), gcd(*high), high[0] if high else 0, hi << half
         scans = [[entry for entry in tables[hi_k + j] if entry[2] >> half & hi == hi] for j in range(half + 1)]
         if write is not None:
@@ -365,22 +372,20 @@ def sweep(
     the vectors, in the per-vector loop.  Given ``out``, the same loop
     also writes one record per classified vector, masks ascending, to
     that file as ``fmt`` (csv or json).  ``max_speed`` may be up to 62
-    for the rules-only summary, which visits no vector, and up to 32
-    when the loop runs.  It is checked first, then the format and the
-    number of records against the limit of 2^24, all before the file
-    is opened.
+    for the rules-only summary, which visits no vector, up to 32 when
+    the loop runs without ``out``, and up to 24 with it, in both modes,
+    which is the budget of 2^24 records.  It is checked first, then the
+    format, both before any work and before the file is opened.
     """
     rules_only = out is None and not (with_oracle or with_dyadic)
-    _check_max_speed(max_speed, _MAX_MOEBIUS if rules_only else _MAX_SWEEP)
+    limit = _MAX_MOEBIUS if rules_only else _MAX_SWEEP if out is None else _MAX_RECORDS.bit_length() - 1
+    _check_max_speed(max_speed, limit)
     if not isinstance(fmt, str) or fmt not in _FORMATS:
         raise ValueError(f"format must be {' or '.join(map(repr, _FORMATS))}, got {fmt!r}")
     if rules_only:
         return _rule_census(max_speed, require_coprime)
     if out is None:
-        return _census(max_speed, require_coprime, with_oracle, with_dyadic, None)
-    records = coprime_count_moebius(max_speed) if require_coprime else (1 << max_speed) - 1
-    if records > _MAX_RECORDS:
-        raise ValueError(f"a record file of {records} records is over the limit {_MAX_RECORDS}")
+        return _census(max_speed, require_coprime, with_oracle, with_dyadic, None, fmt)
     header, footer, *_ = _FORMATS[fmt]
     try:
         with open(out, "w", newline="") as handle:

@@ -661,20 +661,30 @@ def test_out_of_range_enumerate_exits_1(tmp_path, capsys):
 
 
 def test_enumerate_out_refuses_more_than_2_24_records(tmp_path, monkeypatch, capsys):
-    # At N = 25 both the records and the coprime ones are refused before the file is opened.
+    # The census is stubbed by the closed-form summary, so a looser bound fails here without writing a file of GBs.
+    calls = []
+
+    def census(*args):
+        calls.append(args[:4])
+        return enumeration.sweep(args[0], require_coprime=args[1])
+
+    monkeypatch.setattr(enumeration, "_census", census)
+    # At N = 25 both the records and the coprime ones are over the budget of 2^24,
+    # so N is refused before the file is opened.
     out_file = tmp_path / "records.csv"
-    for flags, records in (([], (1 << 25) - 1), (["--require-coprime"], enumeration.coprime_count_moebius(25))):
+    for flags in ([], ["--require-coprime"]):
         code, out, err = run_cli(capsys, "enumerate", "25", *flags, "--out", str(out_file))
         assert (code, out) == (1, "")
-        assert err == f"error: a record file of {records} records is over the limit 16777216\n"
+        assert err == "error: max_speed must be in [1, 24], got 25\n"
         assert not out_file.exists()
-    # 2^24 - 1 records are accepted: the check passes and the census is called.
-    calls = []
-    monkeypatch.setattr(enumeration, "_census", lambda *args: calls.append(args[:4]) or enumeration.sweep(24))
-    code, out, _ = run_cli(capsys, "enumerate", "24", "--out", str(out_file))
-    assert code == 0
-    assert calls == [(24, False, False, False)]
-    assert "total_vectors: 16777215\n" in out
+    assert calls == []
+    # At N = 24 the 2^24 - 1 records and the coprime ones are accepted: the check passes and the census is called.
+    for flags, total in (([], "total_vectors: 16777215\n"), (["--require-coprime"], "coprime_vectors: 16772858\n")):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "enumerate", "24", *flags, "--out", str(out_file))
+        assert code == 0
+        assert calls == [(24, bool(flags), False, False)]
+        assert total in out
 
 
 def test_rules_only_enumerate_checks_arguments_first(monkeypatch, capsys):

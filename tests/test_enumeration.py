@@ -52,6 +52,14 @@ def test_moebius_count_sums_to_all_subsets():
         assert total == (1 << max_speed) - 1, max_speed
 
 
+def test_record_budget_is_the_bound_n_at_most_24():
+    # sweep checks the budget of 2^24 records as max_speed <= 24, with or
+    # without require_coprime; this is the count fact that bound rests on.
+    for max_speed in range(1, 63):
+        assert ((1 << max_speed) - 1 <= 1 << 24) == (max_speed <= 24), max_speed
+        assert (coprime_count_moebius(max_speed) <= 1 << 24) == (max_speed <= 24), max_speed
+
+
 def test_coprime_rule_counts_sum_to_all_rule_counts():
     # The rules are homogeneous in the speeds, so each rule count over all
     # subsets of {1..N} sums the coprime counts at N // d over every d.
