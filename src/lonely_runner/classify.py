@@ -21,9 +21,8 @@ fastest speeds, unpadded, and n_k, for ``classify`` and the census alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import oracle
 from .model import SpeedVector
@@ -49,8 +48,7 @@ def _rules(top: Sequence[int], nk: int, k: int) -> tuple[bool, bool, bool, bool]
     return thm1, thm2, slow_fast, thm1 or thm2 or slow_fast
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Outcome of running all rules (and optionally the oracle) on one vector."""
 
     vector: SpeedVector

@@ -8,7 +8,7 @@ invalid input or bad usage, 2 internal error.
 
 All data goes to stdout and is byte-identical across runs on the same
 input; timing diagnostics go to stderr.  Each subcommand returns one
-dict of library values (fractions, speed vectors, dataclasses), and
+dict of library values (fractions, speed vectors, tuples), and
 :func:`main` alone prints it, once, and sets the exit code: ``--json``
 as a single JSON document, otherwise as key: value lines (or the
 command's own lines) rendered from the same values, so the two forms
@@ -24,7 +24,6 @@ import json
 import sys
 import time
 from collections.abc import Callable, Iterator
-from dataclasses import is_dataclass
 from fractions import Fraction
 from itertools import chain, starmap
 
@@ -94,11 +93,13 @@ def _vector_from_args(args: argparse.Namespace) -> SpeedVector:
 
 
 def _plain(value: object) -> object:
-    """``json.dumps`` default for the library values in an output dict."""
+    """``json.dumps`` default for the library values in an output dict: a Fraction as its text.
+
+    ``json.dumps`` writes every tuple as a list and never calls this for
+    one, so a command turns a record into a dict itself.
+    """
     if isinstance(value, Fraction):
         return _text(value)
-    if is_dataclass(value):
-        return vars(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -172,17 +173,20 @@ def _cmd_check(n: SpeedVector, args: argparse.Namespace) -> tuple[dict, list[str
 
 
 def _cmd_classify(n: SpeedVector, args: argparse.Namespace) -> tuple[dict, list[str] | None]:
-    return vars(run_classify(n, with_oracle=args.with_oracle)), None
+    return run_classify(n, with_oracle=args.with_oracle)._asdict(), None
 
 
 def _cmd_polytope(n: SpeedVector, args: argparse.Namespace) -> tuple[dict, list[str] | None]:
-    geom = polyhedron.q_geometry(n)
+    halfplanes, vertices, landmarks, widths = polyhedron.q_geometry(n)
+    landmarks, widths = landmarks._asdict(), widths._asdict()
     lines = [f"vector: {n}"]
-    lines += [f"halfplane: {_text(h.a1)}*x1 + {_text(h.a2)}*x2 <= {_text(h.b)}" for h in geom.halfplanes]
-    lines.append("vertices: " + " ".join(f"({_text(x1)}, {_text(x2)})" for x1, x2 in geom.vertices))
-    lines.append("landmarks: " + " ".join(f"{name}={_text(v)}" for name, v in vars(geom.landmarks).items()))
-    lines += [f"{name}: {_text(v)}" for name, v in vars(geom.lemma_widths).items()]
-    return {"vector": n, **vars(geom)}, lines
+    lines += [f"halfplane: {_text(h.a1)}*x1 + {_text(h.a2)}*x2 <= {_text(h.b)}" for h in halfplanes]
+    lines.append("vertices: " + " ".join(f"({_text(x1)}, {_text(x2)})" for x1, x2 in vertices))
+    lines.append("landmarks: " + " ".join(f"{name}={_text(v)}" for name, v in landmarks.items()))
+    lines += [f"{name}: {_text(v)}" for name, v in widths.items()]
+    halfplanes = [h._asdict() for h in halfplanes]  # json.dumps would write a NamedTuple as a list
+    return {"vector": n, "halfplanes": halfplanes, "vertices": vertices, "landmarks": landmarks,
+            "lemma_widths": widths}, lines
 
 
 def _cmd_dyadic(n: SpeedVector, args: argparse.Namespace) -> tuple[dict, list[str] | None]:
@@ -209,7 +213,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, list[str] | None]:
         fmt=args.format,
     )
     print(f"elapsed_ms={int((time.perf_counter() - start) * 1000)}", file=sys.stderr)
-    return vars(summary), None
+    return summary._asdict(), None
 
 
 def _cmd_count_coprime(args: argparse.Namespace) -> tuple[dict, list[str] | None]:

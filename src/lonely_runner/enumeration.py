@@ -47,8 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import dyadic
 from .classify import _rules
@@ -107,11 +106,10 @@ def coprime_count_moebius(max_speed: int) -> int:
     return _moebius(lambda m: (1 << m) - 1, max_speed)
 
 
-@dataclass(frozen=True)
-class EnumerationSummary:
+class EnumerationSummary(NamedTuple):
     """Aggregate counts of one sweep.
 
-    ``vars(summary)`` is its JSON form, which ``EnumerationSummary(**obj)``
+    ``summary._asdict()`` is its JSON form, which ``EnumerationSummary(**obj)``
     reads back.
     """
 
@@ -278,9 +276,7 @@ def _census(
         if rows:
             write(separator + joiner.join(rows))
             separator = joiner
-    summary = _rule_census(max_speed, require_coprime)
-    return replace(
-        summary,
+    return _rule_census(max_speed, require_coprime)._replace(
         oracle_instance_count=oracle_ct if with_oracle else None,
         dyadic_verified_count=dyadic_ct if with_dyadic else None,
     )

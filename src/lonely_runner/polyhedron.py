@@ -31,9 +31,8 @@ closed form, and its landmarks and lemma widths are read off the box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import SpeedVector
 
@@ -49,8 +48,7 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class HalfPlane:
+class HalfPlane(NamedTuple):
     """Constraint a1*x1 + a2*x2 <= b with exact rational coefficients."""
 
     a1: Fraction
@@ -58,8 +56,7 @@ class HalfPlane:
     b: Fraction
 
 
-@dataclass(frozen=True)
-class QLandmarks:
+class QLandmarks(NamedTuple):
     """Distinguished x_2 levels (and one x_1 level, kappa) of Q.
 
     alpha is one unit above the bottom bound, so integer x_2 slices
@@ -78,8 +75,7 @@ class QLandmarks:
     kappa: Fraction
 
 
-@dataclass(frozen=True)
-class LemmaWidths:
+class LemmaWidths(NamedTuple):
     """Widths of Q and two subregions, read from the box bounds; None when empty.
 
     wq_e1 and wq_e2 are the widths of the box on x_1 and x_2; wq2_e2 is
@@ -95,8 +91,7 @@ class LemmaWidths:
     wq5_e2: Fraction | None
 
 
-@dataclass(frozen=True)
-class QGeometry:
+class QGeometry(NamedTuple):
     """Q as one value: six half-planes, vertices in CCW order, landmarks, lemma widths."""
 
     halfplanes: tuple[HalfPlane, ...]

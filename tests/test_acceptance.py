@@ -198,6 +198,6 @@ def test_criterion_09_witness_roundtrip_to_12():
 
 def test_criterion_10_closed_form_matches_mask_loop():
     start = time.perf_counter()
-    closed = json.dumps(vars(sweep(16)))
-    assert closed == json.dumps(vars(record_tally(16)))
+    closed = json.dumps(sweep(16)._asdict())
+    assert closed == json.dumps(record_tally(16)._asdict())
     _report(10, start, 60.0, "N = 16 closed-form sweep JSON byte-identical to the record columns' sums")

@@ -6,6 +6,8 @@ import re
 import tokenize
 from pathlib import Path
 
+import pytest
+
 import lonely_runner
 
 # Modules whose public names the package re-exports; the CLI is an entry point.
@@ -53,6 +55,33 @@ def test_every_public_name_resolves():
     for module in library_modules():
         for name in module.__all__:
             assert getattr(lonely_runner, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+# One value of each result record, from the library call that returns it.
+CELL = (17, 16, 7, 6, 5, 4, 2)
+RECORDS = {
+    "EnumerationSummary": lambda: lonely_runner.sweep(6, with_oracle=True),
+    "ClassificationReport": lambda: lonely_runner.classify((5, 3, 2), with_oracle=True),
+    "HalfPlane": lambda: lonely_runner.q_geometry(CELL).halfplanes[0],
+    "QLandmarks": lambda: lonely_runner.q_geometry(CELL).landmarks,
+    "LemmaWidths": lambda: lonely_runner.q_geometry(CELL).lemma_widths,
+    "QGeometry": lambda: lonely_runner.q_geometry(CELL),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_result_records_are_immutable(name):
+    record = RECORDS[name]()
+    assert type(record) is getattr(lonely_runner, name)
+    field = next(iter(type(record).__annotations__))
+    for change in (
+        lambda: setattr(record, field, None),
+        lambda: delattr(record, field),
+        lambda: setattr(record, "extra", None),
+    ):
+        with pytest.raises(AttributeError):
+            change()
+    assert record == RECORDS[name]()
 
 
 def test_readme_layout_lists_every_module():

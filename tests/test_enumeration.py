@@ -79,7 +79,7 @@ def test_moebius_count_domain():
 
 
 def test_sweep_frozen_small():
-    assert vars(sweep(4)) == {
+    assert sweep(4)._asdict() == {
         "max_speed": 4,
         "total_vectors": 15,
         "coprime_vectors": 11,
@@ -90,7 +90,7 @@ def test_sweep_frozen_small():
         "oracle_instance_count": None,
         "dyadic_verified_count": None,
     }
-    assert vars(sweep(6)) == {
+    assert sweep(6)._asdict() == {
         "max_speed": 6,
         "total_vectors": 63,
         "coprime_vectors": 53,
@@ -207,7 +207,7 @@ def test_sweep_oracle_and_dyadic_counts():
 
 
 def test_summary_holds_only_the_counts():
-    assert list(vars(sweep(5))) == [
+    assert list(sweep(5)._asdict()) == [
         "max_speed",
         "total_vectors",
         "coprime_vectors",
@@ -348,7 +348,7 @@ def test_record_serialization(tmp_path):
 
 def test_export_summary_json_roundtrip():
     summary = sweep(6, with_oracle=True)
-    assert EnumerationSummary(**json.loads(json.dumps(vars(summary)))) == summary
+    assert EnumerationSummary(**json.loads(json.dumps(summary._asdict()))) == summary
 
 
 def test_export_records_csv(tmp_path):

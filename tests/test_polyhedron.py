@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -241,7 +240,7 @@ def test_landmarks_and_widths_match_closed_forms():
             expected = (None,) * 4
         else:
             expected = tuple(w if w >= 0 else None for w in widths)
-        assert astuple(geom.lemma_widths) == expected, speeds
+        assert tuple(geom.lemma_widths) == expected, speeds
         for i, w in enumerate(expected):
             nones[i] += w is None
     # Empty cells, and nonempty cells with each subregion empty, all occur.
