@@ -156,17 +156,17 @@ def q_geometry(n: Iterable[int]) -> QGeometry:
         HalfPlane(Fraction(-n2), Fraction(n1), -lo5),
         HalfPlane(Fraction(n2), Fraction(-n1), hi5),
     )
-    if lo1 <= hi1 and lo2 <= hi2:
+    if lo1 <= hi1:
         # At the box corner (lo1, lo2), g = n_2 x_1 - n_1 x_2 is
         # (k-1) n_1/(k+1) above lo5 and (k-1) n_2/(k+1) below hi5, and at
         # (hi1, hi2) the margins swap, so Q is empty only with the box.  As
         # g rises with x_1 and falls with x_2, only hi5 can cut the corner
         # (hi1, lo2) and only lo5 the corner (lo1, hi2): on each edge at such
         # a corner the vertex is the band's crossing clamped to the edge, and
-        # repeats are dropped.  A nonempty box has lo2 < hi2 (the x_2 width
+        # repeats are dropped.  With lo1 <= hi1, also lo2 < hi2 (the x_2 width
         # is at most 0 only when the x_1 width is negative, as n_1 > n_2), so
-        # Q keeps its first vertex, the lexicographic minimum, and spans the
-        # whole x_2 range [lo2, hi2].
+        # the box is nonempty, Q keeps its first vertex, the lexicographic
+        # minimum, and spans the whole x_2 range [lo2, hi2].
         cycle = [
             (lo1, lo2),
             (min(hi1, (hi5 + n1 * lo2) / n2), lo2),

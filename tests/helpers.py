@@ -13,6 +13,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -47,6 +49,7 @@ __all__ = [
     "width",
     "translate_invariance_check",
     "child_env",
+    "fresh_peak",
 ]
 
 
@@ -467,3 +470,16 @@ def child_env() -> dict[str, str]:
     package_root = str(Path(lonely_runner.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return env
+
+
+def fresh_peak(setup: str, call: str) -> int:
+    """Peak bytes that tracemalloc traces while the code ``call`` runs, after ``setup``, in a fresh interpreter.
+
+    A peak taken in the test process depends on what earlier tests left in
+    the interpreter's caches and free lists; a new process reads the same
+    peak in the suite as alone.
+    """
+    program = f"import tracemalloc\n{setup}\ntracemalloc.start()\n{call}\nprint(tracemalloc.get_traced_memory()[1])\n"
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import time
-import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import child_env, descending_subsets, scaled_suitable_set
+from helpers import child_env, descending_subsets, fresh_peak, scaled_suitable_set
 from lonely_runner import cli, dyadic, enumeration, model, oracle, polyhedron
 from lonely_runner.cli import main
 
@@ -347,17 +346,12 @@ def test_check_stdout_matches_the_arc_lists(capsys, as_json):
 def test_check_streams_in_bounded_memory(flags):
     # About 73k intervals near 10^5.  Holding them, as Fraction pairs or as
     # one output document, takes over 20 MB; the kept lower half is about
-    # 1.2 MB of integers.  (tracemalloc slows the sweep about twentyfold.)
-    speeds = seeded_vectors(3, 10**5, 1)[0]
-    with open(os.devnull, "w") as sink, redirect_stdout(sink):
-        tracemalloc.start()
-        try:
-            code = main(["check", *map(str, speeds), *flags])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert code == 0
-    assert peak < 4 * 2**20
+    # 1.2 MB of integers.  (Tracing allocations slows the sweep about
+    # twentyfold.)
+    argv = ["check", *map(str, seeded_vectors(3, 10**5, 1)[0]), *flags]
+    setup = "import os\nfrom contextlib import redirect_stdout\nfrom lonely_runner.cli import main"
+    call = f"with open(os.devnull, 'w') as sink, redirect_stdout(sink):\n    assert main({argv!r}) == 0"
+    assert fresh_peak(setup, call) < 4 * 2**20
 
 
 def test_check_into_a_closed_pipe_exits_0():

@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import json
 import os
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +12,7 @@ from helpers import (
     census_records,
     coprime_count_brute,
     descending_subsets,
+    fresh_peak,
     record_tally,
     reference_record_file,
     reference_witnesses,
@@ -451,46 +451,28 @@ def test_census_loop_holds_no_vector_past_its_turn():
     # as the loop moves on; tuples left to the cyclic collector would pile
     # up to about 1 MB.  The warm-up call fills the caches that the first
     # call of a process allocates.
-    sweep(6, with_oracle=True)
-    tracemalloc.start()
-    try:
-        sweep(14, with_oracle=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**10
+    setup = "from lonely_runner.enumeration import sweep\nsweep(6, with_oracle=True)"
+    assert fresh_peak(setup, "sweep(14, with_oracle=True)") < 64 * 2**10
 
 
 def test_record_file_is_written_one_high_half_at_a_time(tmp_path):
     # The N = 16 CSV file is about 2.9 MB.  The loop holds its tables and
     # the rows of one high half, 256 of them, and writes them as one chunk,
-    # so the peak reads about 145 KB on Python 3.10 to 3.13, the witness
+    # so the peak reads about 175 KB on Python 3.10 to 3.13, the witness
     # tables 67 KB of it; a writer that buffered the file would pass 3 MB.
-    path = tmp_path / "records.csv"
-    sweep(6, with_oracle=True, with_dyadic=True, out=path)
-    tracemalloc.start()
-    try:
-        sweep(16, with_oracle=True, with_dyadic=True, out=path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 256 * 2**10
+    args = f"with_oracle=True, with_dyadic=True, out={str(tmp_path / 'records.csv')!r}"
+    setup = f"from lonely_runner.enumeration import sweep\nsweep(6, {args})"
+    assert fresh_peak(setup, f"sweep(16, {args})") < 256 * 2**10
 
 
 def test_json_record_file_is_written_one_high_half_at_a_time(tmp_path):
     # The N = 16 JSON file is about 13 MB, and its rows are about four
     # times as long as the CSV ones, so one high half's chunk is too.  The
-    # peak reads about 300 KB on Python 3.11 and 3.13; a writer that
+    # peak reads about 300 KB on Python 3.10 to 3.13; a writer that
     # buffered the file would pass 13 MB.
-    path = tmp_path / "records.json"
-    sweep(6, with_oracle=True, with_dyadic=True, out=path, fmt="json")
-    tracemalloc.start()
-    try:
-        sweep(16, with_oracle=True, with_dyadic=True, out=path, fmt="json")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 384 * 2**10
+    args = f"with_oracle=True, with_dyadic=True, out={str(tmp_path / 'records.json')!r}, fmt='json'"
+    setup = f"from lonely_runner.enumeration import sweep\nsweep(6, {args})"
+    assert fresh_peak(setup, f"sweep(16, {args})") < 384 * 2**10
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -52,10 +52,12 @@ def test_speed_vector_rejects_nonpositive(bad):
 @pytest.mark.parametrize("speeds", [[Fraction(3, 2)], [True, 3], [2.5, 1], [1, "a"], [None, 1], [3, 2 + 0j]])
 def test_speed_vector_rejects_non_integer_speeds(speeds):
     # Suitable times have period 1 only for integer speeds; a bool is not a speed.  Speeds
-    # that do not compare are named as well, though they cannot be sorted first.
+    # that do not compare are named as well, though they cannot be sorted first, also when
+    # they come as a one-shot iterator that a failed sort would use up.
     bad = next(s for s in speeds if type(s) is not int)
-    with pytest.raises(ValueError, match=f"positive integers, got {re.escape(str(bad))}$"):
-        SpeedVector(speeds)
+    for given_speeds in (speeds, iter(speeds)):
+        with pytest.raises(ValueError, match=f"positive integers, got {re.escape(str(bad))}$"):
+            SpeedVector(given_speeds)
 
 
 def test_speed_vector_names_the_largest_nonpositive_speed():

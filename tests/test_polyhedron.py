@@ -295,6 +295,9 @@ def test_q_vertices_are_complete_at_huge_speeds(n):
     geom = q_geometry(n)
     verts = geom.vertices
     assert set(verts) == halfplane_vertices(geom.halfplanes)
+    # q_geometry tests the x_1 range alone: a nonempty one gives a nonempty x_2 range.
+    lo1, hi1, lo2, hi2 = (h.b * sign for h, sign in zip(geom.halfplanes, (-1, 1, -1, 1)))
+    assert lo1 > hi1 or lo2 < hi2
     assert not verts or verts[0] == min(verts)
     for x1, x2 in verts:
         assert sum(halfplane_lhs(h, x1, x2) == h.b for h in geom.halfplanes) >= 2
