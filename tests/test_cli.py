@@ -384,7 +384,9 @@ def test_check_accepts_many_runners_under_the_limit(capsys):
     # 1..1000 has k = 1000 and a sum of 500500, under the limit: the sweep
     # makes at most sum(n)/2 pops however many runners share the heap.
     speeds = range(1, 1001)
+    start = time.perf_counter()
     code, out, _ = run_cli(capsys, "check", *map(str, speeds))
+    assert time.perf_counter() - start < 60
     assert code == 0
     fields = dict(line.split(": ", 1) for line in out.splitlines())
     # (1..k) is tight: its suitable set is the points j/(k+1) with j prime to k+1.
@@ -923,14 +925,14 @@ def test_console_script_subprocess():
     # declared entry point runs from a checkout as well as from an install.
     module, _, attr = console_script_target("lonely-runner").partition(":")
     wrapper = f"import sys\nfrom {module} import {attr}\nsys.argv[0] = 'lonely-runner'\nsys.exit({attr}())\n"
-    proc = subprocess.run(
-        [sys.executable, "-c", wrapper, "count-coprime", "12"],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "4016\n"
+    # main's return value is the exit code, for a usage error as for success.
+    for args, code, out, err in (
+        (["count-coprime", "12"], 0, "4016\n", ""),
+        (["check"], 1, "", "usage: lonely-runner check"),
+    ):
+        proc = subprocess.run([sys.executable, "-c", wrapper, *args], capture_output=True, text=True, env=child_env())
+        assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+        assert proc.stderr.startswith(err), proc.stderr
 
 
 def test_cli_import_leaves_out_multiprocessing_dataclasses_and_inspect():

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -119,13 +120,19 @@ def test_sweep_matches_independent_recount():
     assert summary.any_rule_count == any_rule
 
 
-def test_sweep_domain_checks():
+def test_sweep_domain_checks(monkeypatch, tmp_path):
     with pytest.raises(ValueError):
         sweep(0)
     with pytest.raises(ValueError):
         sweep(63)
+    # A looser bound would start a loop of 2^33 or 2^25 masks: the census fails the test instead.
+    monkeypatch.setattr(enumeration, "_census", lambda *args: pytest.fail("max_speed is checked first"))
     with pytest.raises(ValueError):
         sweep(33, with_oracle=True)
+    out = tmp_path / "r.csv"
+    with pytest.raises(ValueError):
+        sweep(25, out=out)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("require_coprime", [False, True])
@@ -141,16 +148,24 @@ def test_closed_form_gives_the_n20_coprime_census():
     assert closed.coprime_vectors == 1047479
     counts = (closed.thm1_count, closed.thm2_count, closed.slow_fast_count, closed.any_rule_count)
     assert counts == (2686, 436220, 428275, 437288)
+    # The bench's oracle census stops at N = 14; this runs the witness tables on 2^20 - 1 masks,
+    # and the dyadic fallback through find_dyadic_time on 1,247 of them.
+    start = time.perf_counter()
+    census = sweep(20, require_coprime=True, with_oracle=True, with_dyadic=True)
+    assert time.perf_counter() - start < 120
+    assert census == closed._replace(oracle_instance_count=1047479, dyadic_verified_count=1047479)
 
 
 def test_closed_form_gives_the_n62_census():
     # Frozen from the earlier census, which counted each pattern of extremes by calling the rules.
+    start = time.perf_counter()
     closed = sweep(62, require_coprime=True)
     assert closed.total_vectors == (1 << 62) - 1
     assert closed.coprime_vectors == 4611686016278852387
     counts = (closed.thm1_count, closed.thm2_count, closed.slow_fast_count, closed.any_rule_count)
     assert counts == (3165720747385, 1843783819799845093, 1827095605651328488, 1843783820235711460)
     everything = sweep(62)
+    assert time.perf_counter() - start < 10
     counts = (everything.thm1_count, everything.thm2_count, everything.slow_fast_count, everything.any_rule_count)
     assert counts == (3165721037468, 1843783820662627937, 1827095606504829732, 1843783821098524160)
 
