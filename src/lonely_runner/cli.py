@@ -4,7 +4,8 @@ Subcommands map one-to-one onto the library: ``check`` (exact oracle
 verdict), ``classify`` (rule triple), ``polytope`` (planar cell
 geometry), ``dyadic`` (grid search), ``enumerate`` (census sweep), and
 ``count-coprime`` (closed-form census).  Exit codes: 0 success, 1
-invalid input or bad usage, 2 internal error.
+invalid input or bad usage, 2 an output file that cannot be written, or
+an internal error.
 
 All data goes to stdout and is byte-identical across runs on the same
 input; timing diagnostics go to stderr.  Each subcommand returns one
@@ -231,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad usage, which this CLI reserves for
-        # bugs, and with 0 after --help.
+        # an unwritable output file and for bugs, and with 0 after --help.
         return 1 if exc.code else 0
     try:
         obj, lines = args.run(args)

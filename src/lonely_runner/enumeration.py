@@ -185,12 +185,14 @@ def _census(
 ) -> EnumerationSummary:
     """The one per-vector loop, over every nonempty subset in ascending mask order.
 
-    Counts oracle instances and dyadic hits, and hands ``write`` one
-    chunk of records per high half (below) when it is given, each record
-    after the first preceded by the record separator of ``fmt``.  The
-    loop unpacks the row ``_FORMATS[fmt]`` once, so both formats share
-    the one f-string that builds a record.  Returns the closed-form
-    summary of :func:`_rule_census` with those two counts.
+    Counts oracle instances and dyadic hits, and when ``write`` is given
+    hands it the whole record file of ``fmt``: one chunk of records per
+    high half (below), the first led by the header (mask 1, the speed 1,
+    is coprime, so that chunk always exists) and each later one by the
+    record separator, then the footer.  The loop unpacks the row
+    ``_FORMATS[fmt]`` once, so both formats share the one f-string that
+    builds a record.  Returns the closed-form summary of
+    :func:`_rule_census` with those two counts.
 
     The mask splits at bit h = max_speed // 2 into a low half, speeds
     1..h, and a high half, the rest, and the loop runs ``for hi: for
@@ -221,7 +223,7 @@ def _census(
     that happens for 43 of the 16,383 vectors.
     """
     gcd, denominator = math.gcd, dyadic.dyadic_denominator
-    _, _, (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, end), bits, missing, quote, comma, joiner = _FORMATS[fmt]
+    header, footer, (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, end), bits, missing, quote, comma, joiner = _FORMATS[fmt]
     tables = [[]] + [_witnesses(max_speed, k) if with_oracle or with_dyadic else [] for k in range(1, max_speed + 1)]
     half = max_speed // 2
     low = range(1 << half)
@@ -234,7 +236,7 @@ def _census(
         # A vector's fastest speeds are its high half's when that has three, else the high half's and these.
         low_top = [_speeds(lo)[:3] for lo in low]
         low_last = [(lo & -lo).bit_length() for lo in low]
-    separator = ""
+    separator = header
     oracle_ct = dyadic_ct = 0
     for hi in range(1 << max_speed - half):
         high = _speeds(hi << half)
@@ -276,6 +278,8 @@ def _census(
         if rows:
             write(separator + joiner.join(rows))
             separator = joiner
+    if write is not None:
+        write(footer)
     return _rule_census(max_speed, require_coprime)._replace(
         oracle_instance_count=oracle_ct if with_oracle else None,
         dyadic_verified_count=dyadic_ct if with_dyadic else None,
@@ -366,11 +370,12 @@ def sweep(
     counts always cover the whole range.  Those and the rule counts
     come from the closed form; only the oracle and dyadic counts visit
     the vectors, in the per-vector loop.  Given ``out``, the same loop
-    also writes one record per classified vector, masks ascending, to
-    that file as ``fmt`` (csv or json).  ``max_speed`` may be up to 62
-    for the rules-only summary, which visits no vector, up to 32 when
-    the loop runs without ``out``, and up to 24 with it, in both modes,
-    which is the budget of 2^24 records.  It is checked first, then the
+    also writes the whole record file as ``fmt`` (csv or json): the
+    header, one record per classified vector, masks ascending, and the
+    footer.  ``max_speed`` may be up to 62 for the rules-only summary,
+    which visits no vector, up to 32 when the loop runs without ``out``,
+    and up to 24 with it, in both modes, which is the budget of 2^24
+    records.  It is checked first, then the
     format, both before any work and before the file is opened.
     """
     rules_only = out is None and not (with_oracle or with_dyadic)
@@ -382,12 +387,8 @@ def sweep(
         return _rule_census(max_speed, require_coprime)
     if out is None:
         return _census(max_speed, require_coprime, with_oracle, with_dyadic, None, fmt)
-    header, footer, *_ = _FORMATS[fmt]
     try:
         with open(out, "w", newline="") as handle:
-            handle.write(header)
-            summary = _census(max_speed, require_coprime, with_oracle, with_dyadic, handle.write, fmt)
-            handle.write(footer)
+            return _census(max_speed, require_coprime, with_oracle, with_dyadic, handle.write, fmt)
     except OSError as exc:
         raise OSError(f"cannot write {out}: {exc}") from exc
-    return summary

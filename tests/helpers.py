@@ -68,10 +68,10 @@ def coprime_count_brute(max_speed: int) -> int:
 def census_records(
     max_speed: int, require_coprime: bool = False, with_oracle: bool = False, with_dyadic: bool = False
 ) -> list[dict]:
-    """The per-vector loop's JSON record lines, read back with json.loads."""
-    lines = ["["]
-    _census(max_speed, require_coprime, with_oracle, with_dyadic, lines.append, "json")
-    return json.loads("".join(lines) + "]")
+    """The per-vector loop's JSON record file, read back with json.loads."""
+    chunks = []
+    _census(max_speed, require_coprime, with_oracle, with_dyadic, chunks.append, "json")
+    return json.loads("".join(chunks))
 
 
 def record_tally(max_speed: int, require_coprime: bool = False) -> EnumerationSummary:

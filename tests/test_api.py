@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import lonely_runner
+from lonely_runner.cli import main
 
 # Modules whose public names the package re-exports; the CLI is an entry point.
 NOT_REEXPORTED = {"cli", "__main__"}
@@ -113,6 +114,17 @@ def test_readme_library_use_matches_its_comments():
         else:
             exec(code, namespace)
     assert checked >= 5
+
+
+def test_readme_cli_example_matches_main(capsys):
+    # The text block under "Example:" is one command line and the stdout it prints, byte for byte.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("Example:", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    command, expected = block.split("\n", 1)
+    prompt, _, args = command.partition(" lonely-runner ")
+    assert prompt == "$"
+    assert main(args.split()) == 0
+    assert capsys.readouterr().out == expected
 
 
 def _private(name):

@@ -338,48 +338,9 @@ def test_witness_census_falls_back_to_the_sweep(monkeypatch, max_speed):
     assert find_dyadic_time((10, 9, 6, 2)) == 392 and dyadic_denominator((10, 9, 6, 2)) == 1600
 
 
-def test_record_serialization(tmp_path):
-    # (4, 3, 2) is mask 0b1110, the second-to-last of the 15 records at N = 4.
-    path = tmp_path / "records.csv"
-    sweep(4, out=path)
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[-2] == ["4;3;2", "3", "1", "0", "1", "1", "1", "", "", ""]
-    path = tmp_path / "records.json"
-    sweep(4, out=path, fmt="json")
-    assert json.loads(path.read_text())[-2] == {
-        "speeds": [4, 3, 2],
-        "k": 3,
-        "coprime": True,
-        "thm1": False,
-        "thm2": True,
-        "slow_fast": True,
-        "any_rule": True,
-        "is_instance": None,
-        "earliest_time": None,
-        "dyadic_m": None,
-    }
-
-
 def test_export_summary_json_roundtrip():
     summary = sweep(6, with_oracle=True)
     assert EnumerationSummary(**json.loads(json.dumps(summary._asdict()))) == summary
-
-
-def test_export_records_csv(tmp_path):
-    path = tmp_path / "records.csv"
-    sweep(4, out=path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "speeds,k,coprime,thm1,thm2,slow_fast,any_rule,is_instance,earliest_time,dyadic_m"
-    assert len(lines) == 1 + 15
-
-
-def test_export_records_json_stream(tmp_path):
-    path = tmp_path / "records.json"
-    sweep(3, out=path, fmt="json")
-    data = json.loads(path.read_text())
-    assert len(data) == 7
-    assert data[0]["speeds"] == [1]
 
 
 FLAG_SETS = [
