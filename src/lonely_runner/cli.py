@@ -26,7 +26,7 @@ import sys
 import time
 from collections.abc import Callable, Iterator
 from fractions import Fraction
-from itertools import chain, starmap
+from itertools import chain
 
 from . import dyadic, enumeration, model, oracle, polyhedron
 from .classify import classify as run_classify
@@ -121,9 +121,9 @@ def _text(value: object) -> str:
 # Per form, text and then JSON: the lead before the first key, the separator before each later one, the end,
 # the key and value writers, and an interval list's open, item, separator and close.
 _FORMS = (
-    ("", "\n", "\n", str, _text, ("", "[{}/{}, {}/{}]", " ", "")),
+    ("", "\n", "\n", str, _text, ("", "[%d/%d, %d/%d]", " ", "")),
     ("{", ", ", "}\n", json.dumps, functools.partial(json.dumps, default=_plain),
-     ("[", '["{}/{}", "{}/{}"]', ", ", "]")),
+     ("[", '["%d/%d", "%d/%d"]', ", ", "]")),
 )
 
 
@@ -146,9 +146,9 @@ def _emit(obj: dict, as_json: bool, lines: list[str] | None = None) -> None:
     for key, value in obj.items():
         write(f"{lead}{key_text(key)}: ")
         if isinstance(value, Iterator):
-            texts = starmap(item.format, value)
-            write(open_list + next(texts, ""))
-            sys.stdout.writelines(comma + text for text in texts)
+            first = next(value, None)
+            write(open_list + ("" if first is None else item % first))
+            sys.stdout.writelines(map((comma + item).__mod__, value))
             write(close_list)
         else:
             write(value_text(value))

@@ -23,12 +23,20 @@ runner forward by at least one arc that ends by 1/2, so the sweep takes
 at most sum(n)/2 pops, and the first interval takes a few pops even at
 speeds near 10^18.
 
-The heap is ordered by an exact integer key, floor(t 2^P) with
-P = bit_length((k+1) n_1^2).  Two distinct arc endpoints x / ((k+1) n_a) and
-y / ((k+1) n_b) differ by at least 1 / ((k+1) n_a n_b) > 2^-P, so
-distinct times get distinct keys and equal times get equal keys.  The
-keys have about twice the digits of n_1 however many runners there are;
-a common denominator such as (k+1) lcm(n) would grow with the digits of
+The heap is ordered by an exact key, chosen once per sweep from
+P = bit_length((k+1) n_1^2).  Two distinct arc endpoints x / ((k+1) n_a)
+and y / ((k+1) n_b) differ by at least 1 / ((k+1) n_a n_b) > 2^-P.  When
+P <= 52 the key is the double num / den.  CPython divides ints with
+correct rounding, so equal times get equal doubles.  Every arc the sweep
+keys ends within 1/s of an arc end at or before 1/2, so every keyed time
+is at most 3/2 and its double is off by at most half an ulp, 2^-53; two
+distinct times, more than 2^-52 apart, keep their order and get
+distinct doubles.  Above 52 bits the key is the integer floor(t 2^P),
+which gives distinct times distinct keys and equal times equal keys by
+the same bound.  Either way the heap orders and ties the arc ends as the
+rationals do, so both keys yield the same intervals.  The integer keys
+have about twice the digits of n_1 however many runners there are; a
+common denominator such as (k+1) lcm(n) would grow with the digits of
 all of them.  Memory is O(k), and a caller that needs only the first
 interval stops there.
 
@@ -53,6 +61,7 @@ import math
 from array import array
 from fractions import Fraction
 from heapq import heapify, heapreplace
+from operator import truediv
 from typing import Iterable, Iterator, Sequence
 
 from .model import SpeedVector
@@ -72,9 +81,14 @@ __all__ = [
 # denominator (k+1) s < 1448 * 2^20 < 2^31 fits the kept half's signed
 # 64-bit integers.  The worst case the bound admits is k = 1 at
 # sum(n) = 2^20: ``check 1048576`` has 2^20 intervals and, on a 2-vCPU VM
-# under CPython 3.11.7, runs 1.9-3.3 s, peaks at 33 MB ``ru_maxrss`` (16 MB
+# under CPython 3.11.7, runs 1.8-2.6 s, peaks at 31 MB ``ru_maxrss`` (16 MB
 # of it the interpreter) and prints 36 MB.
 _MAX_SUITABLE_ARCS = 1 << 20
+
+# The widest P = bit_length((k+1) n_1^2) for which the sweep keys its heap
+# by doubles (see the module docstring); fixed by that proof.  Every vector
+# ``check`` accepts has P <= 49.
+_FLOAT_KEY_BITS = 52
 
 
 def _sweep(speeds: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
@@ -86,19 +100,20 @@ def _sweep(speeds: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
     """
     kp1 = len(speeds) + 1
     p = (kp1 * speeds[0] * speeds[0]).bit_length()
+    key = truediv if p <= _FLOAT_KEY_BITS else lambda num, den: (num << p) // den
     # The furthest arc end is lo_num / lo_den, with key cur: at first the
     # end of the slowest runner's arc 0.
     lo_num, lo_den = 1, kp1 * speeds[-1]
-    cur = (1 << p) // lo_den
+    cur = key(1, lo_den)
     # A heap entry is (key of the start, start numerator, D) of a runner's bad arc, from arc 1.
-    heap = [(((kp1 - 1) << p) // (kp1 * s), kp1 - 1, kp1 * s) for s in speeds]
+    heap = [(key(kp1 - 1, kp1 * s), kp1 - 1, kp1 * s) for s in speeds]
     heapify(heap)
     while True:
-        key, num, den = heap[0]
-        if key >= cur:
+        start, num, den = heap[0]
+        if start >= cur:
             yield lo_num, lo_den, num, den
         num += 2  # the arc's end
-        end = (num << p) // den
+        end = key(num, den)
         if end > cur:
             if 2 * num > den:  # past 1/2, where the mirror image begins
                 return
@@ -107,7 +122,7 @@ def _sweep(speeds: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
         else:
             # Seek: the first arc m with (m (k+1) + 1) / den > cur.
             num = -(-(lo_num * den // lo_den) // kp1) * kp1 - 1
-        heapreplace(heap, ((num << p) // den, num, den))
+        heapreplace(heap, (key(num, den), num, den))
 
 
 def _suitable_quads(n: SpeedVector) -> Iterator[tuple[int, int, int, int]]:
@@ -133,8 +148,8 @@ def _suitable_quads(n: SpeedVector) -> Iterator[tuple[int, int, int, int]]:
                 "before 1/2 and is not its own mirror"
             )
         yield quad
-    for i in range(len(lower) - 4, -1, -4):
-        a, b, c, d = lower[i : i + 4]
+    lower.reverse()  # each quad now reads (d, c, b, a), the last first
+    for d, c, b, a in zip(*[iter(lower)] * 4):
         yield d - c, d, b - a, b
 
 

@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -202,8 +203,60 @@ def test_sweep_key_separates_the_closest_arc_ends():
     assert not is_suitable(n, e)
 
 
+def test_sweep_double_keys_are_not_used_past_52_bits():
+    # k = 3 with speeds s, s2 near 2^27 and 1, so P = bit_length(4 s^2) = 57.
+    # Arc m of s is its first to end after 1/4; s2 = (4m + 1)^-1 mod s solves
+    # (4m + 1) s2 - (4 m2 - 1) s = 1, so arc m2 of s2 starts 1 / (4 s s2) < 2^-55
+    # before arc m of s ends at e.  As doubles the two tie, and a double key
+    # would emit [e, start] backwards.
+    s, s2, m, m2 = 134217733, 100663300, 33554434, 25165826
+    assert (4 * m + 1) * s2 - (4 * m2 - 1) * s == 1 and 4 * (m - 1) + 1 <= s < 4 * m + 1
+    e, start = F(4 * m + 1, 4 * s), F(4 * m2 - 1, 4 * s2)
+    assert (4 * m + 1) / (4 * s) == (4 * m2 - 1) / (4 * s2)
+    n = SpeedVector([s, s2, 1])
+    assert (4 * s * s).bit_length() == 57
+    raw = list(itertools.islice(oracle._sweep(n), 3))
+    assert_intervals_by_definition(n, raw)  # which also asserts lo <= hi
+    assert F(raw[0][2], raw[0][3]) < start < e <= F(raw[1][0], raw[1][1])
+
+
+def test_check_domain_takes_double_keys():
+    # The fastest speed of a vector check accepts is at most 2^20 minus the k - 1
+    # slowest distinct speeds, and k <= 1447 (see _MAX_SUITABLE_ARCS).
+    widest = max((k + 1) * (2**20 - k * (k - 1) // 2) ** 2 for k in range(1, 1448)).bit_length()
+    assert widest == 49 <= oracle._FLOAT_KEY_BITS
+
+
+def vector_with_key_bits(rng, k, p):
+    """A descending vector of k speeds whose P = bit_length((k+1) n_1^2) is p."""
+    fastest = math.isqrt(((1 << p) - 1) // (k + 1))
+    n = SpeedVector([fastest, *rng.sample(range(fastest // 2, fastest), k - 1)])
+    assert ((k + 1) * fastest * fastest).bit_length() == p
+    return n
+
+
+def key_path_vectors():
+    rng = random.Random(52)
+    yield from ((speeds, None) for speeds in descending_subsets(10))
+    for k, tier, count in [(3, 10**3, 4), (7, 10**3, 4), (7, 10**5, 1)]:
+        for _ in range(count):
+            yield SpeedVector(rng.sample(range(tier - tier // 10, tier + 1), k)), None
+    yield tuple(range(1447, 0, -1)), None
+    for p in (50, 51, 52):
+        yield vector_with_key_bits(rng, 3, p), 200
+        yield vector_with_key_bits(rng, 7, p), 200
+
+
+def test_double_and_int_keys_give_the_same_sweep(monkeypatch):
+    for speeds, stop in key_path_vectors():
+        doubles = list(itertools.islice(oracle._sweep(speeds), stop))
+        monkeypatch.setattr(oracle, "_FLOAT_KEY_BITS", 0)  # every vector takes int keys
+        assert list(itertools.islice(oracle._sweep(speeds), stop)) == doubles, speeds
+        monkeypatch.undo()
+
+
 class HeapWatch:
-    """Stands in for the sweep's heapify and heapreplace: counts pops, keeps the widest key."""
+    """Stands in for the sweep's heapify and heapreplace: counts pops, keeps the key types and the widest int key."""
 
     def __init__(self, monkeypatch):
         monkeypatch.setattr(oracle, "heapify", self.heapify)
@@ -211,34 +264,42 @@ class HeapWatch:
         self.reset(0)
 
     def reset(self, max_pops):
-        self.pops, self.key_bits, self.max_pops = 0, 0, max_pops
+        self.pops, self.key_bits, self.key_types, self.max_pops = 0, 0, set(), max_pops
+
+    def see(self, key):
+        self.key_types.add(type(key))
+        if isinstance(key, int):
+            self.key_bits = max(self.key_bits, key.bit_length())
 
     def heapify(self, heap):
-        self.key_bits = max([self.key_bits] + [key.bit_length() for key, *_ in heap])
+        for key, *_ in heap:
+            self.see(key)
         heapq.heapify(heap)
 
     def heapreplace(self, heap, entry):
         self.pops += 1
         if self.pops > self.max_pops:  # fail here rather than run on
             pytest.fail(f"more than {self.max_pops} heap pops")
-        self.key_bits = max(self.key_bits, entry[0].bit_length())
+        self.see(entry[0])
         return heapq.heapreplace(heap, entry)
 
     def assert_narrow_keys(self, n):
         # floor(t 2^P) with t < 2 and P <= 2 bit_length((k+1) n_1): the keys
         # follow the fastest speed, not the digits of all of them.
+        assert self.key_types == {int}
         assert self.key_bits <= 2 * ((n.k + 1) * n[0]).bit_length() + 1
 
 
 def test_sweep_pops_each_arc_at_most_once(monkeypatch):
     # Each pop passes an arc of one runner that ends by 1/2, where the sweep
     # stops; a runner of speed s has fewer than s/2 such arcs after arc 0.
+    # P = bit_length(11 * 10^2) is far below 52, so every key is a double.
     watch = HeapWatch(monkeypatch)
     for speeds in descending_subsets(10):
         n = SpeedVector(speeds)
         watch.reset(sum(n) // 2 + n.k)
         list(oracle._sweep(n))
-        watch.assert_narrow_keys(n)
+        assert watch.key_types == {float}, speeds
 
 
 @pytest.mark.parametrize("speeds", [(10**12, 1), (10**18, 10**9, 1)])
